@@ -7,6 +7,11 @@ between the pooled item and a guidance text embedding: similarities
 above a threshold are amplified by a fixed factor, small positive ones
 pass through unchanged, non-positive ones contribute nothing. Passing
 no guidance reduces both levels to plain gated attention pooling.
+
+Each level pools a whole matrix at once (the instances of a region, the
+region embeddings of a slide) with the matrix primitives of `tape`.
+Training, evaluation and the gradient check all run this one path:
+plain arrays simply record nothing.
 """
 
 from __future__ import annotations
@@ -72,6 +77,8 @@ def validate_bag(bag: SlideBag) -> SlideBag:
             raise DataError(f"slide {bag.slide_id} region {r.region_id} has no instances")
         if r.embeddings.shape[1] != dim:
             raise DataError(f"slide {bag.slide_id}: inconsistent embedding dims")
+        if not np.isfinite(r.embeddings).all():
+            raise DataError(f"slide {bag.slide_id} region {r.region_id}: non-finite embedding values")
         if len(r.instance_coords) != r.n_instances:
             raise DataError(f"slide {bag.slide_id} region {r.region_id}: coords do not align with instances")
         if len(set(map(tuple, r.instance_coords))) != r.n_instances:
@@ -122,7 +129,11 @@ def save_bag(bag: SlideBag, path: str | Path) -> None:
             } for j in range(r.n_instances)],
         } for r in bag.regions],
     }
-    Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n")
+    path = Path(path)
+    # a fresh file rather than one truncated in place: some file systems
+    # flush a rewritten file on close and stall a later delete of it
+    path.unlink(missing_ok=True)
+    path.write_text(json.dumps(payload, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -198,20 +209,17 @@ def refine_value(c: float, cfg: RefinementConfig) -> tuple[float, float]:
 
 
 def refinement_score(h, guidance, cfg: RefinementConfig):
-    """Piecewise score of cos(h, guidance). `guidance=None` (degenerate or
-    disabled guidance) scores zero, as does a near-zero-norm item. Within
-    a branch the gradient is linear in the cosine; in "detached" mode the
-    score is a constant with respect to everything."""
+    """Piecewise score (`refine_value`) of cos(h, guidance): a float for a
+    vector h, one score per row for a matrix h. `guidance=None`
+    (degenerate or disabled guidance) scores zero, as does a near-zero-norm
+    item. Within a branch the gradient is linear in the cosine; in
+    "detached" mode the score is a constant with respect to everything."""
     if guidance is None:
-        return 0.0
-    hv = tp.value(h)
-    if float(np.linalg.norm(hv)) < tp.EPS_NORM:
-        return 0.0
-    c = tp.cosine(h, guidance)
-    s, slope = refine_value(float(tp.value(c)), cfg)
-    if cfg.gradient == "detached" or slope == 0.0 or not isinstance(c, tp.Node):
-        return s
-    return tp.record(s, [(c, lambda g: g * slope)])
+        hv = tp.value(h)
+        return 0.0 if hv.ndim == 1 else np.zeros(hv.shape[0])
+    if cfg.gradient == "detached":
+        h, guidance = tp.value(h), tp.value(guidance)
+    return tp.refine_scores(h, guidance, cfg.factor, cfg.threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +260,11 @@ class BagScores:
     slide: list[float]
 
 
-def _gate_logit(h, w, m1, m2):
-    return tp.dot(w, tp.hadamard(tp.tanh(tp.matvec(m1, h)), tp.sigmoid(tp.matvec(m2, h))))
+def _attend(items, scores, w, m1, m2):
+    """Gated attention over the rows of `items`, shifted by the refinement
+    `scores`; returns (pooled vector, softmax weights)."""
+    weights = tp.softmax(tp.add(tp.gate_logits(items, w, m1, m2), scores))
+    return tp.pool(weights, items), weights
 
 
 def region_encode(region: Region, guidance, params: AttentionParams, cfg: RefinementConfig,
@@ -261,19 +272,13 @@ def region_encode(region: Region, guidance, params: AttentionParams, cfg: Refine
     """Attention-pool one region's instances into a region embedding."""
     if region.n_instances < 1:
         raise DataError(f"region {region.region_id} is empty")
-    instances = [region.embeddings[j] for j in range(region.n_instances)]
-    logits, scores = [], []
-    for j, h in enumerate(instances):
-        logit = _gate_logit(h, params.w_r, params.v1, params.v2)
-        if frozen_scores is not None:
-            s = frozen_scores[j]
-        else:
-            s = refinement_score(h, guidance, cfg)
-        scores.append(float(tp.value(s)))
-        logits.append(tp.add(logit, s))
-    weights = tp.softmax(tp.stack(logits))
-    emb = tp.weighted_sum(weights, instances)
-    return RegionOutput(embedding=emb, weights=weights, scores=scores)
+    h = region.embeddings
+    if frozen_scores is None:
+        s = refinement_score(h, guidance, cfg)
+    else:
+        s = np.asarray(frozen_scores, dtype=np.float64)
+    emb, weights = _attend(h, s, params.w_r, params.v1, params.v2)
+    return RegionOutput(embedding=emb, weights=weights, scores=tp.value(s).tolist())
 
 
 def wsi_encode(bag: SlideBag, guidance, params: AttentionParams, cfg: RefinementConfig,
@@ -286,19 +291,14 @@ def wsi_encode(bag: SlideBag, guidance, params: AttentionParams, cfg: Refinement
     for m, region in enumerate(bag.regions):
         fr = frozen.regions[m] if frozen is not None else None
         region_outs.append(region_encode(region, guidance, params, cfg, frozen_scores=fr))
-    logits, scores = [], []
-    for m, out in enumerate(region_outs):
-        logit = _gate_logit(out.embedding, params.w, params.u1, params.u2)
-        if frozen is not None:
-            s = frozen.slide[m]
-        else:
-            s = refinement_score(out.embedding, guidance, cfg)
-        scores.append(float(tp.value(s)))
-        logits.append(tp.add(logit, s))
-    weights = tp.softmax(tp.stack(logits))
-    emb = tp.weighted_sum(weights, [out.embedding for out in region_outs])
+    h = tp.rows([out.embedding for out in region_outs])
+    if frozen is None:
+        s = refinement_score(h, guidance, cfg)
+    else:
+        s = np.asarray(frozen.slide, dtype=np.float64)
+    emb, weights = _attend(h, s, params.w, params.u1, params.u2)
     return BagOutput(slide_embedding=emb, region_weights=weights,
-                     regions=region_outs, region_scores=scores)
+                     regions=region_outs, region_scores=tp.value(s).tolist())
 
 
 # ---------------------------------------------------------------------------

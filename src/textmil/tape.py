@@ -12,9 +12,14 @@ values is just numpy and costs nothing at backward time. That rule is
 what keeps frozen weights structurally outside the gradient: they are
 never wrapped in a Node, so no backward rule ever touches them.
 
-Summations that matter for permutation tests (`mean`, `weighted_sum`)
-run left-to-right over the stored order, so reordering inputs changes
-results only through float rounding.
+Attention pooling works on whole matrices (`rows`, `gate_logits`,
+`refine_scores`, `pool`), a few records per pooled group rather than
+several per instance. Their sums run through numpy/BLAS, so reordering
+inputs changes results only through float rounding.
+
+A tape only counts its nodes; each node holds its parents, not the
+other way round. The record graph is therefore acyclic and is freed by
+reference counting as soon as its root is dropped.
 """
 
 from __future__ import annotations
@@ -45,9 +50,9 @@ class Node:
     def __init__(self, tape: "Tape", value, pulls: tuple):
         self.tape = tape
         self.value = value
-        self.index = len(tape._nodes)
+        self.index = tape._count
         self.pulls = pulls
-        tape._nodes.append(self)
+        tape._count += 1
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Node(#{self.index}, value={self.value!r})"
@@ -56,11 +61,11 @@ class Node:
 class Gradients:
     """Backward results, indexable by the Node the gradient belongs to."""
 
-    def __init__(self, grads: list):
+    def __init__(self, grads: dict):
         self._grads = grads
 
     def __getitem__(self, node: Node):
-        g = self._grads[node.index]
+        g = self._grads.get(node.index)
         if g is None:
             if isinstance(node.value, np.ndarray):
                 return np.zeros_like(node.value)
@@ -69,10 +74,10 @@ class Gradients:
 
 
 class Tape:
-    """Ordered record of primitive ops for one reverse pass."""
+    """Numbering of the recorded ops of one reverse pass."""
 
     def __init__(self):
-        self._nodes: list[Node] = []
+        self._count = 0
 
     def param(self, value) -> Node:
         """Wrap a trainable array (copied) as a leaf node."""
@@ -80,24 +85,30 @@ class Tape:
         return Node(self, arr, ())
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return self._count
 
     def backward(self, root: Node) -> Gradients:
-        """Reverse sweep from `root` (a scalar node) through every record once."""
+        """Reverse sweep from `root` (a scalar node): every node it depends
+        on is visited once, in descending record order."""
         if not isinstance(root, Node) or root.tape is not self:
             raise ValueError("backward root must be a Node on this tape")
-        grads: list = [None] * len(self._nodes)
-        grads[root.index] = 1.0
-        for node in reversed(self._nodes):
+        seen = {root.index}
+        order = [root]
+        todo = [root]
+        while todo:
+            for parent, _ in todo.pop().pulls:
+                if parent.index not in seen:
+                    seen.add(parent.index)
+                    order.append(parent)
+                    todo.append(parent)
+        order.sort(key=lambda n: n.index, reverse=True)
+        grads = {root.index: 1.0}
+        for node in order:
             g = grads[node.index]
-            if g is None:
-                continue
             for parent, pull in node.pulls:
                 contrib = pull(g)
-                if grads[parent.index] is None:
-                    grads[parent.index] = contrib
-                else:
-                    grads[parent.index] = grads[parent.index] + contrib
+                prev = grads.get(parent.index)
+                grads[parent.index] = contrib if prev is None else prev + contrib
         return Gradients(grads)
 
 
@@ -184,15 +195,6 @@ def sigmoid(a):
     return record(y, [(a, lambda g: g * y * (1.0 - y))])
 
 
-def matmul(a, b):
-    av, bv = value(a), value(b)
-    _check_matrix(av, "A")
-    _check_matrix(bv, "B")
-    if av.shape[1] != bv.shape[0]:
-        raise ValueError(f"inner dimensions disagree: {av.shape} x {bv.shape}")
-    return record(av @ bv, [(a, lambda g: g @ bv.T), (b, lambda g: av.T @ g)])
-
-
 def matvec(a, x):
     av, xv = value(a), value(x)
     _check_matrix(av, "A")
@@ -262,19 +264,95 @@ def mean(vectors: Sequence):
     return record(out, [(v, lambda g: g * k) for v in vectors])
 
 
-def weighted_sum(weights, vectors: Sequence):
-    """Sum_j weights[j] * vectors[j], left-to-right over the stored order."""
-    wv = value(weights)
-    _check_vector(wv, "weights")
-    if len(vectors) != wv.shape[0]:
-        raise ValueError(f"{len(vectors)} vectors for {wv.shape[0]} weights")
-    hs = [value(v) for v in vectors]
-    acc = wv[0] * hs[0]
-    for j in range(1, len(hs)):
-        acc = acc + wv[j] * hs[j]
-    pulls = [(weights, lambda g: np.array([float(g @ h) for h in hs]))]
-    pulls += [(v, (lambda j: lambda g: wv[j] * g)(j)) for j, v in enumerate(vectors)]
-    return record(acc, pulls)
+def rows(vectors: Sequence):
+    """Stack equal-length vectors into the rows of a matrix."""
+    if len(vectors) == 0:
+        raise ValueError("rows of empty sequence")
+    vals = [value(v) for v in vectors]
+    for v in vals:
+        _check_vector(v, "row")
+        if v.shape != vals[0].shape:
+            raise ValueError(f"shape mismatch: {vals[0].shape} vs {v.shape}")
+    pulls = [(v, (lambda j: lambda g: g[j])(j)) for j, v in enumerate(vectors)]
+    return record(np.stack(vals), pulls)
+
+
+def gate_logits(h, w, m1, m2):
+    """Gated-attention logit w . (tanh(M1 h_i) * sigmoid(M2 h_i)) of every
+    row h_i of the (n, dim) matrix H; M1 and M2 are (hidden, dim)."""
+    hv, wv, m1v, m2v = value(h), value(w), value(m1), value(m2)
+    _check_matrix(hv, "H")
+    _check_vector(wv, "w")
+    for m in (m1v, m2v):
+        _check_matrix(m, "M")
+        if m.shape != (wv.shape[0], hv.shape[1]):
+            raise ValueError(f"gate matrix {m.shape} does not fit w {wv.shape} and H {hv.shape}")
+    a = np.tanh(hv @ m1v.T)
+    b = 1.0 / (1.0 + np.exp(-(hv @ m2v.T)))
+    ab = a * b
+    memo = [None, None]
+
+    def pre(g):
+        """Cotangents of the two pre-activations H M1^T and H M2^T."""
+        if memo[0] is not g:
+            gw = np.outer(g, wv)
+            memo[0] = g
+            memo[1] = (gw * b * (1.0 - a * a), gw * a * b * (1.0 - b))
+        return memo[1]
+
+    def pull_h(g):
+        d1, d2 = pre(g)
+        return d1 @ m1v + d2 @ m2v
+
+    return record(ab @ wv, [(h, pull_h), (w, lambda g: g @ ab),
+                            (m1, lambda g: pre(g)[0].T @ hv),
+                            (m2, lambda g: pre(g)[1].T @ hv)])
+
+
+def pool(p, h):
+    """Weighted sum p @ H of the rows of H."""
+    pv, hv = value(p), value(h)
+    _check_vector(pv, "p")
+    _check_matrix(hv, "H")
+    if pv.shape[0] != hv.shape[0]:
+        raise ValueError(f"{pv.shape[0]} weights for {hv.shape[0]} rows")
+    return record(pv @ hv, [(p, lambda g: hv @ g), (h, lambda g: np.outer(pv, g))])
+
+
+def refine_scores(x, t, factor: float, threshold: float):
+    """Three-branch score of the cosine c between `t` and each row of the
+    matrix `x` (one score per row) or the vector `x` (a float): factor*c
+    strictly above the threshold, c on (0, threshold] (the threshold stays
+    on the continuous-from-below branch), 0 for c <= 0. A row with norm
+    below EPS_NORM scores 0. The gradient is the branch slope times the
+    cosine's gradient, so a zero score gets none."""
+    xv, tv = value(x), value(t)
+    _check_vector(tv, "t")
+    vector = np.ndim(xv) == 1
+    xm = xv[None, :] if vector else xv
+    _check_matrix(xm, "x")
+    if xm.shape[1] != tv.shape[0]:
+        raise ValueError(f"rows of length {xm.shape[1]} for a guidance of length {tv.shape[0]}")
+    nt = float(np.linalg.norm(tv))
+    if nt < EPS_NORM:
+        raise DegenerateVectorError(f"cannot score against a guidance with norm {nt:g}")
+    nx = np.linalg.norm(xm, axis=1)
+    live = nx >= EPS_NORM
+    nx = np.where(live, nx, 1.0)
+    c = (xm @ tv) / (nx * nt)
+    slope = np.where(live & (c > threshold), float(factor), np.where(live & (c > 0.0), 1.0, 0.0))
+    s = np.where(slope > 0.0, slope * c, 0.0)
+
+    def pull_x(g):
+        k = np.reshape(g, -1) * slope / (nx * nt)
+        return (k[:, None] * (tv - (c * nt / nx)[:, None] * xm)).reshape(xv.shape)
+
+    def pull_t(g):
+        gs = np.reshape(g, -1) * slope
+        return (gs / (nx * nt)) @ xm - float(gs @ c) / (nt * nt) * tv
+
+    pulls = [(x, pull_x), (t, pull_t)] if slope.any() else []
+    return record(float(s[0]) if vector else s, pulls)
 
 
 def cosine(u, v):

@@ -119,6 +119,24 @@ def test_eval_without_checkpoint_or_sweep(tmp_path, dataset_dir):
     assert main(["eval", "--data", str(dataset_dir), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_eval_rejects_non_finite_bag(tmp_path, config_path, dataset_dir, capsys):
+    run = tmp_path / "run"
+    assert main(["train", "--config", config_path, "--data", str(dataset_dir),
+                 "--out", str(run)]) == 0
+    slide_id = read_json(run / "checkpoint.json")["split"]["test"][0]
+    files = {s["id"]: s["file"] for s in read_json(dataset_dir / "manifest.json")["slides"]}
+    bag_path = dataset_dir / files[slide_id]
+    raw = read_json(bag_path)
+    raw["regions"][-1]["instances"][0]["embedding"][0] = float("nan")
+    bag_path.write_text(json.dumps(raw))
+    ev = tmp_path / "eval"
+    assert main(["eval", "--data", str(dataset_dir), "--checkpoint", str(run / "checkpoint.json"),
+                 "--split", "test", "--out", str(ev)]) == 3
+    assert not (ev / "metrics.json").exists()
+    err = capsys.readouterr().err
+    assert f"slide {slide_id} region {raw['regions'][-1]['id']}" in err
+
+
 def test_eval_sweep(tmp_path, config_path, dataset_dir):
     out = tmp_path / "sweep"
     assert main(["eval", "--config", config_path, "--data", str(dataset_dir), "--sweep",

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -430,3 +431,49 @@ def test_bag_validation_mask_alignment():
     from textmil.hierpool import validate_bag
     with pytest.raises(DataError):
         validate_bag(bag)
+
+
+def test_bag_save_over_existing_writes_new_file(tmp_path):
+    rng = np.random.default_rng(19)
+    bag = make_bag([rng.standard_normal((2, 4)) for _ in range(2)], slide_id="x2")
+    fresh, path = tmp_path / "fresh.json", tmp_path / "x2.json"
+    save_bag(bag, fresh)
+    path.write_text("stale contents\n")
+    with path.open() as old:  # keeps the old inode allocated
+        save_bag(bag, path)
+        assert path.stat().st_ino != os.fstat(old.fileno()).st_ino
+        assert old.read() == "stale contents\n"
+    assert path.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_bag_validation_rejects_non_finite(bad):
+    rng = np.random.default_rng(20)
+    bag = make_bag([rng.standard_normal((2, 4)), rng.standard_normal((3, 4))], slide_id="x3")
+    bag.regions[1].embeddings[2, 1] = bad
+    from textmil.hierpool import validate_bag
+    with pytest.raises(DataError, match="slide x3 region 1"):
+        validate_bag(bag)
+
+
+def test_refinement_score_matrix_matches_rows():
+    rng = np.random.default_rng(21)
+    t = tp.l2_normalize(rng.standard_normal(5))
+    H = np.vstack([0.9 * t + 0.1 * rng.standard_normal(5), rng.standard_normal((3, 5)),
+                   np.zeros((1, 5))])
+    scores = refinement_score(H, t, CFG)
+    assert scores.shape == (5,)
+    for j in range(5):
+        assert scores[j] == pytest.approx(float(refinement_score(H[j], t, CFG)), abs=1e-12)
+    assert scores[0] > CFG.threshold and scores[4] == 0.0
+    assert not refinement_score(H, None, CFG).any()
+
+
+def test_refinement_score_detached_records_nothing():
+    rng = np.random.default_rng(22)
+    tape = tp.Tape()
+    t = tape.param(tp.l2_normalize(rng.standard_normal(4)))
+    H = tape.param(np.vstack([tp.value(t), rng.standard_normal(4)]))
+    detached = RefinementConfig(factor=10.0, threshold=0.2, gradient="detached")
+    assert not isinstance(refinement_score(H, t, detached), tp.Node)
+    assert isinstance(refinement_score(H, t, CFG), tp.Node)

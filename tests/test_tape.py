@@ -1,4 +1,7 @@
+import ast
+import gc
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,33 +21,12 @@ def finite_vectors(min_size=2, max_size=8):
 # forward values
 
 
-def test_matmul_identity():
-    out = tp.matmul(np.eye(2), np.array([[1.0], [2.0]]))
-    assert np.array_equal(out, np.array([[1.0], [2.0]]))
-
-
 def test_matvec_direct_arithmetic():
     out = tp.matvec(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1.0, 1.0]))
     assert np.array_equal(out, np.array([3.0, 7.0]))
 
 
-def test_matmul_matches_scalar_triple_loop():
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((3, 3))
-    b = rng.standard_normal((3, 3))
-    expected = np.zeros((3, 3))
-    for i in range(3):
-        for j in range(3):
-            acc = 0.0
-            for k in range(3):
-                acc += a[i, k] * b[k, j]
-            expected[i, j] = acc
-    assert np.abs(tp.matmul(a, b) - expected).max() <= 1e-14
-
-
-def test_matmul_dimension_mismatch():
-    with pytest.raises(ValueError):
-        tp.matmul(np.ones((2, 3)), np.ones((2, 2)))
+def test_matvec_dimension_mismatch():
     with pytest.raises(ValueError):
         tp.matvec(np.ones((2, 3)), np.ones(2))
 
@@ -157,8 +139,8 @@ for i in range(10):
         (f"l2norm-{i}", lambda x, w=w: tp.dot(w, tp.l2_normalize(x)), v + 0.3),
         (f"layernorm-{i}", lambda x, w=w: tp.dot(w, tp.layernorm(x, w, w)), v),
         (f"add-scale-{i}", lambda x, w=w: tp.scale(tp.dot(w, tp.add(x, w)), 1.7), v),
-        (f"wsum-{i}", lambda x, w=w, v=v: tp.dot(w, tp.weighted_sum(
-            tp.softmax(x), [w, v, w + 1, v - 1, w * 2, v * 0.5])), v),
+        (f"wsum-{i}", lambda x, w=w, v=v: tp.dot(w, tp.pool(
+            tp.softmax(x), np.stack([w, v, w + 1, v - 1, w * 2, v * 0.5]))), v),
     ]
 
 
@@ -190,22 +172,136 @@ def test_matrix_param_vjp():
     assert tp.grad_check(f, A0.ravel(), g.ravel(), h=1e-6) <= 1e-4
 
 
-def test_matmul_param_vjp():
-    rng = np.random.default_rng(43)
-    A0 = rng.standard_normal((3, 3))
-    B = rng.standard_normal((3, 3))
-    p = rng.standard_normal(3)
+# ---------------------------------------------------------------------------
+# matrix primitives: forward values and every differentiable argument
 
-    def f(flat):
-        out = tp.matmul(flat.reshape(3, 3), B)
-        return float(p @ np.asarray(tp.value(out)) @ p)
+
+def test_matrix_primitives_match_row_loops():
+    rng = np.random.default_rng(21)
+    H = rng.standard_normal((5, 6))
+    w = rng.standard_normal(4)
+    M1 = rng.standard_normal((4, 6))
+    M2 = rng.standard_normal((4, 6))
+    p = rng.standard_normal(5)
+    expected = [w @ (np.tanh(M1 @ h) * (1.0 / (1.0 + np.exp(-(M2 @ h))))) for h in H]
+    assert np.abs(tp.gate_logits(H, w, M1, M2) - expected).max() <= 1e-12
+    assert np.abs(tp.pool(p, H) - sum(p[j] * H[j] for j in range(5))).max() <= 1e-12
+    assert np.array_equal(tp.rows(list(H)), H)
+
+
+def test_matrix_primitives_shape_checks():
+    with pytest.raises(ValueError):
+        tp.rows([])
+    with pytest.raises(ValueError):
+        tp.rows([np.ones(3), np.ones(4)])
+    with pytest.raises(ValueError):
+        tp.gate_logits(np.ones((2, 3)), np.ones(4), np.ones((4, 2)), np.ones((4, 3)))
+    with pytest.raises(ValueError):
+        tp.pool(np.ones(3), np.ones((2, 3)))
+    with pytest.raises(ValueError):
+        tp.refine_scores(np.ones((2, 3)), np.ones(4), 3.0, 0.2)
+    with pytest.raises(DegenerateVectorError):
+        tp.refine_scores(np.ones((2, 3)), np.zeros(3), 3.0, 0.2)
+
+
+def rows_at_cosines(rng, t, cosines):
+    """Rows of random norm whose cosine with `t` is exactly as given."""
+    t_hat = t / np.linalg.norm(t)
+    out = []
+    for c in cosines:
+        r = rng.standard_normal(t.shape[0])
+        r -= (r @ t_hat) * t_hat
+        out.append(rng.uniform(0.5, 2.0) * (c * t_hat + math.sqrt(1 - c * c) * r / np.linalg.norm(r)))
+    return np.array(out)
+
+
+FACTOR, THRESHOLD = 3.0, 0.2
+# amplified, pass-through and zero rows, each >= 0.04 from a branch boundary
+COSINES = (0.62, 0.11, -0.45, 0.31, 0.05, 0.16)
+
+
+def reduce_scalar(out, u, v):
+    """A scalar tape function of a float, vector or matrix output."""
+    val = tp.value(out)
+    if np.ndim(val) == 0:
+        return out
+    if np.ndim(val) == 2:
+        out = tp.pool(v[:val.shape[0]], out)
+        val = tp.value(out)
+    return tp.dot(u[:val.shape[0]], out)
+
+
+def refine(x, t):
+    return tp.refine_scores(x, t, FACTOR, THRESHOLD)
+
+
+PRIMITIVE_CASES = []
+_prng = np.random.default_rng(20261018)
+for i in range(3):
+    H = _prng.standard_normal((5, 6))
+    gate = [H, _prng.standard_normal(4), 0.5 * _prng.standard_normal((4, 6)),
+            0.5 * _prng.standard_normal((4, 6))]
+    t = _prng.standard_normal(6)
+    X = rows_at_cosines(_prng, t, COSINES)
+    vecs = [_prng.standard_normal(6) for _ in range(3)]
+    p = _prng.standard_normal(5)
+    PRIMITIVE_CASES += [(f"rows-{j}-{i}", lambda *a: tp.rows(list(a)), vecs, j) for j in range(3)]
+    PRIMITIVE_CASES += [(f"gate_logits-{n}-{i}", tp.gate_logits, gate, j)
+                        for j, n in enumerate(("H", "w", "M1", "M2"))]
+    PRIMITIVE_CASES += [(f"pool-p-{i}", tp.pool, [p, H], 0), (f"pool-H-{i}", tp.pool, [p, H], 1)]
+    PRIMITIVE_CASES += [(f"refine_scores-rows-{i}", refine, [X, t], 0),
+                        (f"refine_scores-guidance-{i}", refine, [X, t], 1),
+                        (f"refine_scores-amplified-vector-{i}", refine, [X[0], t], 0),
+                        (f"refine_scores-pass-vector-{i}", refine, [X[1], t], 0),
+                        (f"refine_scores-vector-guidance-{i}", refine, [X[3], t], 1)]
+
+
+@pytest.mark.parametrize("name,fn,args,k", PRIMITIVE_CASES, ids=[c[0] for c in PRIMITIVE_CASES])
+def test_primitive_argument_vjp(name, fn, args, k):
+    rng = np.random.default_rng(7)
+    u, v = rng.standard_normal(8), rng.standard_normal(8)
+    x0 = np.asarray(args[k], dtype=np.float64)
+
+    def call(xk):
+        return reduce_scalar(fn(*args[:k], xk, *args[k + 1:]), u, v)
 
     t = tp.Tape()
-    node = t.param(A0)
-    out = tp.matmul(node, B)
-    root = tp.dot(p, tp.matvec(out, p))
-    g = t.backward(root)[node]
-    assert tp.grad_check(f, A0.ravel(), g.ravel(), h=1e-6) <= 1e-4
+    node = t.param(x0)
+    g = t.backward(call(node))[node]
+    err = tp.grad_check(lambda flat: float(tp.value(call(flat.reshape(x0.shape)))),
+                        x0.ravel(), np.asarray(g).ravel(), h=1e-6)
+    assert err <= 1e-4, f"{name}: rel err {err}"
+
+
+def test_refine_scores_branch_values():
+    rng = np.random.default_rng(22)
+    t = rng.standard_normal(5)
+    X = rows_at_cosines(rng, t, (0.6, 0.15, -0.3))
+    s = tp.refine_scores(X, t, FACTOR, THRESHOLD)
+    assert np.abs(s - [FACTOR * 0.6, 0.15, 0.0]).max() <= 1e-12
+    assert s[2] == 0.0 and math.copysign(1.0, s[2]) == 1.0
+    for j in range(3):
+        assert tp.refine_scores(X[j], t, FACTOR, THRESHOLD) == pytest.approx(s[j], abs=1e-12)
+
+
+def test_refine_scores_near_zero_row_scores_zero_without_gradient():
+    rng = np.random.default_rng(23)
+    t = rng.standard_normal(4)
+    X = np.vstack([rows_at_cosines(rng, t, (0.5,)), np.full((1, 4), 1e-12)])
+    tape = tp.Tape()
+    node = tape.param(X)
+    s = tp.refine_scores(node, t, FACTOR, THRESHOLD)
+    assert tp.value(s)[1] == 0.0
+    g = tape.backward(tp.dot(np.ones(2), s))[node]
+    assert not g[1].any() and g[0].any()
+
+
+def test_refine_scores_all_zero_records_nothing():
+    t = np.array([1.0, 0.0, 0.0])
+    tape = tp.Tape()
+    node = tape.param(np.array([[-1.0, 0.5, 0.0], [0.0, 1.0, 0.0]]))
+    out = tp.refine_scores(node, t, FACTOR, THRESHOLD)
+    assert not isinstance(out, tp.Node) and not out.any()
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +360,48 @@ def test_constant_only_ops_stay_off_tape():
     tp.add(np.ones(3), np.ones(3))
     tp.matvec(np.ones((2, 3)), np.ones(3))
     assert len(t) == before == 0
+
+
+def test_dropped_graph_freed_without_cycle_collection():
+    gc.collect()
+    gc.disable()
+    try:
+        t = tp.Tape()
+        x = t.param(np.array([0.3, -0.2]))
+        root = tp.dot(tp.tanh(x), tp.sigmoid(x))
+        t.backward(root)
+        assert len(t) == 4
+        del t, x, root
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_backward_ignores_nodes_off_the_root_path():
+    t = tp.Tape()
+    x = t.param(np.array([1.0, 2.0]))
+    y = t.param(np.array([3.0, 4.0]))
+    unused = tp.hadamard(x, y)
+    root = tp.dot(x, np.array([1.0, -1.0]))
+    g = t.backward(root)
+    assert np.array_equal(g[x], [1.0, -1.0])
+    assert np.array_equal(g[y], [0.0, 0.0])
+    assert np.array_equal(g[unused], [0.0, 0.0])
+
+
+def test_only_tape_records_primitives():
+    """The op set is closed: no module but tape.py calls `record`."""
+    offenders = []
+    for path in sorted(Path(tp.__file__).parent.glob("*.py")):
+        if path.name == "tape.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                if name == "record":
+                    offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
 
 
 def test_mixing_tapes_rejected():

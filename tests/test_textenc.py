@@ -124,7 +124,13 @@ def test_frozen_weights_never_enter_tape():
     out = encode(stack, np.random.default_rng(0).standard_normal((3, 8)), sites=bound)
     trainable_nodes = 2 * 2  # one trainable block, two sites, gamma+beta
     # every leaf on the tape is a bound adapter vector; no backbone array
-    leaves = [n for n in t._nodes if not n.pulls]
+    nodes, todo = {}, [out]
+    while todo:
+        for parent, _ in todo.pop().pulls:
+            if parent.index not in nodes:
+                nodes[parent.index] = parent
+                todo.append(parent)
+    leaves = [n for n in nodes.values() if not n.pulls]
     assert len(leaves) == trainable_nodes
     for leaf in leaves:
         for arr in stack.weight_arrays():
