@@ -16,14 +16,14 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, apply_overrides, load_config
-from .data import build_dataset, kshot_split, load_dataset, write_dataset
+from .data import build_dataset, load_dataset, write_dataset
 from .errors import ConfigError, DataError, NumericError
 from .gradcheck import run_gradcheck
 from .hierpool import attention_record, save_attention_record
 from .metrics import evaluate
-from .model import build_model, load_checkpoint, merge_model, save_checkpoint
-from .ssf import count_trainable
-from .train import fit
+from .model import load_checkpoint, merge_model, save_checkpoint
+from .ssf import SITES_PER_BLOCK, count_trainable
+from .train import run_kshot
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -37,23 +37,13 @@ def _load_run_config(args) -> RunConfig:
                            factor=getattr(args, "lambda"), threshold=args.alpha)
 
 
-def _split_bags(dataset, plan):
-    return ([dataset.bags[i] for i in plan["train"]],
-            [dataset.bags[i] for i in plan["val"]],
-            [dataset.bags[i] for i in plan["test"]])
-
-
-def _train_once(cfg: RunConfig, dataset, fold_seed: int | None = None):
-    """Build, split and fit one model; returns (model, result, plan)."""
-    spec = dataset.spec
-    plan = kshot_split(dataset.labels(), cfg.train.shots,
-                       fold_seed if fold_seed is not None else cfg.train.seed,
-                       dataset_seed=spec.seed, test_per_class=spec.test_per_class,
-                       val_per_class=spec.val_per_class)
-    model = build_model(cfg, dataset.prompts)
-    train_bags, val_bags, _ = _split_bags(dataset, plan.to_dict())
-    result = fit(model, train_bags, val_bags)
-    return model, result, plan
+def _checkpoint_bags(args):
+    """The checkpoint's model and the dataset's bags of its `args.split` split."""
+    model, _, split = load_checkpoint(args.checkpoint)
+    dataset = load_dataset(args.data)
+    if not isinstance(split, dict) or args.split not in split:
+        raise DataError(f"checkpoint carries no {args.split} split; cannot select bags")
+    return model, model.check_bags(dataset.select(split[args.split]))
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +67,7 @@ def cmd_generate(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_run_config(args)
     dataset = load_dataset(args.data)
-    model, result, plan = _train_once(cfg, dataset)
+    model, result, plan = run_kshot(cfg, dataset)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(model, out / "checkpoint.json", history=result.history,
@@ -92,11 +82,7 @@ def cmd_train(args) -> int:
 
 
 def _eval_single(args) -> int:
-    model, _, split = load_checkpoint(args.checkpoint)
-    dataset = load_dataset(args.data)
-    if split is None:
-        raise DataError("checkpoint carries no split plan; cannot select bags")
-    bags = [dataset.bags[i] for i in split[args.split]]
+    model, bags = _checkpoint_bags(args)
     result = evaluate(model, bags)
     payload = {
         "config": model.config.to_dict(),
@@ -119,10 +105,8 @@ def _eval_sweep(args) -> int:
     for fold in range(args.folds):
         for s in range(args.seeds):
             run_cfg = apply_overrides(cfg, seed=cfg.train.seed + 1000 * s)
-            model, fit_res, plan = _train_once(run_cfg, dataset,
-                                               fold_seed=cfg.train.seed + fold)
-            _, _, test_bags = _split_bags(dataset, plan.to_dict())
-            res = evaluate(model, test_bags)
+            model, fit_res, plan = run_kshot(run_cfg, dataset, fold_seed=cfg.train.seed + fold)
+            res = evaluate(model, model.check_bags(dataset.select(plan.test)))
             results.append({"fold": fold, "seed": run_cfg.train.seed,
                             "auc": res.auc, "best_epoch": fit_res.best_epoch})
     aucs = np.array([r["auc"] for r in results])
@@ -150,11 +134,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_localize(args) -> int:
-    model, _, split = load_checkpoint(args.checkpoint)
-    dataset = load_dataset(args.data)
-    if split is None:
-        raise DataError("checkpoint carries no split plan; cannot select bags")
-    bags = [dataset.bags[i] for i in split[args.split]]
+    model, bags = _checkpoint_bags(args)
     loc = model.config.localization
     result = evaluate(model, bags, with_localization=True,
                       saliency_mode=loc.saliency, threshold=loc.threshold)
@@ -208,15 +188,10 @@ def cmd_merge(args) -> int:
 
 def cmd_params(args) -> int:
     cfg = _load_run_config(args)
-    n = count_trainable(cfg.encoder.dim, cfg.train.depth, cfg.encoder.attn_hidden,
-                        cfg.encoder.dim)
-    payload = {
-        "config": cfg.to_dict(),
-        "trainable": n,
-        "adapters": 2 * cfg.encoder.dim * 2 * cfg.train.depth,
-        "attention": 2 * (2 * cfg.encoder.attn_hidden * cfg.encoder.dim
-                          + cfg.encoder.attn_hidden),
-    }
+    counts = [count_trainable(cfg.encoder.dim, cfg.train.depth, cfg.encoder.attn_hidden,
+                              cfg.encoder.dim, sites_per_block=n) for n in (SITES_PER_BLOCK, 0)]
+    payload = {"config": cfg.to_dict(), "trainable": counts[0],
+               "adapters": counts[0] - counts[1], "attention": counts[1]}
     if args.out is not None:
         _write_json(Path(args.out) / "params.json", payload)
     print(json.dumps(payload if args.verbose else

@@ -64,14 +64,25 @@ class GeneratorSpec:
 
 @dataclass
 class Dataset:
+    """A generated or loaded dataset; only a generated one knows its
+    prototypes (n_classes, dim; the normal class carries the background)."""
+
     spec: GeneratorSpec
     bags: list[SlideBag]
     prompts: PromptSet
-    prototypes: np.ndarray  # (n_classes, dim); normal class carries the background
-    background: np.ndarray
+    prototypes: np.ndarray | None = None
+    background: np.ndarray | None = None
 
     def labels(self) -> dict[str, int]:
         return {b.slide_id: b.label for b in self.bags}
+
+    def select(self, ids: list[str]) -> list[SlideBag]:
+        """The bags named by `ids`, in that order."""
+        by_id = {b.slide_id: b for b in self.bags}
+        missing = [i for i in ids if i not in by_id]
+        if missing:
+            raise DataError(f"dataset has no slide {missing[0]}")
+        return [by_id[i] for i in ids]
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -181,18 +192,7 @@ def write_dataset(ds: Dataset, out_dir: str | Path) -> Path:
     return out
 
 
-@dataclass
-class LoadedDataset:
-    spec: GeneratorSpec
-    bags: dict[str, SlideBag]
-    prompts: PromptSet
-    manifest: dict
-
-    def labels(self) -> dict[str, int]:
-        return {s["id"]: s["label"] for s in self.manifest["slides"]}
-
-
-def load_dataset(path: str | Path) -> LoadedDataset:
+def load_dataset(path: str | Path) -> Dataset:
     root = Path(path)
     manifest_path = root / "manifest.json"
     try:
@@ -201,12 +201,16 @@ def load_dataset(path: str | Path) -> LoadedDataset:
         raise DataError(f"cannot read dataset manifest {manifest_path}: {exc}") from exc
     try:
         spec = GeneratorSpec(**manifest["generator"])
-        slides = manifest["slides"]
         prompts = load_prompts(root / manifest["prompts_file"])
+        bags = [load_bag(root / s["file"]) for s in manifest["slides"]]
+        for s, bag in zip(manifest["slides"], bags):
+            if (bag.slide_id, bag.label) != (s["id"], s["label"]):
+                raise DataError(f"manifest {manifest_path} lists slide {s['id']} with label "
+                                f"{s['label']}, but {s['file']} holds slide {bag.slide_id} "
+                                f"with label {bag.label}")
     except (KeyError, TypeError) as exc:
         raise DataError(f"malformed manifest {manifest_path}: {exc}") from exc
-    bags = {s["id"]: load_bag(root / s["file"]) for s in slides}
-    return LoadedDataset(spec=spec, bags=bags, prompts=prompts, manifest=manifest)
+    return Dataset(spec=spec, bags=bags, prompts=prompts)
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,10 @@ from . import tape as tp
 from .config import EncoderConfig, RunConfig, TrainConfig
 from .errors import NumericError
 from .hierpool import AttentionParams, RefinementConfig, Region, SlideBag, wsi_encode
-from .model import SlideClassifier, TrainableLayout, build_model, class_probabilities, nll
+from .model import SlideClassifier, TrainableLayout, build_model
 from .ssf import build_sites
 from .textenc import ClassPrompt, PromptSet
-from .train import epoch_loss
+from .train import bag_nlls, epoch_loss
 
 BRANCH_MARGIN_MIN = 1e-3   # distance of every cosine from {0, threshold}
 GRAD_FLOOR = 3e-6          # smallest resolvable gradient at h=1e-6
@@ -123,15 +123,8 @@ def loss_grad_check(model: SlideClassifier, bags, h: float = 1e-6) -> float:
         layout.apply(theta)
         try:
             embs = model.class_embeddings()
-            guidance = model.guidance(embs)
-            total = 0.0
-            for i, bag in enumerate(bags):
-                out = wsi_encode(bag, guidance, model.attention, model.config.refinement,
-                                 frozen=None if frozen is None else frozen[i])
-                probs = class_probabilities(out.slide_embedding, embs,
-                                            model.config.train.temperature)
-                total += tp.value(nll(probs, bag.label))
-            return total / len(bags)
+            terms = bag_nlls(model, bags, embs, model.guidance(embs), model.attention, frozen)
+            return sum(tp.value(t) for t in terms) / len(bags)
         finally:
             layout.apply(theta0)
 

@@ -20,10 +20,10 @@ from . import tape as tp
 from .config import RunConfig, config_from_dict
 from .errors import ConfigError, DataError
 from .hierpool import AttentionParams, BagScores, SlideBag, init_attention, wsi_encode
-from .ssf import SsfParams, SsfSite, build_sites, count_trainable
-from .textenc import (PromptSet, TextEncoderStack, build_prompt, build_stack, encode,
-                      merge_reparam, refinement_embedding)
-from .textenc import EncoderBlock
+from .ssf import SsfParams, SsfSite, build_sites
+from .textenc import (EncoderBlock, PromptSet, TextEncoderStack, build_prompt, build_stack,
+                      encode, finite_array, merge_reparam, prompts_from_dict, prompts_to_dict,
+                      refinement_embedding)
 
 
 def class_probabilities(slide_embedding, class_embeddings, temperature: float):
@@ -80,9 +80,13 @@ class SlideClassifier:
                                     self.config.train.temperature)
         return tp.value(probs), out
 
-    def n_trainable(self) -> int:
-        return count_trainable(self.stack.dim, self.config.train.depth,
-                               self.config.encoder.attn_hidden, self.stack.dim)
+    def check_bags(self, bags: list[SlideBag]) -> list[SlideBag]:
+        """`bags` unchanged, once each embedding width matches the encoder's."""
+        for bag in bags:
+            if bag.dim != self.stack.dim:
+                raise DataError(f"slide {bag.slide_id} has embedding dim {bag.dim}; "
+                                f"the model expects {self.stack.dim}")
+        return bags
 
 
 def _derive_seeds(seed: int) -> tuple[int, int]:
@@ -180,26 +184,6 @@ class TrainableLayout:
 # checkpoints
 
 
-def _prompts_payload(prompts: PromptSet) -> dict:
-    return {
-        "tumor_class": prompts.tumor_class,
-        "classes": [{"id": c.class_id, "name": c.name,
-                     "region_tokens": c.region_tokens.tolist(),
-                     "slide_tokens": c.slide_tokens.tolist()}
-                    for c in prompts.classes],
-    }
-
-
-def _prompts_from_payload(raw: dict) -> PromptSet:
-    from .textenc import ClassPrompt
-    classes = [ClassPrompt(class_id=int(c["id"]), name=str(c["name"]),
-                           region_tokens=np.asarray(c["region_tokens"], dtype=np.float64),
-                           slide_tokens=np.asarray(c["slide_tokens"], dtype=np.float64))
-               for c in raw["classes"]]
-    t = raw.get("tumor_class")
-    return PromptSet(classes=classes, tumor_class=None if t is None else int(t))
-
-
 def save_checkpoint(model: SlideClassifier, path: str | Path, history: list | None = None,
                     split: dict | None = None) -> None:
     if model.merged or model.stack.seed is None:
@@ -220,7 +204,7 @@ def save_checkpoint(model: SlideClassifier, path: str | Path, history: list | No
                  "gamma": s.params.gamma.tolist(), "beta": s.params.beta.tolist()}
                 for s in model.sites],
         "attention": {f: getattr(model.attention, f).tolist() for f in AttentionParams.FIELDS},
-        "prompts": _prompts_payload(model.prompts),
+        "prompts": prompts_to_dict(model.prompts),
         "history": history or [],
         "split": split,
     }
@@ -240,19 +224,19 @@ def load_checkpoint(path: str | Path):
             stack = build_stack(bb["seed"], config.encoder.blocks, config.encoder.dim,
                                 config.encoder.mlp_hidden)
         else:
-            blocks = [EncoderBlock(**{k: np.asarray(v, dtype=np.float64) for k, v in b.items()})
-                      for b in bb["blocks"]]
-            stack = TextEncoderStack(blocks=blocks,
-                                     proj=np.asarray(bb["proj"], dtype=np.float64),
+            blocks = [EncoderBlock(**{k: finite_array(v, f"backbone.blocks[{i}].{k}")
+                                      for k, v in b.items()})
+                      for i, b in enumerate(bb["blocks"])]
+            stack = TextEncoderStack(blocks=blocks, proj=finite_array(bb["proj"], "backbone.proj"),
                                      dim=int(bb["dim"]), seed=None)
         sites = [SsfSite(block=int(s["block"]), kind=str(s["kind"]),
-                         params=SsfParams(np.asarray(s["gamma"], dtype=np.float64),
-                                          np.asarray(s["beta"], dtype=np.float64)),
+                         params=SsfParams(finite_array(s["gamma"], f"ssf[{i}].gamma"),
+                                          finite_array(s["beta"], f"ssf[{i}].beta")),
                          trainable=bool(s["trainable"]))
-                 for s in raw["ssf"]]
-        attention = AttentionParams(*(np.asarray(raw["attention"][f], dtype=np.float64)
+                 for i, s in enumerate(raw["ssf"])]
+        attention = AttentionParams(*(finite_array(raw["attention"][f], f"attention.{f}")
                                       for f in AttentionParams.FIELDS))
-        prompts = _prompts_from_payload(raw["prompts"])
+        prompts = prompts_from_dict(raw["prompts"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed checkpoint {path}: {exc}") from exc
     model = SlideClassifier(stack=stack, sites=sites, attention=attention,

@@ -58,21 +58,12 @@ def attach_depth(n_blocks: int, depth: int) -> list[int]:
     return list(range(n_blocks - depth + 1, n_blocks + 1))
 
 
-def init_ssf(seed: int, dim: int, init_std: float) -> SsfParams:
-    """Random adapter: gamma ~ N(1, std^2), beta ~ N(0, std^2), seed-deterministic."""
+def build_sites(seed: int, n_blocks: int, depth: int, dim: int, init_std: float) -> list[SsfSite]:
+    """Adapters for a whole stack: trainable sites on the trailing `depth`
+    blocks with gamma ~ N(1, std^2) and beta ~ N(0, std^2), frozen identity
+    everywhere else."""
     if init_std < 0:
         raise ConfigError(f"init_std must be >= 0, got {init_std}")
-    if init_std == 0:
-        return identity_params(dim)
-    rng = np.random.default_rng(seed)
-    gamma = 1.0 + init_std * rng.standard_normal(dim)
-    beta = init_std * rng.standard_normal(dim)
-    return SsfParams(gamma, beta)
-
-
-def build_sites(seed: int, n_blocks: int, depth: int, dim: int, init_std: float) -> list[SsfSite]:
-    """Adapters for a whole stack: trainable random sites on the trailing
-    `depth` blocks, frozen identity everywhere else."""
     trainable = set(attach_depth(n_blocks, depth))
     seeds = np.random.SeedSequence(seed).spawn(n_blocks * SITES_PER_BLOCK)
     sites = []

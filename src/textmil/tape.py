@@ -189,12 +189,6 @@ def tanh(a):
     return record(y, [(a, lambda g: g * (1.0 - y * y))])
 
 
-def sigmoid(a):
-    av = value(a)
-    y = 1.0 / (1.0 + np.exp(-av))
-    return record(y, [(a, lambda g: g * y * (1.0 - y))])
-
-
 def matvec(a, x):
     av, xv = value(a), value(x)
     _check_matrix(av, "A")

@@ -110,35 +110,51 @@ def build_prompt(prompt: ClassPrompt) -> np.ndarray:
     return np.concatenate([prompt.region_tokens, prompt.slide_tokens], axis=0)
 
 
+def finite_array(value, field: str) -> np.ndarray:
+    """`value` as a float64 array; a non-finite entry raises a ValueError
+    that names `field` (loaders turn it into a DataError naming the file)."""
+    arr = np.asarray(value, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"non-finite value in {field}")
+    return arr
+
+
+def prompts_to_dict(prompts: PromptSet) -> dict:
+    """The JSON form of a prompt set, shared by the prompt file and checkpoints."""
+    return {
+        "tumor_class": prompts.tumor_class,
+        "classes": [{"id": c.class_id, "name": c.name,
+                     "region_tokens": c.region_tokens.tolist(),
+                     "slide_tokens": c.slide_tokens.tolist()}
+                    for c in prompts.classes],
+    }
+
+
+def prompts_from_dict(raw: dict) -> PromptSet:
+    """Inverse of `prompts_to_dict`; raises KeyError/TypeError/ValueError."""
+    classes = [ClassPrompt(class_id=int(c["id"]), name=str(c["name"]),
+                           region_tokens=finite_array(c["region_tokens"],
+                                                      f"prompts.classes[{i}].region_tokens"),
+                           slide_tokens=finite_array(c["slide_tokens"],
+                                                     f"prompts.classes[{i}].slide_tokens"))
+               for i, c in enumerate(raw["classes"])]
+    tumor = raw.get("tumor_class")
+    return PromptSet(classes=classes, tumor_class=None if tumor is None else int(tumor))
+
+
 def load_prompts(path: str | Path) -> PromptSet:
     try:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read prompt file {path}: {exc}") from exc
     try:
-        classes = [ClassPrompt(
-            class_id=int(c["id"]),
-            name=str(c["name"]),
-            region_tokens=np.asarray(c["region_tokens"], dtype=np.float64),
-            slide_tokens=np.asarray(c["slide_tokens"], dtype=np.float64),
-        ) for c in raw["classes"]]
+        return prompts_from_dict(raw)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed prompt file {path}: {exc}") from exc
-    tumor = raw.get("tumor_class")
-    return PromptSet(classes=classes, tumor_class=None if tumor is None else int(tumor))
 
 
 def save_prompts(prompts: PromptSet, path: str | Path) -> None:
-    payload = {
-        "tumor_class": prompts.tumor_class,
-        "classes": [{
-            "id": c.class_id,
-            "name": c.name,
-            "region_tokens": c.region_tokens.tolist(),
-            "slide_tokens": c.slide_tokens.tolist(),
-        } for c in prompts.classes],
-    }
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    Path(path).write_text(json.dumps(prompts_to_dict(prompts), sort_keys=True, indent=1) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -4,20 +4,23 @@ One epoch is one full-batch gradient step over the k-shot training
 bags (loss averaged per slide in slide-id order), followed by a
 validation AUC; the returned parameters are the ones from the best
 validation epoch. Everything is deterministic given the config seed.
+`run_kshot` is the one split -> build -> fit path of a k-shot run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from . import tape as tp
+from .config import RunConfig
+from .data import Dataset, kshot_split
 from .errors import DataError, NumericError
 from .hierpool import wsi_encode
 from .metrics import evaluate
-from .model import SlideClassifier, TrainableLayout, class_probabilities, nll
-from .textenc import build_prompt, encode, refinement_embedding
+from .model import SlideClassifier, TrainableLayout, build_model, class_probabilities, nll
 
 
 @dataclass
@@ -84,21 +87,27 @@ def _check_split(model: SlideClassifier, train_bags, val_bags):
         raise DataError(f"train/val splits overlap: {sorted(overlap)[:3]}")
 
 
+def bag_nlls(model: SlideClassifier, bags, embs, guidance, attn, frozen=None) -> list:
+    """Cross-entropy of each bag, in order, under the given class embeddings,
+    guidance and attention parameters (tape nodes or plain arrays);
+    `frozen` holds per-bag refinement scores to hold fixed."""
+    cfg = model.config
+    terms = []
+    for i, bag in enumerate(bags):
+        out = wsi_encode(bag, guidance, attn, cfg.refinement,
+                         frozen=None if frozen is None else frozen[i])
+        probs = class_probabilities(out.slide_embedding, embs, cfg.train.temperature)
+        terms.append(nll(probs, bag.label))
+    return terms
+
+
 def epoch_loss(model: SlideClassifier, bags, layout: TrainableLayout, theta: np.ndarray):
     """Mean cross-entropy over `bags` on a fresh tape; returns the loss
     node together with the tape and bound leaf nodes."""
     tape, sites, attn, nodes = layout.bind(theta)
-    embs = [encode(model.stack, build_prompt(c), sites) for c in model.prompts.classes]
-    guidance = None
-    if model.config.refinement.enabled:
-        guidance = refinement_embedding(embs, model.tumor_index)
-    total = None
-    for bag in bags:
-        out = wsi_encode(bag, guidance, attn, model.config.refinement)
-        probs = class_probabilities(out.slide_embedding, embs, model.config.train.temperature)
-        term = nll(probs, bag.label)
-        total = term if total is None else tp.add(total, term)
-    loss = tp.scale(total, 1.0 / len(bags))
+    embs = model.class_embeddings(sites)
+    terms = bag_nlls(model, bags, embs, model.guidance(embs), attn)
+    loss = tp.scale(reduce(tp.add, terms), 1.0 / len(bags))
     if not np.isfinite(tp.value(loss)):
         raise NumericError(f"non-finite training loss {tp.value(loss)}")
     return loss, tape, nodes
@@ -147,3 +156,17 @@ def fit(model: SlideClassifier, train_bags, val_bags) -> FitResult:
     result.best_epoch = state.best_epoch
     result.best_val_auc = float(state.best_metric)
     return result
+
+
+def run_kshot(cfg: RunConfig, dataset: Dataset, fold_seed: int | None = None):
+    """One k-shot run: draw the split (k = cfg.train.shots; the fold seed
+    defaults to the training seed), build the model and fit it. Returns
+    (model, FitResult, SplitPlan); scoring the test slides is the caller's."""
+    spec = dataset.spec
+    plan = kshot_split(dataset.labels(), cfg.train.shots,
+                       cfg.train.seed if fold_seed is None else fold_seed,
+                       dataset_seed=spec.seed, test_per_class=spec.test_per_class,
+                       val_per_class=spec.val_per_class)
+    model = build_model(cfg, dataset.prompts)
+    train_bags, val_bags = (model.check_bags(dataset.select(ids)) for ids in (plan.train, plan.val))
+    return model, fit(model, train_bags, val_bags), plan

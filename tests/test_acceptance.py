@@ -16,14 +16,14 @@ import pytest
 from textmil import tape as tp
 from textmil.cli import main
 from textmil.config import RunConfig
-from textmil.data import build_dataset, kshot_split
+from textmil.data import build_dataset
 from textmil.gradcheck import run_gradcheck, toy_problem
 from textmil.hierpool import RefinementConfig, refine_value, region_encode, wsi_encode
 from textmil.metrics import evaluate
 from textmil.model import TrainableLayout, build_model, merge_model
 from textmil.ssf import attach_depth, build_sites, count_trainable
 from textmil.textenc import build_prompt, build_stack, encode, merge_reparam
-from textmil.train import fit
+from textmil.train import run_kshot
 
 SEEDS = range(5)
 
@@ -36,14 +36,8 @@ def train_run(cfg: RunConfig, k: int, seed: int, *, refinement_on=True, dataset=
     cfg = replace(cfg, train=replace(cfg.train, seed=seed, shots=k),
                   refinement=replace(cfg.refinement, enabled=refinement_on))
     ds = dataset if dataset is not None else build_dataset(cfg.generator)
-    bags = {b.slide_id: b for b in ds.bags}
-    labels = {b.slide_id: b.label for b in ds.bags}
-    plan = kshot_split(labels, k, seed, dataset_seed=cfg.generator.seed,
-                       test_per_class=cfg.generator.test_per_class,
-                       val_per_class=cfg.generator.val_per_class)
-    model = build_model(cfg, ds.prompts)
-    fit(model, [bags[i] for i in plan.train], [bags[i] for i in plan.val])
-    return model, [bags[i] for i in plan.test]
+    model, _, plan = run_kshot(cfg, ds)
+    return model, ds.select(plan.test)
 
 
 def test_criterion_01_gradient_correctness():

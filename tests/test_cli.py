@@ -137,6 +137,61 @@ def test_eval_rejects_non_finite_bag(tmp_path, config_path, dataset_dir, capsys)
     assert f"slide {slide_id} region {raw['regions'][-1]['id']}" in err
 
 
+@pytest.fixture()
+def checkpoint(tmp_path, config_path, dataset_dir):
+    run = tmp_path / "run"
+    assert main(["train", "--config", config_path, "--data", str(dataset_dir),
+                 "--out", str(run)]) == 0
+    return run / "checkpoint.json"
+
+
+@pytest.mark.parametrize("command,artifact", [("eval", "metrics.json"),
+                                              ("localize", "localization.json")])
+def test_split_slide_missing_from_dataset(tmp_path, dataset_dir, checkpoint, capsys,
+                                          command, artifact):
+    raw = read_json(checkpoint)
+    raw["split"]["test"][0] = "slide_c0_040"
+    checkpoint.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main([command, "--data", str(dataset_dir), "--checkpoint", str(checkpoint),
+                 "--out", str(out)]) == 3
+    assert not (out / artifact).exists()
+    assert "slide_c0_040" in capsys.readouterr().err
+
+
+def test_eval_rejects_checkpoint_without_the_split(tmp_path, dataset_dir, checkpoint, capsys):
+    raw = read_json(checkpoint)
+    del raw["split"]["val"]
+    checkpoint.write_text(json.dumps(raw))
+    assert main(["eval", "--data", str(dataset_dir), "--checkpoint", str(checkpoint),
+                 "--split", "val", "--out", str(tmp_path / "out")]) == 3
+    assert "no val split" in capsys.readouterr().err
+
+
+def test_eval_rejects_dataset_of_other_dim(tmp_path, config_path, checkpoint, capsys):
+    other = dict(FAST_CONFIG, generator=dict(FAST_CONFIG["generator"], dim=8))
+    p = tmp_path / "dim8.json"
+    p.write_text(json.dumps(other))
+    data8 = tmp_path / "data8"
+    assert main(["generate", "--config", str(p), "--out", str(data8)]) == 0
+    out = tmp_path / "out"
+    assert main(["eval", "--data", str(data8), "--checkpoint", str(checkpoint),
+                 "--out", str(out)]) == 3
+    assert not (out / "metrics.json").exists()
+    assert "embedding dim 8; the model expects 16" in capsys.readouterr().err
+
+
+def test_eval_rejects_non_finite_checkpoint(tmp_path, dataset_dir, checkpoint, capsys):
+    raw = read_json(checkpoint)
+    raw["attention"]["w"][0] = float("nan")
+    checkpoint.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["eval", "--data", str(dataset_dir), "--checkpoint", str(checkpoint),
+                 "--out", str(out)]) == 3
+    assert not (out / "metrics.json").exists()
+    assert "non-finite value in attention.w" in capsys.readouterr().err
+
+
 def test_eval_sweep(tmp_path, config_path, dataset_dir):
     out = tmp_path / "sweep"
     assert main(["eval", "--config", config_path, "--data", str(dataset_dir), "--sweep",

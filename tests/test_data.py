@@ -105,9 +105,9 @@ def test_dataset_round_trip(tmp_path):
     write_dataset(ds, tmp_path / "d")
     loaded = load_dataset(tmp_path / "d")
     assert loaded.spec == spec
-    assert set(loaded.bags) == {b.slide_id for b in ds.bags}
+    assert loaded.labels() == ds.labels()
     some = ds.bags[0]
-    assert np.array_equal(loaded.bags[some.slide_id].regions[0].embeddings,
+    assert np.array_equal(loaded.select([some.slide_id])[0].regions[0].embeddings,
                           some.regions[0].embeddings)
     assert loaded.prompts.tumor_class == ds.prompts.tumor_class
 
@@ -115,6 +115,25 @@ def test_dataset_round_trip(tmp_path):
 def test_load_dataset_missing_manifest(tmp_path):
     with pytest.raises(DataError):
         load_dataset(tmp_path)
+
+
+def test_load_dataset_rejects_manifest_label_mismatch(tmp_path):
+    write_dataset(build_dataset(small_spec()), tmp_path / "d")
+    manifest_path = tmp_path / "d" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    entry = manifest["slides"][-1]
+    entry["label"] = 1 - entry["label"]
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(DataError, match=f"slide {entry['id']} with label {entry['label']}"):
+        load_dataset(tmp_path / "d")
+
+
+def test_select_keeps_order_and_names_missing_slide():
+    ds = build_dataset(small_spec())
+    ids = [ds.bags[2].slide_id, ds.bags[0].slide_id]
+    assert [b.slide_id for b in ds.select(ids)] == ids
+    with pytest.raises(DataError, match="no slide slide_c9_000"):
+        ds.select(ids + ["slide_c9_000"])
 
 
 # ---------------------------------------------------------------------------

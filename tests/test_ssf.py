@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 from textmil import tape as tp
 from textmil.errors import ConfigError
 from textmil.ssf import (SsfParams, attach_depth, build_sites, count_trainable, identity_params,
-                         init_ssf, merge_into_layernorm, merge_into_linear, ssf_forward)
+                         merge_into_layernorm, merge_into_linear, ssf_forward)
 
 
 def test_forward_identity():
@@ -56,26 +56,29 @@ def test_attach_depth_out_of_range():
 
 
 def test_init_zero_std_is_exact_identity():
-    p = init_ssf(7, 4, 0.0)
-    assert np.array_equal(p.gamma, np.ones(4))
-    assert np.array_equal(p.beta, np.zeros(4))
+    for s in build_sites(7, n_blocks=2, depth=2, dim=4, init_std=0.0):
+        assert np.array_equal(s.params.gamma, np.ones(4))
+        assert np.array_equal(s.params.beta, np.zeros(4))
 
 
 def test_init_sample_means():
-    p = init_ssf(123, 10_000, 0.02)
+    (p, _) = (s.params for s in build_sites(123, n_blocks=1, depth=1, dim=10_000,
+                                            init_std=0.02))
     assert p.gamma.mean() == pytest.approx(1.0, abs=0.01)
     assert p.beta.mean() == pytest.approx(0.0, abs=0.01)
 
 
 def test_init_deterministic():
-    a = init_ssf(99, 16, 0.02)
-    b = init_ssf(99, 16, 0.02)
-    assert np.array_equal(a.gamma, b.gamma) and np.array_equal(a.beta, b.beta)
+    a = build_sites(99, n_blocks=2, depth=1, dim=16, init_std=0.02)
+    b = build_sites(99, n_blocks=2, depth=1, dim=16, init_std=0.02)
+    for x, y in zip(a, b):
+        assert np.array_equal(x.params.gamma, y.params.gamma)
+        assert np.array_equal(x.params.beta, y.params.beta)
 
 
 def test_init_rejects_negative_std():
     with pytest.raises(ConfigError):
-        init_ssf(0, 4, -0.1)
+        build_sites(0, n_blocks=1, depth=1, dim=4, init_std=-0.1)
 
 
 def test_build_sites_structure():

@@ -33,7 +33,6 @@ def test_matvec_dimension_mismatch():
 
 def test_elementwise_values():
     assert tp.tanh(np.array([0.0]))[0] == 0.0
-    assert tp.sigmoid(np.array([0.0]))[0] == 0.5
     assert np.array_equal(tp.hadamard(np.array([1.0, 2.0]), np.array([3.0, 4.0])),
                           np.array([3.0, 8.0]))
 
@@ -131,7 +130,9 @@ for i in range(10):
     p4 = _rng.standard_normal(4)
     CASES += [
         (f"tanh-{i}", lambda x, w=w: tp.dot(w, tp.tanh(x)), v + 0.1),
-        (f"sigmoid-{i}", lambda x, w=w: tp.dot(w, tp.sigmoid(x)), v - 0.2),
+        # the sigmoid gate of gate_logits: unit instances, so row j's gate is sigmoid(x_j)
+        (f"sigmoid-{i}", lambda x, w=w: tp.dot(w, tp.gate_logits(
+            np.eye(6), np.ones(1), np.full((1, 6), 0.5), tp.rows([x]))), v - 0.2),
         (f"hadamard-{i}", lambda x, w=w: tp.dot(w, tp.hadamard(x, w)), v),
         (f"matvec-{i}", lambda x, A=A, p=p4: tp.dot(p, tp.matvec(A, x)), v),
         (f"softmax-{i}", lambda x, w=w: tp.dot(w, tp.softmax(x)), v),
@@ -368,7 +369,7 @@ def test_dropped_graph_freed_without_cycle_collection():
     try:
         t = tp.Tape()
         x = t.param(np.array([0.3, -0.2]))
-        root = tp.dot(tp.tanh(x), tp.sigmoid(x))
+        root = tp.dot(tp.tanh(x), tp.hadamard(x, x))
         t.backward(root)
         assert len(t) == 4
         del t, x, root
