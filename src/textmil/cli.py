@@ -23,12 +23,22 @@ from .hierpool import attention_record, save_attention_record
 from .metrics import evaluate
 from .model import load_checkpoint, merge_model, save_checkpoint
 from .ssf import SITES_PER_BLOCK, count_trainable
+from .tape import DegenerateVectorError
 from .train import run_kshot
 
 
+def _dumps(payload, path: Path, **kw) -> str:
+    """`payload` as strict JSON; a NaN or infinity is a NumericError naming `path`."""
+    try:
+        return json.dumps(payload, sort_keys=True, allow_nan=False, **kw)
+    except ValueError as exc:
+        raise NumericError(f"refusing to write {path}: {exc}") from exc
+
+
 def _write_json(path: Path, payload: dict) -> None:
+    text = _dumps(payload, path, indent=1) + "\n"
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    path.write_text(text)
 
 
 def _load_run_config(args) -> RunConfig:
@@ -69,12 +79,11 @@ def cmd_train(args) -> int:
     dataset = load_dataset(args.data)
     model, result, plan = run_kshot(cfg, dataset)
     out = Path(args.out)
+    log = "".join(_dumps(row, out / "training_log.jsonl") + "\n" for row in result.history)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(model, out / "checkpoint.json", history=result.history,
                     split=plan.to_dict())
-    with (out / "training_log.jsonl").open("w") as fh:
-        for row in result.history:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+    (out / "training_log.jsonl").write_text(log)
     print(f"trained {len(result.history)} epochs; best val AUC "
           f"{result.best_val_auc:.4f} at epoch {result.best_epoch}; "
           f"checkpoint -> {out / 'checkpoint.json'}")
@@ -99,6 +108,9 @@ def _eval_single(args) -> int:
 
 
 def _eval_sweep(args) -> int:
+    for flag, count in (("--folds", args.folds), ("--seeds", args.seeds)):
+        if count < 1:
+            raise ConfigError(f"{flag} must be >= 1, got {count}")
     cfg = _load_run_config(args)
     dataset = load_dataset(args.data)
     results = []
@@ -280,7 +292,7 @@ def main(argv=None) -> int:
     except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except NumericError as exc:
+    except (NumericError, DegenerateVectorError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
 

@@ -88,6 +88,9 @@ def validate_bag(bag: SlideBag) -> SlideBag:
                 raise DataError(f"slide {bag.slide_id} region {r.region_id}: mask does not align with instances")
             if not np.isin(r.mask, (0, 1)).all():
                 raise DataError(f"slide {bag.slide_id} region {r.region_id}: mask entries must be 0 or 1")
+    if all((np.linalg.norm(r.embeddings, axis=1) < tp.EPS_NORM).all() for r in bag.regions):
+        raise DataError(f"slide {bag.slide_id}: every instance embedding is zero "
+                        f"(norm < {tp.EPS_NORM:g})")
     return bag
 
 

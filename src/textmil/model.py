@@ -11,7 +11,7 @@ backbone weights explicitly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +22,8 @@ from .errors import ConfigError, DataError
 from .hierpool import AttentionParams, BagScores, SlideBag, init_attention, wsi_encode
 from .ssf import SsfParams, SsfSite, build_sites
 from .textenc import (EncoderBlock, PromptSet, TextEncoderStack, build_prompt, build_stack,
-                      encode, finite_array, merge_reparam, prompts_from_dict, prompts_to_dict,
-                      refinement_embedding)
+                      encode, encode_prefix, finite_array, merge_reparam, prompts_from_dict,
+                      prompts_to_dict, refinement_embedding)
 
 
 def class_probabilities(slide_embedding, class_embeddings, temperature: float):
@@ -52,6 +52,8 @@ class SlideClassifier:
     prompts: PromptSet
     config: RunConfig
     merged: bool = False
+    # (key, objects the key's ids refer to, per-class prefix activations)
+    _prefix: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def tumor_index(self) -> int | None:
@@ -60,8 +62,33 @@ class SlideClassifier:
         return None
 
     def class_embeddings(self, sites=None) -> list:
+        """One text embedding per class prompt; `sites` (default: the
+        model's) may hold tape nodes on trainable sites. Only the blocks
+        from the first trainable site onward run here; the frozen blocks
+        before it come from `frozen_prefix`."""
         use = self.sites if sites is None else sites
-        return [encode(self.stack, build_prompt(c), use) for c in self.prompts.classes]
+        boundary, prefixes = self.frozen_prefix(use)
+        return [encode(self.stack, x, use, start=boundary) for x in prefixes]
+
+    def frozen_prefix(self, sites) -> tuple[int, list[np.ndarray]]:
+        """(boundary, each class prompt's token activations after blocks
+        1..boundary), where the boundary is the block before the first
+        trainable site (the whole stack when none trains). Computed once
+        and reused while the stack, the prompt tokens and the prefix
+        sites' arrays stay the same objects; writing new trainable
+        parameters (`TrainableLayout.apply`) does not invalidate it."""
+        first = min((s.block for s in sites if s.trainable), default=self.stack.n_blocks + 1)
+        boundary = first - 1
+        frozen = [s for s in sites if s.block <= boundary]
+        objs = (self.stack,
+                *(t for c in self.prompts.classes for t in (c.region_tokens, c.slide_tokens)),
+                *(a for s in frozen for a in (s.params.gamma, s.params.beta)))
+        key = (boundary, tuple((s.block, s.kind) for s in frozen), tuple(map(id, objs)))
+        if self._prefix is None or self._prefix[0] != key:
+            prefixes = [encode_prefix(self.stack, build_prompt(c), frozen, boundary)
+                        for c in self.prompts.classes]
+            self._prefix = (key, objs, prefixes)
+        return boundary, self._prefix[2]
 
     def guidance(self, class_embeddings):
         if not self.config.refinement.enabled:

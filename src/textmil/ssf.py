@@ -4,8 +4,11 @@ Each adapter multiplies a feature vector elementwise by a learned scale
 and adds a learned shift. Adapters sit at two sites per encoder block
 (after the layernorm and after the MLP); only the trailing `depth`
 blocks get trainable adapters, all other blocks carry a frozen identity
-adapter so the forward path is uniform. At inference time an adapter
-can be folded exactly into the affine layer it follows.
+adapter, kept so a checkpoint lists every site. Frozen blocks before the
+first trainable site are encoded once per model (`SlideClassifier.
+frozen_prefix`), so their adapters run once, not at every step. At
+inference time an adapter can be folded exactly into the affine layer it
+follows.
 """
 
 from __future__ import annotations

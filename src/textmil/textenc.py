@@ -167,21 +167,21 @@ def _site_map(sites: list[SsfSite] | None) -> dict:
     return {(s.block, s.kind): s.params for s in sites}
 
 
-def encode(stack: TextEncoderStack, tokens: np.ndarray, sites: list[SsfSite] | None = None):
-    """Map token embeddings (n_tokens, dim) to a unit-norm text embedding.
-
-    Adapter parameters may be tape nodes, in which case the result is a
-    node differentiable with respect to them; the backbone itself never
-    enters the tape. `sites=None` runs the bare frozen stack.
-    """
+def _token_rows(stack: TextEncoderStack, tokens) -> list:
     tokens = np.asarray(tokens, dtype=np.float64) if not isinstance(tokens, np.ndarray) else tokens
     if tokens.ndim != 2 or tokens.shape[0] == 0:
         raise DataError("tokens must be a nonempty (n_tokens, dim) matrix")
     if tokens.shape[1] != stack.dim:
         raise DataError(f"token dim {tokens.shape[1]} does not match encoder dim {stack.dim}")
+    return [tokens[t] for t in range(tokens.shape[0])]
+
+
+def _run_blocks(stack: TextEncoderStack, xs: list, sites: list[SsfSite] | None,
+                first: int, last: int) -> list:
+    """Token activations after blocks `first..last` (1-based, inclusive)."""
     site_params = _site_map(sites)
-    xs = [tokens[t] for t in range(tokens.shape[0])]
-    for b_idx, block in enumerate(stack.blocks, start=1):
+    for b_idx in range(first, last + 1):
+        block = stack.blocks[b_idx - 1]
         ln_site = site_params.get((b_idx, "post_layernorm"))
         mlp_site = site_params.get((b_idx, "post_mlp"))
         nxt = []
@@ -195,6 +195,34 @@ def encode(stack: TextEncoderStack, tokens: np.ndarray, sites: list[SsfSite] | N
                 v = ssf_forward(v, mlp_site)
             nxt.append(tp.add(x, v))
         xs = nxt
+    return xs
+
+
+def encode_prefix(stack: TextEncoderStack, tokens: np.ndarray, sites: list[SsfSite] | None,
+                  boundary: int) -> np.ndarray:
+    """Token activations (n_tokens, dim) after blocks 1..`boundary`, with
+    the sites of those blocks applied as they stand. Those sites must hold
+    plain arrays; `encode(stack, prefix, sites, start=boundary)` then
+    finishes the forward pass bit for bit as `encode(stack, tokens, sites)`."""
+    if not 0 <= boundary <= stack.n_blocks:
+        raise ValueError(f"boundary must be in [0, {stack.n_blocks}], got {boundary}")
+    return np.stack(_run_blocks(stack, _token_rows(stack, tokens), sites, 1, boundary))
+
+
+def encode(stack: TextEncoderStack, tokens: np.ndarray, sites: list[SsfSite] | None = None,
+           start: int = 0):
+    """Map token embeddings (n_tokens, dim) to a unit-norm text embedding.
+
+    Adapter parameters may be tape nodes, in which case the result is a
+    node differentiable with respect to them; the backbone itself never
+    enters the tape. `sites=None` runs the bare frozen stack. With
+    `start > 0`, `tokens` are the activations after block `start` (from
+    `encode_prefix`) and only blocks `start+1..L` run, so frozen leading
+    blocks can be computed once and reused.
+    """
+    if not 0 <= start <= stack.n_blocks:
+        raise ValueError(f"start must be in [0, {stack.n_blocks}], got {start}")
+    xs = _run_blocks(stack, _token_rows(stack, tokens), sites, start + 1, stack.n_blocks)
     pooled = tp.mean(xs)
     return tp.l2_normalize(tp.matvec(stack.proj, pooled))
 

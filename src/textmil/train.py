@@ -82,6 +82,10 @@ def _check_split(model: SlideClassifier, train_bags, val_bags):
     expected = {c: k for c in range(model.prompts.n_classes)}
     if counts != expected:
         raise DataError(f"train set must have exactly {k} bags per class, got {counts}")
+    present = sorted({b.label for b in val_bags})
+    if present != list(range(model.prompts.n_classes)):
+        raise DataError(f"validation set must hold every one of the {model.prompts.n_classes} "
+                        f"classes to score an AUC; it holds classes {present}")
     overlap = {b.slide_id for b in train_bags} & {b.slide_id for b in val_bags}
     if overlap:
         raise DataError(f"train/val splits overlap: {sorted(overlap)[:3]}")

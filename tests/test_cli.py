@@ -4,8 +4,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from textmil import cli
 from textmil.cli import main
+from textmil.errors import NumericError
+from textmil.metrics import EvalResult
 from textmil.ssf import count_trainable
+from textmil.tape import DegenerateVectorError
 
 FAST_CONFIG = {
     "encoder": {"dim": 16, "blocks": 3, "mlp_hidden": 8, "attn_hidden": 4, "backbone_seed": 5},
@@ -190,6 +194,79 @@ def test_eval_rejects_non_finite_checkpoint(tmp_path, dataset_dir, checkpoint, c
                  "--out", str(out)]) == 3
     assert not (out / "metrics.json").exists()
     assert "non-finite value in attention.w" in capsys.readouterr().err
+
+
+def test_eval_rejects_all_zero_slide(tmp_path, dataset_dir, checkpoint, capsys):
+    slide_id = read_json(checkpoint)["split"]["test"][0]
+    files = {s["id"]: s["file"] for s in read_json(dataset_dir / "manifest.json")["slides"]}
+    bag_path = dataset_dir / files[slide_id]
+    raw = read_json(bag_path)
+    for region in raw["regions"]:
+        for inst in region["instances"]:
+            inst["embedding"] = [0.0] * len(inst["embedding"])
+    bag_path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["eval", "--data", str(dataset_dir), "--checkpoint", str(checkpoint),
+                 "--out", str(out)]) == 3
+    assert not (out / "metrics.json").exists()
+    assert f"slide {slide_id}: every instance embedding is zero" in capsys.readouterr().err
+
+
+def test_degenerate_vector_exits_numeric(tmp_path, dataset_dir, checkpoint, monkeypatch):
+    def degenerate(*args, **kwargs):
+        raise DegenerateVectorError("cannot normalize vector with norm 0")
+
+    monkeypatch.setattr(cli, "evaluate", degenerate)
+    out = tmp_path / "out"
+    assert main(["eval", "--data", str(dataset_dir), "--checkpoint", str(checkpoint),
+                 "--out", str(out)]) == 4
+    assert not (out / "metrics.json").exists()
+
+
+def test_write_json_rejects_non_finite(tmp_path):
+    path = tmp_path / "out" / "metrics.json"
+    with pytest.raises(NumericError, match="metrics.json"):
+        cli._write_json(path, {"auc": float("nan")})
+    assert not path.exists()
+
+
+def test_eval_with_nan_metric_exits_numeric(tmp_path, dataset_dir, checkpoint, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "evaluate", lambda model, bags: EvalResult(float("nan"), []))
+    out = tmp_path / "out"
+    assert main(["eval", "--data", str(dataset_dir), "--checkpoint", str(checkpoint),
+                 "--out", str(out)]) == 4
+    assert not (out / "metrics.json").exists()
+    assert "metrics.json" in capsys.readouterr().err
+
+
+def test_train_with_nan_history_exits_numeric(tmp_path, config_path, dataset_dir, monkeypatch):
+    real = cli.run_kshot
+
+    def nan_history(cfg, dataset):
+        model, result, plan = real(cfg, dataset)
+        result.history[-1]["val_auc"] = float("nan")
+        return model, result, plan
+
+    monkeypatch.setattr(cli, "run_kshot", nan_history)
+    run = tmp_path / "run"
+    assert main(["train", "--config", config_path, "--data", str(dataset_dir),
+                 "--out", str(run)]) == 4
+    assert not (run / "training_log.jsonl").exists()
+    assert not (run / "checkpoint.json").exists()
+
+
+@pytest.mark.parametrize("flag", ["--folds", "--seeds"])
+def test_eval_sweep_rejects_empty_grid(tmp_path, config_path, dataset_dir, monkeypatch, capsys,
+                                       flag):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit ran")
+
+    monkeypatch.setattr(cli, "run_kshot", no_fit)
+    out = tmp_path / "sweep"
+    assert main(["eval", "--config", config_path, "--data", str(dataset_dir), "--sweep",
+                 flag, "0", "--out", str(out)]) == 2
+    assert not (out / "sweep.json").exists()
+    assert f"{flag} must be >= 1, got 0" in capsys.readouterr().err
 
 
 def test_eval_sweep(tmp_path, config_path, dataset_dir):

@@ -8,7 +8,8 @@ from textmil import tape as tp
 from textmil.errors import DataError
 from textmil.ssf import SsfParams, build_sites, identity_params
 from textmil.textenc import (ClassPrompt, PromptSet, build_prompt, build_stack, encode,
-                             load_prompts, merge_reparam, refinement_embedding, save_prompts)
+                             encode_prefix, load_prompts, merge_reparam, refinement_embedding,
+                             save_prompts)
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_encode.json").read_text())
 
@@ -224,3 +225,41 @@ def test_merge_rejects_unknown_site_kind():
     sites[0].kind = "post_attention"
     with pytest.raises(DataError):
         merge_reparam(stack, sites)
+
+
+# ---------------------------------------------------------------------------
+# frozen prefix
+
+
+@pytest.mark.parametrize("frozen_identity", [True, False])
+def test_encode_from_prefix_bitwise(frozen_identity):
+    stack = build_stack(31, 6, 8, 8)
+    tokens = np.random.default_rng(3).standard_normal((5, 8))
+    sites = build_sites(32, 6, 2, 8, 0.1)
+    if not frozen_identity:  # frozen sites apply as they stand, identity or not
+        rng = np.random.default_rng(33)
+        for s in sites:
+            if not s.trainable:
+                s.params = SsfParams(1.0 + 0.1 * rng.standard_normal(8),
+                                     0.1 * rng.standard_normal(8))
+    full = encode(stack, tokens, sites=sites)
+    for boundary in range(0, 5):  # blocks 5 and 6 train
+        prefix = encode_prefix(stack, tokens, sites, boundary)
+        assert prefix.shape == tokens.shape
+        assert np.array_equal(encode(stack, prefix, sites=sites, start=boundary), full)
+
+
+def test_encode_from_full_stack_prefix_runs_no_block():
+    stack = golden_stack()
+    prefix = encode_prefix(stack, golden_tokens(), None, stack.n_blocks)
+    out = encode(stack, prefix, sites=None, start=stack.n_blocks)
+    assert np.array_equal(out, encode(stack, golden_tokens(), sites=None))
+    assert np.abs(out - np.array(GOLDEN["output"])).max() <= 1e-12
+
+
+def test_encode_start_out_of_range():
+    stack = golden_stack()
+    with pytest.raises(ValueError):
+        encode(stack, golden_tokens(), sites=None, start=stack.n_blocks + 1)
+    with pytest.raises(ValueError):
+        encode_prefix(stack, golden_tokens(), None, -1)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from textmil import model as model_mod
 from textmil import tape as tp
 from textmil.config import EncoderConfig, RunConfig, TrainConfig
 from textmil.data import GeneratorSpec, build_dataset, kshot_split
@@ -9,10 +10,11 @@ from textmil.errors import ConfigError, DataError, NumericError
 from textmil.gradcheck import loss_grad_check, run_gradcheck, toy_problem
 from textmil.hierpool import RefinementConfig
 from textmil.metrics import evaluate
-from textmil.model import (TrainableLayout, build_model, class_probabilities, load_checkpoint,
-                           merge_model, nll, save_checkpoint)
-from textmil.ssf import count_trainable
-from textmil.train import AdamState, adam_step, fit
+from textmil.model import (SlideClassifier, TrainableLayout, build_model, class_probabilities,
+                           load_checkpoint, merge_model, nll, save_checkpoint)
+from textmil.ssf import SsfParams, build_sites, count_trainable
+from textmil.textenc import PromptSet, build_prompt, build_stack, encode, encode_prefix
+from textmil.train import AdamState, adam_step, epoch_loss, fit
 
 
 def small_config(seed=0, k=2, **train_kw):
@@ -310,3 +312,99 @@ def test_merge_matches_probabilities(tmp_path):
     c = evaluate(reloaded, test_bags)
     for rb, rc in zip(b.per_slide, c.per_slide):
         assert np.abs(np.array(rb["probabilities"]) - np.array(rc["probabilities"])).max() <= 1e-12
+
+
+def test_fit_rejects_one_class_validation_set():
+    cfg = small_config()
+    model, train_bags, val_bags, _ = make_problem(cfg)
+    with pytest.raises(DataError, match=r"holds classes \[1\]"):
+        fit(model, train_bags, [b for b in val_bags if b.label == 1])
+
+
+# ---------------------------------------------------------------------------
+# frozen-prefix cache
+
+
+def full_encode(model, sites=None):
+    """Class embeddings through every block, bypassing the prefix cache."""
+    use = model.sites if sites is None else sites
+    return [encode(model.stack, build_prompt(c), use) for c in model.prompts.classes]
+
+
+def count_prefixes(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return encode_prefix(*args, **kwargs)
+
+    monkeypatch.setattr(model_mod, "encode_prefix", counted)
+    return calls
+
+
+def test_cached_class_embeddings_bitwise_plain_and_taped(monkeypatch):
+    cfg = small_config()
+    model, train_bags, _, _ = make_problem(cfg)
+    for a, b in zip(model.class_embeddings(), full_encode(model)):
+        assert np.array_equal(a, b)
+    layout = TrainableLayout(model)
+    theta = layout.pack()
+    loss, tape, nodes = epoch_loss(model, train_bags, layout, theta)
+    grad = layout.flatten_grads(tape.backward(loss), nodes)
+    monkeypatch.setattr(SlideClassifier, "class_embeddings", full_encode)
+    ref_loss, ref_tape, ref_nodes = epoch_loss(model, train_bags, layout, theta)
+    ref_grad = layout.flatten_grads(ref_tape.backward(ref_loss), ref_nodes)
+    assert tp.value(loss) == tp.value(ref_loss)
+    assert np.array_equal(grad, ref_grad)
+    assert len(tape) == len(ref_tape)
+
+
+def test_prefix_cache_follows_reassigned_sites_stack_and_prompts(monkeypatch):
+    cfg = small_config()
+    model, _, _, _ = make_problem(cfg)
+    calls = count_prefixes(monkeypatch)
+    model.class_embeddings()
+    layout = TrainableLayout(model)
+    layout.apply(layout.pack() + 0.01)  # new trainable arrays only: cache still valid
+    model.class_embeddings()
+    assert len(calls) == 2
+    rng = np.random.default_rng(40)
+    sites = build_sites(41, 4, 2, 16, 0.1)
+    for s in sites:
+        if not s.trainable:
+            s.params = SsfParams(1.0 + 0.1 * rng.standard_normal(16), 0.1 * rng.standard_normal(16))
+    model.sites = sites
+    for a, b in zip(model.class_embeddings(), full_encode(model)):
+        assert np.array_equal(a, b)
+    model.stack = build_stack(6, 4, 16, 8)
+    for a, b in zip(model.class_embeddings(), full_encode(model)):
+        assert np.array_equal(a, b)
+    model.prompts = PromptSet(classes=[replace(c, region_tokens=c.region_tokens[::-1].copy())
+                                       for c in model.prompts.classes],
+                              tumor_class=model.prompts.tumor_class)
+    for a, b in zip(model.class_embeddings(), full_encode(model)):
+        assert np.array_equal(a, b)
+    assert len(calls) == 8
+
+
+def test_fit_computes_each_class_prefix_once(monkeypatch):
+    cfg = small_config()
+    model, train_bags, val_bags, _ = make_problem(cfg)
+    calls = count_prefixes(monkeypatch)
+    result = fit(model, train_bags, val_bags)
+    assert len(result.history) > 1
+    assert calls == [2] * model.prompts.n_classes  # blocks 1..2 of 4 are frozen
+
+
+def test_model_without_trainable_sites_caches_whole_stack(monkeypatch):
+    cfg = small_config()
+    model, train_bags, val_bags, _ = make_problem(cfg)
+    fit(model, train_bags, val_bags)
+    merged = merge_model(model)
+    calls = count_prefixes(monkeypatch)
+    embs = merged.class_embeddings()
+    assert calls == [merged.stack.n_blocks] * merged.prompts.n_classes
+    for a, b in zip(embs, full_encode(merged)):
+        assert np.array_equal(a, b)
+    for a, b in zip(embs, model.class_embeddings()):
+        assert np.abs(a - b).max() <= 1e-10
