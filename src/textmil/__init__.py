@@ -6,11 +6,11 @@ from .config import EncoderConfig, LocalizationConfig, RunConfig, TrainConfig, l
 from .data import (Dataset, GeneratorSpec, SplitPlan, build_dataset, kshot_split, load_dataset,
                    write_dataset)
 from .errors import ConfigError, DataError, NumericError
-from .hierpool import (AttentionParams, RefinementConfig, Region, SlideBag,
+from .hierpool import (AttentionParams, BagBatch, RefinementConfig, Region, SlideBag, batch_bags,
                        instance_saliency, refinement_score, region_encode, wsi_encode)
 from .metrics import EvalResult, UndefinedMetricError, auc, dice, evaluate, macro_auc
 from .model import (SlideClassifier, build_model, class_probabilities, load_checkpoint,
-                    merge_model, nll, save_checkpoint)
+                    merge_model, save_checkpoint)
 from .ssf import SsfParams, SsfSite, attach_depth, count_trainable, ssf_forward
 from .textenc import (PromptSet, TextEncoderStack, build_prompt, build_stack, encode,
                       load_prompts, refinement_embedding, save_prompts)

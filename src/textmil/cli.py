@@ -17,9 +17,9 @@ import numpy as np
 
 from .config import RunConfig, apply_overrides, load_config
 from .data import build_dataset, load_dataset, write_dataset
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, strict_dumps
 from .gradcheck import run_gradcheck
-from .hierpool import attention_record, save_attention_record
+from .hierpool import save_attention_record
 from .metrics import evaluate
 from .model import load_checkpoint, merge_model, save_checkpoint
 from .ssf import SITES_PER_BLOCK, count_trainable
@@ -27,16 +27,8 @@ from .tape import DegenerateVectorError
 from .train import run_kshot
 
 
-def _dumps(payload, path: Path, **kw) -> str:
-    """`payload` as strict JSON; a NaN or infinity is a NumericError naming `path`."""
-    try:
-        return json.dumps(payload, sort_keys=True, allow_nan=False, **kw)
-    except ValueError as exc:
-        raise NumericError(f"refusing to write {path}: {exc}") from exc
-
-
 def _write_json(path: Path, payload: dict) -> None:
-    text = _dumps(payload, path, indent=1) + "\n"
+    text = strict_dumps(payload, path, indent=1) + "\n"
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
 
@@ -79,7 +71,7 @@ def cmd_train(args) -> int:
     dataset = load_dataset(args.data)
     model, result, plan = run_kshot(cfg, dataset)
     out = Path(args.out)
-    log = "".join(_dumps(row, out / "training_log.jsonl") + "\n" for row in result.history)
+    log = "".join(strict_dumps(row, out / "training_log.jsonl") + "\n" for row in result.history)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(model, out / "checkpoint.json", history=result.history,
                     split=plan.to_dict())
@@ -148,17 +140,13 @@ def cmd_eval(args) -> int:
 def cmd_localize(args) -> int:
     model, bags = _checkpoint_bags(args)
     loc = model.config.localization
-    result = evaluate(model, bags, with_localization=True,
-                      saliency_mode=loc.saliency, threshold=loc.threshold)
+    result = evaluate(model, bags, with_localization=True, saliency_mode=loc.saliency,
+                      threshold=loc.threshold, attention=True)
     out = Path(args.out)
     attn_dir = out / "attention"
     attn_dir.mkdir(parents=True, exist_ok=True)
-    embs = model.class_embeddings()
-    guidance = model.guidance(embs)
-    for bag in sorted(bags, key=lambda b: b.slide_id):
-        _, bag_out = model.bag_forward(bag, embs, guidance)
-        save_attention_record(attention_record(bag, bag_out, loc.saliency),
-                              attn_dir / f"{bag.slide_id}.json")
+    for record in result.attention:
+        save_attention_record(record, attn_dir / f"{record['slide_id']}.json")
     payload = {
         "config": model.config.to_dict(),
         "split": args.split,

@@ -5,7 +5,9 @@ problem against central finite differences, for both refinement
 gradient modes. In "detached" mode the score is a constant of the
 optimization, so the finite-difference oracle evaluates the loss with
 the refinement scores frozen at the base point; in "through-score"
-mode everything is recomputed.
+mode everything is recomputed. Both the tape and the oracle pool the toy
+slides as one batch, so detached mode freezes one flat score vector per
+attention level.
 
 A valid comparison point must keep every coordinate resolvable: the
 piecewise score is not differentiable at its branch boundaries, and a
@@ -24,11 +26,11 @@ import numpy as np
 from . import tape as tp
 from .config import EncoderConfig, RunConfig, TrainConfig
 from .errors import NumericError
-from .hierpool import AttentionParams, RefinementConfig, Region, SlideBag, wsi_encode
+from .hierpool import AttentionParams, RefinementConfig, Region, SlideBag, batch_bags, wsi_encode
 from .model import SlideClassifier, TrainableLayout, build_model
 from .ssf import build_sites
 from .textenc import ClassPrompt, PromptSet
-from .train import bag_nlls, epoch_loss
+from .train import batch_loss, epoch_loss
 
 BRANCH_MARGIN_MIN = 1e-3   # distance of every cosine from {0, threshold}
 GRAD_FLOOR = 3e-6          # smallest resolvable gradient at h=1e-6
@@ -91,13 +93,12 @@ def branch_margin(model: SlideClassifier, bags) -> float:
         return np.inf
     alpha = model.config.refinement.threshold
     margin = np.inf
-    for bag in bags:
-        out = wsi_encode(bag, guidance, model.attention, model.config.refinement)
-        items = [h for r in bag.regions for h in r.embeddings]
-        items += [np.asarray(tp.value(r.embedding)) for r in out.regions]
-        for h in items:
-            c = float(h @ guidance) / (np.linalg.norm(h) * np.linalg.norm(guidance))
-            margin = min(margin, abs(c), abs(c - alpha))
+    t = tp.value(guidance)
+    for batch in batch_bags(bags):
+        out = wsi_encode(batch, guidance, model.attention, model.config.refinement)
+        for h in (batch.rows, tp.value(out.region.embedding)):
+            c = (h @ t) / (np.linalg.norm(h, axis=1) * np.linalg.norm(t))
+            margin = min(margin, float(np.abs(c).min()), float(np.abs(c - alpha).min()))
     return margin
 
 
@@ -111,20 +112,20 @@ def tape_gradient(model: SlideClassifier, bags):
 def loss_grad_check(model: SlideClassifier, bags, h: float = 1e-6) -> float:
     """Max relative error of the tape gradient vs central differences."""
     layout, theta0, grad = tape_gradient(model, bags)
+    batches = list(batch_bags(bags))
 
     frozen = None
     if model.config.refinement.gradient == "detached":
         embs = model.class_embeddings()
         guidance = model.guidance(embs)
         frozen = [wsi_encode(b, guidance, model.attention, model.config.refinement).frozen_scores()
-                  for b in bags]
+                  for b in batches]
 
     def f(theta: np.ndarray) -> float:
         layout.apply(theta)
         try:
             embs = model.class_embeddings()
-            terms = bag_nlls(model, bags, embs, model.guidance(embs), model.attention, frozen)
-            return sum(tp.value(t) for t in terms) / len(bags)
+            return batch_loss(model, batches, embs, model.guidance(embs), model.attention, frozen)
         finally:
             layout.apply(theta0)
 

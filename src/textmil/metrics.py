@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .hierpool import SlideBag, instance_saliency
+from .hierpool import SlideBag, attention_records, batch_bags, instance_saliency
 
 
 class UndefinedMetricError(ValueError):
@@ -80,6 +80,7 @@ class EvalResult:
     per_slide: list[dict]
     dice_mean: float | None = None
     dice_per_slide: list[dict] | None = None
+    attention: list[dict] | None = None  # per-slide attention records, if asked for
 
     def to_dict(self) -> dict:
         out = {"auc": self.auc, "per_slide": self.per_slide}
@@ -90,7 +91,8 @@ class EvalResult:
 
 
 def evaluate(model, bags: list[SlideBag], *, with_localization: bool = False,
-             saliency_mode: str = "multiplicative", threshold: float = 0.5) -> EvalResult:
+             saliency_mode: str = "multiplicative", threshold: float = 0.5,
+             attention: bool = False) -> EvalResult:
     """Deterministic metrics for a trained model on a bag set.
 
     AUC uses the positive-class probability for binary tasks and the
@@ -98,36 +100,37 @@ def evaluate(model, bags: list[SlideBag], *, with_localization: bool = False,
     thresholded saliency with the planted masks, over slides whose
     ground truth marks at least one instance; saliency is predicted
     positive strictly above the threshold, so an all-tied slide
-    (saliency 0.5 everywhere) predicts nothing.
+    (saliency 0.5 everywhere) predicts nothing. With `attention`, the
+    result also carries each slide's attention record, taken from the
+    same pooling pass. Slides pool in batches, in slide-id order.
     """
     if not bags:
         raise DataError("cannot evaluate an empty bag set")
     bags = sorted(bags, key=lambda b: b.slide_id)
-    n_classes = model.prompts.n_classes
     class_embs = model.class_embeddings()
     guidance = model.guidance(class_embs)
-    probs, labels, per_slide = [], [], []
-    dice_rows = []
-    for bag in bags:
-        p, out = model.bag_forward(bag, class_embs, guidance)
+    probs, per_slide, dice_rows, records = [], [], [], []
+    for batch in batch_bags(bags):
+        p, out = model.forward(batch, class_embs, guidance)
         probs.append(p)
-        labels.append(bag.label)
-        per_slide.append({
-            "slide_id": bag.slide_id,
-            "label": bag.label,
-            "probabilities": [float(x) for x in p],
-            "predicted": int(np.argmax(p)),
-        })
-        if with_localization and bag.has_mask():
-            truth = bag.flat_mask()
-            if truth.sum() > 0:
-                sal = np.concatenate(instance_saliency(out, saliency_mode))
-                d = dice(sal > threshold, truth)
-                dice_rows.append({"slide_id": bag.slide_id, "dice": d,
-                                  "n_truth": int(truth.sum()),
-                                  "n_predicted": int((sal > threshold).sum())})
-    score = macro_auc(np.stack(probs), np.asarray(labels), n_classes)
-    result = EvalResult(auc=score, per_slide=per_slide)
+        per_slide += [{"slide_id": bag.slide_id, "label": bag.label,
+                       "probabilities": row, "predicted": int(np.argmax(row))}
+                      for bag, row in zip(batch.bags, p.tolist())]
+        if attention:
+            records += attention_records(out, saliency_mode)
+        if with_localization:
+            sal = instance_saliency(out, saliency_mode)
+            starts = batch.slide_row_offsets()
+            for s, bag in enumerate(batch.bags):
+                truth = bag.flat_mask() if bag.has_mask() else np.zeros(0)
+                if truth.sum() > 0:
+                    predicted = sal[starts[s]:starts[s + 1]] > threshold
+                    dice_rows.append({"slide_id": bag.slide_id, "dice": dice(predicted, truth),
+                                      "n_truth": int(truth.sum()),
+                                      "n_predicted": int(predicted.sum())})
+    score = macro_auc(np.concatenate(probs), np.array([b.label for b in bags]),
+                      model.prompts.n_classes)
+    result = EvalResult(auc=score, per_slide=per_slide, attention=records if attention else None)
     if with_localization and dice_rows:
         result.dice_mean = float(np.mean([r["dice"] for r in dice_rows]))
         result.dice_per_slide = dice_rows

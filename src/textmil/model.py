@@ -18,30 +18,23 @@ import numpy as np
 
 from . import tape as tp
 from .config import RunConfig, config_from_dict
-from .errors import ConfigError, DataError
-from .hierpool import AttentionParams, BagScores, SlideBag, init_attention, wsi_encode
+from .errors import ConfigError, DataError, strict_dumps
+from .hierpool import AttentionParams, BagBatch, BagScores, SlideBag, init_attention, wsi_encode
 from .ssf import SsfParams, SsfSite, build_sites
 from .textenc import (EncoderBlock, PromptSet, TextEncoderStack, build_prompt, build_stack,
                       encode, encode_prefix, finite_array, merge_reparam, prompts_from_dict,
                       prompts_to_dict, refinement_embedding)
 
 
-def class_probabilities(slide_embedding, class_embeddings, temperature: float):
-    """Softmax over cosine similarities between the slide embedding and
-    each class text embedding, scaled by the temperature."""
+def class_probabilities(slide_embeddings, class_embeddings, temperature: float):
+    """Softmax over the cosine similarities between each slide embedding (a
+    row of `slide_embeddings`, or the one vector) and each class text
+    embedding, scaled by the temperature: one row of class probabilities
+    per slide."""
     if temperature <= 0:
         raise ConfigError(f"temperature must be > 0, got {temperature}")
-    logits = [tp.scale(tp.cosine(slide_embedding, t), 1.0 / temperature)
-              for t in class_embeddings]
-    return tp.softmax(tp.stack(logits))
-
-
-def nll(probabilities, label: int):
-    """Cross-entropy of the true class under the predicted distribution."""
-    n = tp.value(probabilities).shape[0]
-    if not 0 <= label < n:
-        raise DataError(f"label {label} out of range for {n} classes")
-    return tp.scale(tp.log(tp.pick(probabilities, label)), -1.0)
+    cosines = tp.cosine(slide_embeddings, tp.rows(class_embeddings))
+    return tp.softmax(tp.scale(cosines, 1.0 / temperature))
 
 
 @dataclass
@@ -95,17 +88,21 @@ class SlideClassifier:
             return None
         return refinement_embedding(class_embeddings, self.tumor_index)
 
-    def bag_forward(self, bag: SlideBag, class_embs=None, guidance=None,
-                    frozen: BagScores | None = None):
-        """Probabilities plus the pooling trace for one slide. Without
-        precomputed class embeddings this runs the plain-array path."""
+    def forward(self, batch: BagBatch, class_embs=None, guidance=None, attention=None,
+                frozen: BagScores | None = None):
+        """(class probabilities, one row per slide, and the pooling trace)
+        of a batch under the given class embeddings and guidance (by
+        default the model's own), with the model's attention parameters
+        unless `attention` holds tape nodes; `frozen` holds refinement
+        scores to use as constants."""
         if class_embs is None:
             class_embs = self.class_embeddings()
             guidance = self.guidance(class_embs)
-        out = wsi_encode(bag, guidance, self.attention, self.config.refinement, frozen=frozen)
+        attn = self.attention if attention is None else attention
+        out = wsi_encode(batch, guidance, attn, self.config.refinement, frozen=frozen)
         probs = class_probabilities(out.slide_embedding, class_embs,
                                     self.config.train.temperature)
-        return tp.value(probs), out
+        return probs, out
 
     def check_bags(self, bags: list[SlideBag]) -> list[SlideBag]:
         """`bags` unchanged, once each embedding width matches the encoder's."""
@@ -235,7 +232,8 @@ def save_checkpoint(model: SlideClassifier, path: str | Path, history: list | No
         "history": history or [],
         "split": split,
     }
-    Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n")
+    text = strict_dumps(payload, path)
+    Path(path).write_text(text + "\n")
 
 
 def load_checkpoint(path: str | Path):

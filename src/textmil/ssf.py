@@ -6,7 +6,9 @@ and adds a learned shift. Adapters sit at two sites per encoder block
 blocks get trainable adapters, all other blocks carry a frozen identity
 adapter, kept so a checkpoint lists every site. Frozen blocks before the
 first trainable site are encoded once per model (`SlideClassifier.
-frozen_prefix`), so their adapters run once, not at every step. At
+frozen_prefix`), so their adapters run once, not at every step; the
+trainable ones run once per token of each class prompt on the tape of an
+epoch, which also holds the batched pooling of every training slide. At
 inference time an adapter can be folded exactly into the affine layer it
 follows.
 """

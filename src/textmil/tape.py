@@ -12,10 +12,18 @@ values is just numpy and costs nothing at backward time. That rule is
 what keeps frozen weights structurally outside the gradient: they are
 never wrapped in a Node, so no backward rule ever touches them.
 
-Attention pooling works on whole matrices (`rows`, `gate_logits`,
-`refine_scores`, `pool`), a few records per pooled group rather than
-several per instance. Their sums run through numpy/BLAS, so reordering
-inputs changes results only through float rounding.
+Attention pooling and the classification head work on whole batches of
+slides. A batch lays out its rows in CSR form: one (n_rows, dim) matrix
+plus integer `offsets` rising strictly from 0 to n_rows, so that
+consecutive offsets bound each segment (the instances of one region, or
+the regions of one slide). `gate_logits` and `refine_scores` score every
+row, `segment_softmax` normalises the scores within each segment and
+`segment_pool` sums each segment's weighted rows into one output row.
+The head is `cosine` of the slide rows against the class-embedding
+rows, a row-wise `softmax` and `mean_nll`, the mean cross-entropy. The
+pooling and head of a batch therefore record about fifteen nodes,
+however many slides and instances it holds. Sums run through numpy/BLAS,
+so reordering inputs changes results only through float rounding.
 
 A tape only counts its nodes; each node holds its parents, not the
 other way round. The record graph is therefore acyclic and is freed by
@@ -28,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import DataError, NumericError
 
 # Conventional stabilizers, fixed package-wide (see module docs).
 EPS_LN = 1e-5    # layernorm variance stabilizer
@@ -165,6 +173,27 @@ def _same_shape(a, b):
 # primitives
 
 
+def _check_rows(x, name: str, width: int | None = None):
+    """`x` must be a vector or a matrix, with `width` entries per row if given."""
+    if not (isinstance(x, np.ndarray) and x.ndim in (1, 2) and x.shape[-1] > 0):
+        raise ValueError(f"{name} must be a nonempty vector or matrix, got {getattr(x, 'shape', type(x))}")
+    if width is not None and x.shape[-1] != width:
+        raise ValueError(f"{name} has rows of length {x.shape[-1]}, expected {width}")
+
+
+def _check_offsets(offsets, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """(segment starts, segment lengths) of CSR `offsets`: integers rising
+    strictly from 0 to `n_rows`, so every segment is nonempty."""
+    off = np.asarray(offsets)
+    if not (off.ndim == 1 and off.size >= 2 and np.issubdtype(off.dtype, np.integer)
+            and off[0] == 0 and off[-1] == n_rows):
+        raise ValueError(f"offsets must run from 0 to {n_rows}, got {off!r}")
+    counts = np.diff(off)
+    if not (counts > 0).all():
+        raise ValueError("offsets must rise strictly: every segment needs a row")
+    return off[:-1], counts
+
+
 def add(a, b):
     _same_shape(a, b)
     out = value(a) + value(b)
@@ -207,55 +236,13 @@ def dot(u, v):
     return record(out, [(u, lambda g: g * vv), (v, lambda g: g * uv)])
 
 
-def stack(items: Sequence):
-    """Assemble scalars into a vector."""
-    vals = np.array([value(s) for s in items], dtype=np.float64)
-    pulls = [(s, (lambda i: lambda g: float(g[i]))(i)) for i, s in enumerate(items)]
-    return record(vals, pulls)
-
-
-def pick(v, i: int):
-    vv = value(v)
-    _check_vector(vv, "v")
-    if not 0 <= i < vv.shape[0]:
-        raise ValueError(f"index {i} out of range for vector of length {vv.shape[0]}")
-    out = float(vv[i])
-
-    def pull(g):
-        c = np.zeros_like(vv)
-        c[i] = g
-        return c
-
-    return record(out, [(v, pull)])
-
-
-def log(s):
-    sv = value(s)
-    if sv <= 0:
-        raise NumericError(f"log of non-positive value {sv}")
-    return record(float(np.log(sv)), [(s, lambda g: g / sv)])
-
-
 def softmax(x):
-    """Stable softmax over a nonempty vector of logits."""
+    """Stable softmax of a nonempty vector of logits, or of each row of a matrix."""
     xv = value(x)
-    _check_vector(xv, "logits")
-    e = np.exp(xv - xv.max())
-    y = e / e.sum()
-    return record(y, [(x, lambda g: y * (g - float(g @ y)))])
-
-
-def mean(vectors: Sequence):
-    """Mean of equal-length vectors, summed left-to-right."""
-    if len(vectors) == 0:
-        raise ValueError("mean of empty sequence")
-    acc = np.array(value(vectors[0]), dtype=np.float64, copy=True)
-    for v in vectors[1:]:
-        _same_shape(vectors[0], v)
-        acc = acc + value(v)
-    k = 1.0 / len(vectors)
-    out = acc * k
-    return record(out, [(v, lambda g: g * k) for v in vectors])
+    _check_rows(xv, "logits")
+    e = np.exp(xv - xv.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
+    return record(y, [(x, lambda g: y * (g - (g * y).sum(axis=-1, keepdims=True)))])
 
 
 def rows(vectors: Sequence):
@@ -313,11 +300,55 @@ def pool(p, h):
     return record(pv @ hv, [(p, lambda g: hv @ g), (h, lambda g: np.outer(pv, g))])
 
 
+def segment_softmax(z, offsets):
+    """Stable softmax of the vector z within each segment
+    z[offsets[k]:offsets[k+1]] (the CSR layout of the module docs)."""
+    zv = value(z)
+    _check_vector(zv, "z")
+    starts, counts = _check_offsets(offsets, zv.shape[0])
+    e = np.exp(zv - np.repeat(np.maximum.reduceat(zv, starts), counts))
+    y = e / np.repeat(np.add.reduceat(e, starts), counts)
+
+    def pull(g):
+        return y * (g - np.repeat(np.add.reduceat(g * y, starts), counts))
+
+    return record(y, [(z, pull)])
+
+
+def segment_pool(p, h, offsets):
+    """Weighted sum of the rows of H in each segment: row k of the result is
+    the sum of p_i H_i over offsets[k] <= i < offsets[k+1]."""
+    pv, hv = value(p), value(h)
+    _check_vector(pv, "p")
+    _check_matrix(hv, "H")
+    if pv.shape[0] != hv.shape[0]:
+        raise ValueError(f"{pv.shape[0]} weights for {hv.shape[0]} rows")
+    starts, counts = _check_offsets(offsets, hv.shape[0])
+    out = np.add.reduceat(pv[:, None] * hv, starts, axis=0)
+
+    def spread(g):
+        """Each segment's cotangent row, repeated for the rows it pools."""
+        return np.repeat(g, counts, axis=0)
+
+    return record(out, [(p, lambda g: (hv * spread(g)).sum(axis=1)),
+                        (h, lambda g: pv[:, None] * spread(g))])
+
+
+def refine_value(c, factor: float, threshold: float):
+    """The refinement rule on a cosine c, a float or elementwise on an array:
+    (score, branch slope) is (factor*c, factor) strictly above the
+    threshold, (c, 1) on (0, threshold] (the threshold stays on the
+    continuous-from-below branch) and (0, 0) for c <= 0."""
+    slope = np.where(c > threshold, float(factor), np.where(c > 0.0, 1.0, 0.0))
+    score = np.where(slope > 0.0, slope * c, 0.0)
+    if np.ndim(c) == 0:
+        return float(score), float(slope)
+    return score, slope
+
+
 def refine_scores(x, t, factor: float, threshold: float):
-    """Three-branch score of the cosine c between `t` and each row of the
-    matrix `x` (one score per row) or the vector `x` (a float): factor*c
-    strictly above the threshold, c on (0, threshold] (the threshold stays
-    on the continuous-from-below branch), 0 for c <= 0. A row with norm
+    """`refine_value` of the cosine between `t` and each row of the matrix
+    `x` (one score per row) or the vector `x` (a float). A row with norm
     below EPS_NORM scores 0. The gradient is the branch slope times the
     cosine's gradient, so a zero score gets none."""
     xv, tv = value(x), value(t)
@@ -334,8 +365,9 @@ def refine_scores(x, t, factor: float, threshold: float):
     live = nx >= EPS_NORM
     nx = np.where(live, nx, 1.0)
     c = (xm @ tv) / (nx * nt)
-    slope = np.where(live & (c > threshold), float(factor), np.where(live & (c > 0.0), 1.0, 0.0))
-    s = np.where(slope > 0.0, slope * c, 0.0)
+    s, slope = refine_value(c, factor, threshold)
+    slope = np.where(live, slope, 0.0)
+    s = np.where(live, s, 0.0)
 
     def pull_x(g):
         k = np.reshape(g, -1) * slope / (nx * nt)
@@ -350,24 +382,57 @@ def refine_scores(x, t, factor: float, threshold: float):
 
 
 def cosine(u, v):
-    """Cosine similarity; both arguments must have norm >= EPS_NORM."""
+    """Cosine similarity of the vectors u and v (a float), or of every row
+    of u with every row of v (a matrix; a vector argument counts as one row
+    and contributes no axis). Every row needs norm >= EPS_NORM."""
     uv, vv = value(u), value(v)
-    _check_vector(uv, "u")
-    _check_vector(vv, "v")
-    _same_shape(u, v)
-    nu = float(np.linalg.norm(uv))
-    nv = float(np.linalg.norm(vv))
-    if nu < EPS_NORM or nv < EPS_NORM:
-        raise DegenerateVectorError(f"cosine of near-zero vector (norms {nu:g}, {nv:g})")
-    c = float(uv @ vv) / (nu * nv)
+    _check_rows(uv, "u")
+    _check_rows(vv, "v", uv.shape[-1])
+    um, vm = np.atleast_2d(uv), np.atleast_2d(vv)
+    nu = np.linalg.norm(um, axis=1)
+    nv = np.linalg.norm(vm, axis=1)
+    if nu.min() < EPS_NORM or nv.min() < EPS_NORM:
+        raise DegenerateVectorError(f"cosine of near-zero vector (norms {nu.min():g}, {nv.min():g})")
+    c = (um @ vm.T) / np.outer(nu, nv)
+    shape = uv.shape[:-1] + vv.shape[:-1]
 
     def pull_u(g):
-        return g * (vv / (nu * nv) - c * uv / (nu * nu))
+        gm = np.reshape(g, c.shape)
+        d = (gm / nv) @ vm / nu[:, None] - ((gm * c).sum(axis=1) / (nu * nu))[:, None] * um
+        return d.reshape(uv.shape)
 
     def pull_v(g):
-        return g * (uv / (nu * nv) - c * vv / (nv * nv))
+        gm = np.reshape(g, c.shape)
+        d = (gm / nu[:, None]).T @ um / nv[:, None] - ((gm * c).sum(axis=0) / (nv * nv))[:, None] * vm
+        return d.reshape(vv.shape)
 
-    return record(c, [(u, pull_u), (v, pull_v)])
+    return record(c.reshape(shape) if shape else float(c[0, 0]), [(u, pull_u), (v, pull_v)])
+
+
+def mean_nll(p, labels):
+    """Mean over the rows s of -log P[s, labels[s]]: the cross-entropy of
+    row-wise class probabilities P against integer labels."""
+    pv = value(p)
+    _check_matrix(pv, "P")
+    lab = np.asarray(labels)
+    if not (pv.shape[0] > 0 and lab.shape == (pv.shape[0],)
+            and np.issubdtype(lab.dtype, np.integer)):
+        raise ValueError(f"need one integer label per row of P {pv.shape}, got {lab!r}")
+    if lab.min() < 0 or lab.max() >= pv.shape[1]:
+        raise DataError(f"label {lab.min() if lab.min() < 0 else lab.max()} out of range "
+                        f"for {pv.shape[1]} classes")
+    at = (np.arange(pv.shape[0]), lab)
+    picked = pv[at]
+    if not (picked > 0.0).all():
+        raise NumericError(f"log of non-positive probability {picked.min()}")
+    n = pv.shape[0]
+
+    def pull(g):
+        d = np.zeros_like(pv)
+        d[at] = -g / (n * picked)
+        return d
+
+    return record(float(-np.log(picked).sum() / n), [(p, pull)])
 
 
 def l2_normalize(u):

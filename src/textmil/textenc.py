@@ -6,6 +6,12 @@ never trained; the only learnable influence on the output is through
 the scale/shift adapters threaded into each block. Class prompts come
 as precomputed token embeddings (region-level tokens followed by
 slide-level tokens) — there is no tokenizer here.
+
+The class embeddings become the rows of the class matrix that the
+batched head compares every slide of a batch against
+(`model.class_probabilities`). A training tape covers one epoch: it
+records each class prompt's adapted blocks once, token by token, however
+many slides the epoch pools.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tape as tp
-from .errors import DataError
+from .errors import DataError, strict_dumps
 from .ssf import SITE_KINDS, SsfParams, SsfSite, merge_into_layernorm, merge_into_linear, ssf_forward
 
 
@@ -154,7 +160,8 @@ def load_prompts(path: str | Path) -> PromptSet:
 
 
 def save_prompts(prompts: PromptSet, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(prompts_to_dict(prompts), sort_keys=True, indent=1) + "\n")
+    text = strict_dumps(prompts_to_dict(prompts), path, indent=1)
+    Path(path).write_text(text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +230,7 @@ def encode(stack: TextEncoderStack, tokens: np.ndarray, sites: list[SsfSite] | N
     if not 0 <= start <= stack.n_blocks:
         raise ValueError(f"start must be in [0, {stack.n_blocks}], got {start}")
     xs = _run_blocks(stack, _token_rows(stack, tokens), sites, start + 1, stack.n_blocks)
-    pooled = tp.mean(xs)
+    pooled = tp.pool(np.full(len(xs), 1.0 / len(xs)), tp.rows(xs))
     return tp.l2_normalize(tp.matvec(stack.proj, pooled))
 
 
@@ -234,15 +241,16 @@ def refinement_embedding(class_embeddings: list, tumor_index: int | None = None)
     class's embedding. Otherwise it is the normalized mean of all class
     embeddings; a near-zero mean yields None, which disables refinement.
     """
-    if len(class_embeddings) == 0:
+    n = len(class_embeddings)
+    if n == 0:
         raise DataError("refinement embedding needs at least one class embedding")
     if tumor_index is not None:
-        if not 0 <= tumor_index < len(class_embeddings):
+        if not 0 <= tumor_index < n:
             raise DataError(f"tumor class index {tumor_index} out of range")
         return class_embeddings[tumor_index]
-    if len(class_embeddings) == 1:
+    if n == 1:
         return class_embeddings[0]
-    m = tp.mean(class_embeddings)
+    m = tp.pool(np.full(n, 1.0 / n), tp.rows(class_embeddings))
     if float(np.linalg.norm(tp.value(m))) < tp.EPS_NORM:
         return None
     return tp.l2_normalize(m)

@@ -1,10 +1,13 @@
 """Adam training of the adapter + attention parameters with early stopping.
 
 One epoch is one full-batch gradient step over the k-shot training
-bags (loss averaged per slide in slide-id order), followed by a
-validation AUC; the returned parameters are the ones from the best
-validation epoch. Everything is deterministic given the config seed.
-`run_kshot` is the one split -> build -> fit path of a k-shot run.
+bags (loss averaged per slide in slide-id order) on one fresh tape,
+followed by a validation AUC; the returned parameters are the ones from
+the best validation epoch. The training slides pool in batches
+(`hierpool.batch_bags`; every default training set is one batch), so
+the pooling and head add about fifteen nodes to the epoch's tape.
+Everything is deterministic given the config seed. `run_kshot` is the
+one split -> build -> fit path of a k-shot run.
 """
 
 from __future__ import annotations
@@ -18,9 +21,9 @@ from . import tape as tp
 from .config import RunConfig
 from .data import Dataset, kshot_split
 from .errors import DataError, NumericError
-from .hierpool import wsi_encode
+from .hierpool import BagBatch, BagScores, batch_bags
 from .metrics import evaluate
-from .model import SlideClassifier, TrainableLayout, build_model, class_probabilities, nll
+from .model import SlideClassifier, TrainableLayout, build_model
 
 
 @dataclass
@@ -91,27 +94,29 @@ def _check_split(model: SlideClassifier, train_bags, val_bags):
         raise DataError(f"train/val splits overlap: {sorted(overlap)[:3]}")
 
 
-def bag_nlls(model: SlideClassifier, bags, embs, guidance, attn, frozen=None) -> list:
-    """Cross-entropy of each bag, in order, under the given class embeddings,
-    guidance and attention parameters (tape nodes or plain arrays);
-    `frozen` holds per-bag refinement scores to hold fixed."""
-    cfg = model.config
+def batch_loss(model: SlideClassifier, batches: list[BagBatch], embs, guidance, attn,
+               frozen: list[BagScores] | None = None):
+    """Mean cross-entropy over every slide of `batches` under the given
+    class embeddings, guidance and attention parameters (tape nodes or
+    plain arrays); `frozen` holds each batch's refinement scores to hold
+    fixed."""
+    n = sum(b.n_slides for b in batches)
     terms = []
-    for i, bag in enumerate(bags):
-        out = wsi_encode(bag, guidance, attn, cfg.refinement,
-                         frozen=None if frozen is None else frozen[i])
-        probs = class_probabilities(out.slide_embedding, embs, cfg.train.temperature)
-        terms.append(nll(probs, bag.label))
-    return terms
+    for i, batch in enumerate(batches):
+        probs, _ = model.forward(batch, embs, guidance, attn,
+                                 frozen=None if frozen is None else frozen[i])
+        terms.append(tp.scale(tp.mean_nll(probs, batch.labels), batch.n_slides / n))
+    return reduce(tp.add, terms)
 
 
 def epoch_loss(model: SlideClassifier, bags, layout: TrainableLayout, theta: np.ndarray):
     """Mean cross-entropy over `bags` on a fresh tape; returns the loss
-    node together with the tape and bound leaf nodes."""
+    node together with the tape and bound leaf nodes. The tape holds the
+    whole step: the adapted blocks of each class prompt and the batched
+    pooling and head of every training slide."""
     tape, sites, attn, nodes = layout.bind(theta)
     embs = model.class_embeddings(sites)
-    terms = bag_nlls(model, bags, embs, model.guidance(embs), attn)
-    loss = tp.scale(reduce(tp.add, terms), 1.0 / len(bags))
+    loss = batch_loss(model, list(batch_bags(bags)), embs, model.guidance(embs), attn)
     if not np.isfinite(tp.value(loss)):
         raise NumericError(f"non-finite training loss {tp.value(loss)}")
     return loss, tape, nodes

@@ -18,7 +18,7 @@ from textmil.cli import main
 from textmil.config import RunConfig
 from textmil.data import build_dataset
 from textmil.gradcheck import run_gradcheck, toy_problem
-from textmil.hierpool import RefinementConfig, refine_value, region_encode, wsi_encode
+from textmil.hierpool import BagBatch, RefinementConfig, region_encode, wsi_encode
 from textmil.metrics import evaluate
 from textmil.model import TrainableLayout, build_model, merge_model
 from textmil.ssf import attach_depth, build_sites, count_trainable
@@ -73,11 +73,10 @@ def test_criterion_02_reparameterization_exactness():
     ds = build_dataset(cfg.generator)
     model = build_model(cfg_fast, ds.prompts)
     merged = merge_model(model)
-    worst_prob = 0.0
-    for bag in ds.bags[:20]:
-        pa, _ = model.bag_forward(bag)
-        pb, _ = merged.bag_forward(bag)
-        worst_prob = max(worst_prob, float(np.abs(pa - pb).max()))
+    batch = BagBatch.of(ds.bags[:20])
+    pa, _ = model.forward(batch)
+    pb, _ = merged.forward(batch)
+    worst_prob = float(np.abs(pa - pb).max())
     assert worst_prob <= 1e-10
     print(f"ACCEPTANCE 2 PASS: merge exactness encoder {worst:.2e}, "
           f"probabilities {worst_prob:.2e}")
@@ -97,12 +96,13 @@ def test_criterion_03_identity_neutrality_and_zero_guidance():
         assert np.abs(bare - with_identity).max() <= 1e-12
 
     # zero guidance reduces region pooling to plain gated attention
-    from textmil.hierpool import init_attention, Region
+    from textmil.hierpool import init_attention, Region, SlideBag
     params = init_attention(3, cfg.encoder.attn_hidden, cfg.encoder.dim)
     embs = rng.standard_normal((6, cfg.encoder.dim))
     region = Region(region_id="0", coord=(0, 0),
                     instance_coords=[(0, j) for j in range(6)], embeddings=embs)
-    guided = region_encode(region, None, params, cfg.refinement)
+    guided = region_encode(BagBatch.of([SlideBag("s", 0, [region])]), None, params,
+                           cfg.refinement)
     logits = np.array([params.w_r @ (np.tanh(params.v1 @ h)
                                      * (1.0 / (1.0 + np.exp(-params.v2 @ h))))
                        for h in embs])
@@ -125,7 +125,7 @@ def test_criterion_04_refinement_branch_table():
         (-1e-12, 0.0),
     ]
     for c, expected in table:
-        s, _ = refine_value(c, cfg)
+        s, _ = tp.refine_value(c, cfg.factor, cfg.threshold)
         assert s == expected, f"refine({c}) = {s}, expected {expected}"
     print("ACCEPTANCE 4 PASS: three-branch score table exact, "
           "boundaries c=0.2 -> 0.2 and c=0 -> 0")
@@ -143,14 +143,16 @@ def test_criterion_05_structural_invariants():
                       embeddings=rng.standard_normal((4, cfg.encoder.dim)))
                for m in range(3)]
     bag = SlideBag(slide_id="s", label=0, regions=regions)
-    out = wsi_encode(bag, guidance, params, cfg.refinement)
-    groups = [out.region_weight_values()] + [r.weight_values() for r in out.regions]
+    out = wsi_encode(BagBatch.of([bag]), guidance, params, cfg.refinement)
+    groups = [out.region_weight_values()] + np.split(out.region.weight_values(),
+                                                     out.batch.region_offsets[1:-1])
+    assert len(groups) == 4
     for g in groups:
         assert abs(g.sum() - 1.0) <= 1e-12
 
     perm = [2, 0, 1]
     bag_p = SlideBag(slide_id="s", label=0, regions=[regions[i] for i in perm])
-    out_p = wsi_encode(bag_p, guidance, params, cfg.refinement)
+    out_p = wsi_encode(BagBatch.of([bag_p]), guidance, params, cfg.refinement)
     assert np.abs(out_p.region_weight_values() - out.region_weight_values()[perm]).max() <= 1e-9
     assert np.abs(np.asarray(out_p.slide_embedding)
                   - np.asarray(out.slide_embedding)).max() <= 1e-9
@@ -159,8 +161,8 @@ def test_criterion_05_structural_invariants():
     region_p = Region(region_id="0", coord=(0, 0),
                       instance_coords=[(0, j) for j in range(4)],
                       embeddings=regions[0].embeddings[iperm])
-    a = region_encode(regions[0], guidance, params, cfg.refinement)
-    b = region_encode(region_p, guidance, params, cfg.refinement)
+    a, b = (region_encode(BagBatch.of([SlideBag("s", 0, [r])]), guidance, params, cfg.refinement)
+            for r in (regions[0], region_p))
     assert np.abs(b.weight_values() - a.weight_values()[iperm]).max() <= 1e-9
 
     for d in range(1, 13):

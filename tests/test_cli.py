@@ -163,6 +163,59 @@ def test_split_slide_missing_from_dataset(tmp_path, dataset_dir, checkpoint, cap
     assert "slide_c0_040" in capsys.readouterr().err
 
 
+def test_localize_pools_each_slide_once(tmp_path, dataset_dir, checkpoint, monkeypatch):
+    from textmil import hierpool
+    from textmil.data import load_dataset
+    from textmil.hierpool import BagBatch, instance_saliency
+    from textmil.model import load_checkpoint
+
+    pooled = []
+    real = hierpool.region_encode
+
+    def counted(batch, *args, **kwargs):
+        pooled.append(batch.n_instances)
+        return real(batch, *args, **kwargs)
+
+    monkeypatch.setattr(hierpool, "region_encode", counted)
+    loc = tmp_path / "loc"
+    assert main(["localize", "--data", str(dataset_dir), "--checkpoint", str(checkpoint),
+                 "--out", str(loc)]) == 0
+    monkeypatch.undo()
+    model, _, split = load_checkpoint(checkpoint)
+    bags = load_dataset(dataset_dir).select(split["test"])
+    assert sum(pooled) == sum(r.n_instances for b in bags for r in b.regions)
+
+    for bag in bags:
+        rec = read_json(loc / "attention" / f"{bag.slide_id}.json")
+        assert set(rec) == {"slide_id", "label", "saliency_mode", "regions"}
+        _, out = model.forward(BagBatch.of([bag]))
+        weights = np.split(out.region.weight_values(), out.batch.region_offsets[1:-1])
+        saliency = np.split(instance_saliency(out), out.batch.region_offsets[1:-1])
+        for m, r in enumerate(rec["regions"]):
+            assert set(r) == {"id", "coord", "weight", "instances"}
+            assert abs(r["weight"] - out.region_weight_values()[m]) <= 1e-12
+            for j, inst in enumerate(r["instances"]):
+                assert set(inst) == {"coord", "weight", "saliency"}
+                assert abs(inst["weight"] - weights[m][j]) <= 1e-12
+                assert abs(inst["saliency"] - saliency[m][j]) <= 1e-12
+
+
+def test_merge_with_non_finite_parameters_exits_numeric(tmp_path, checkpoint, monkeypatch,
+                                                        capsys):
+    real = cli.merge_model
+
+    def nan_merge(model):
+        merged = real(model)
+        merged.attention.u1[0, 0] = np.nan
+        return merged
+
+    monkeypatch.setattr(cli, "merge_model", nan_merge)
+    out = tmp_path / "merged"
+    assert main(["merge", "--checkpoint", str(checkpoint), "--out", str(out)]) == 4
+    assert not (out / "checkpoint_merged.json").exists()
+    assert "checkpoint_merged.json" in capsys.readouterr().err
+
+
 def test_eval_rejects_checkpoint_without_the_split(tmp_path, dataset_dir, checkpoint, capsys):
     raw = read_json(checkpoint)
     del raw["split"]["val"]

@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from textmil import hierpool
 from textmil import tape as tp
 from textmil.errors import ConfigError, DataError
-from textmil.hierpool import (AttentionParams, RefinementConfig, Region, SlideBag,
-                              attention_record, init_attention, instance_saliency, load_bag,
-                              refine_value, refinement_score, region_encode, save_bag,
-                              wsi_encode)
+from textmil.errors import NumericError
+from textmil.hierpool import (AttentionParams, BagBatch, RefinementConfig, Region, SlideBag,
+                              attention_records, batch_bags, init_attention, instance_saliency,
+                              load_bag, refinement_score, region_encode, save_attention_record,
+                              save_bag, wsi_encode)
+from textmil.tape import refine_value
 
 CFG = RefinementConfig(factor=10.0, threshold=0.2)
 
@@ -27,6 +30,15 @@ def make_bag(region_embs, label=0, slide_id="s"):
     regions = [make_region(e, region_id=str(m), coord=(0, m))
                for m, e in enumerate(region_embs)]
     return SlideBag(slide_id=slide_id, label=label, regions=regions)
+
+
+def batch_of(*bags):
+    return BagBatch.of(list(bags))
+
+
+def region_batch(embeddings):
+    """A batch of one slide holding one region."""
+    return batch_of(make_bag([embeddings]))
 
 
 def random_params(rng, hidden, dim):
@@ -106,16 +118,17 @@ def oracle_slide(region_embs, t, params, lam, alpha):
     (0.2000001, 2.000001),
 ])
 def test_refine_value_branch_table(c, expected):
-    s, _ = refine_value(c, CFG)
+    s, _ = refine_value(c, CFG.factor, CFG.threshold)
     assert s == pytest.approx(expected, rel=1e-12, abs=0.0 if expected else 1e-300)
 
 
 def test_refine_value_slopes():
-    assert refine_value(0.5, CFG) == (5.0, 10.0)
-    assert refine_value(0.15, CFG) == (0.15, 1.0)
-    assert refine_value(0.2, CFG) == (0.2, 1.0)
-    assert refine_value(-0.2, CFG) == (0.0, 0.0)
-    assert refine_value(0.0, CFG) == (0.0, 0.0)
+    rule = CFG.factor, CFG.threshold
+    assert refine_value(0.5, *rule) == (5.0, 10.0)
+    assert refine_value(0.15, *rule) == (0.15, 1.0)
+    assert refine_value(0.2, *rule) == (0.2, 1.0)
+    assert refine_value(-0.2, *rule) == (0.0, 0.0)
+    assert refine_value(0.0, *rule) == (0.0, 0.0)
 
 
 def test_refinement_score_through_cosine():
@@ -162,7 +175,7 @@ def test_refinement_config_validation():
 def test_region_single_instance():
     rng = np.random.default_rng(0)
     h = rng.standard_normal(6)
-    out = region_encode(make_region([h]), None, random_params(rng, 4, 6), CFG)
+    out = region_encode(region_batch([h]), None, random_params(rng, 4, 6), CFG)
     assert np.array_equal(out.weight_values(), np.array([1.0]))
     assert np.abs(np.asarray(out.embedding) - h).max() <= 1e-15
 
@@ -171,7 +184,7 @@ def test_region_two_identical_instances():
     rng = np.random.default_rng(1)
     h = rng.standard_normal(6)
     t = tp.l2_normalize(rng.standard_normal(6))
-    out = region_encode(make_region([h, h]), t, random_params(rng, 4, 6), CFG)
+    out = region_encode(region_batch([h, h]), t, random_params(rng, 4, 6), CFG)
     assert np.abs(out.weight_values() - 0.5).max() <= 1e-15
     assert np.abs(np.asarray(out.embedding) - h).max() <= 1e-12
 
@@ -181,7 +194,7 @@ def test_region_matches_scalar_oracle():
     embs = rng.standard_normal((3, 5))
     t = tp.l2_normalize(rng.standard_normal(5))
     params = random_params(rng, 4, 5)
-    out = region_encode(make_region(embs), t, params, CFG)
+    out = region_encode(region_batch(embs), t, params, CFG)
     emb, weights = oracle_region(embs.tolist(), t.tolist(), params, CFG.factor, CFG.threshold)
     assert np.abs(out.weight_values() - np.array(weights)).max() <= 1e-12
     assert np.abs(np.asarray(out.embedding) - np.array(emb)).max() <= 1e-12
@@ -191,7 +204,8 @@ def test_region_rejects_empty():
     region = make_region(np.ones((1, 4)))
     region.embeddings = np.empty((0, 4))
     with pytest.raises(DataError):
-        region_encode(region, None, random_params(np.random.default_rng(0), 2, 4), CFG)
+        region_encode(batch_of(SlideBag("s", 0, [region])), None,
+                      random_params(np.random.default_rng(0), 2, 4), CFG)
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +217,9 @@ def test_wsi_single_region_passthrough():
     embs = rng.standard_normal((4, 6))
     t = tp.l2_normalize(rng.standard_normal(6))
     params = random_params(rng, 4, 6)
-    bag = make_bag([embs])
-    out = wsi_encode(bag, t, params, CFG)
-    region = region_encode(bag.regions[0], t, params, CFG)
+    batch = batch_of(make_bag([embs]))
+    out = wsi_encode(batch, t, params, CFG)
+    region = region_encode(batch, t, params, CFG)
     assert np.array_equal(out.region_weight_values(), np.array([1.0]))
     assert np.abs(np.asarray(out.slide_embedding) - np.asarray(region.embedding)).max() <= 1e-15
 
@@ -215,7 +229,7 @@ def test_wsi_identical_regions_uniform():
     embs = rng.standard_normal((3, 6))
     t = tp.l2_normalize(rng.standard_normal(6))
     params = random_params(rng, 4, 6)
-    out = wsi_encode(make_bag([embs, embs, embs]), t, params, CFG)
+    out = wsi_encode(batch_of(make_bag([embs, embs, embs])), t, params, CFG)
     assert np.abs(out.region_weight_values() - 1.0 / 3).max() <= 1e-12
 
 
@@ -224,7 +238,7 @@ def test_wsi_matches_scalar_oracle_full_chain():
     region_embs = [rng.standard_normal((2, 5)), rng.standard_normal((2, 5))]
     t = tp.l2_normalize(rng.standard_normal(5))
     params = random_params(rng, 3, 5)
-    out = wsi_encode(make_bag(region_embs), t, params, CFG)
+    out = wsi_encode(batch_of(make_bag(region_embs)), t, params, CFG)
     emb, weights = oracle_slide([e.tolist() for e in region_embs], t.tolist(),
                                 params, CFG.factor, CFG.threshold)
     assert np.abs(out.region_weight_values() - np.array(weights)).max() <= 1e-12
@@ -235,7 +249,7 @@ def test_wsi_rejects_empty_bag():
     bag = make_bag([np.ones((1, 4))])
     bag.regions = []
     with pytest.raises(DataError):
-        wsi_encode(bag, None, random_params(np.random.default_rng(0), 2, 4), CFG)
+        wsi_encode(batch_of(bag), None, random_params(np.random.default_rng(0), 2, 4), CFG)
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +260,10 @@ def test_weights_positive_and_sum_to_one():
     rng = np.random.default_rng(6)
     bag = make_bag([rng.standard_normal((5, 6)) for _ in range(3)])
     t = tp.l2_normalize(rng.standard_normal(6))
-    out = wsi_encode(bag, t, random_params(rng, 4, 6), CFG)
-    groups = [out.region_weight_values()] + [r.weight_values() for r in out.regions]
+    out = wsi_encode(batch_of(bag), t, random_params(rng, 4, 6), CFG)
+    groups = [out.region_weight_values()] + np.split(out.region.weight_values(),
+                                                     out.batch.region_offsets[1:-1])
+    assert len(groups) == 4
     for w in groups:
         assert (w > 0).all()
         assert abs(w.sum() - 1.0) <= 1e-12
@@ -258,9 +274,9 @@ def test_instance_permutation_equivariance():
     embs = rng.standard_normal((6, 5))
     t = tp.l2_normalize(rng.standard_normal(5))
     params = random_params(rng, 4, 5)
-    base = region_encode(make_region(embs), t, params, CFG)
+    base = region_encode(region_batch(embs), t, params, CFG)
     perm = rng.permutation(6)
-    perm_out = region_encode(make_region(embs[perm]), t, params, CFG)
+    perm_out = region_encode(region_batch(embs[perm]), t, params, CFG)
     assert np.abs(perm_out.weight_values() - base.weight_values()[perm]).max() <= 1e-9
     assert np.abs(np.asarray(perm_out.embedding) - np.asarray(base.embedding)).max() <= 1e-9
 
@@ -270,9 +286,9 @@ def test_region_permutation_equivariance():
     region_embs = [rng.standard_normal((3, 5)) for _ in range(4)]
     t = tp.l2_normalize(rng.standard_normal(5))
     params = random_params(rng, 4, 5)
-    base = wsi_encode(make_bag(region_embs), t, params, CFG)
+    base = wsi_encode(batch_of(make_bag(region_embs)), t, params, CFG)
     perm = [2, 0, 3, 1]
-    perm_out = wsi_encode(make_bag([region_embs[i] for i in perm]), t, params, CFG)
+    perm_out = wsi_encode(batch_of(make_bag([region_embs[i] for i in perm])), t, params, CFG)
     assert np.abs(perm_out.region_weight_values()
                   - base.region_weight_values()[perm]).max() <= 1e-9
     assert np.abs(np.asarray(perm_out.slide_embedding)
@@ -283,7 +299,7 @@ def test_zero_guidance_reduces_to_plain_gated_attention():
     rng = np.random.default_rng(9)
     embs = rng.standard_normal((4, 6))
     params = random_params(rng, 4, 6)
-    guided = region_encode(make_region(embs), None, params, CFG)
+    guided = region_encode(region_batch(embs), None, params, CFG)
     # manual plain gated attention
     logits = np.array([params.w_r @ (np.tanh(params.v1 @ h) * (1 / (1 + np.exp(-params.v2 @ h))))
                        for h in embs])
@@ -300,9 +316,9 @@ def test_refinement_increases_aligned_attention():
     embs = np.vstack([aligned, others])
     params = random_params(rng, 4, 6)
     assert tp.cosine(aligned, t) > CFG.threshold
-    lo = region_encode(make_region(embs), t, params, CFG)
+    lo = region_encode(region_batch(embs), t, params, CFG)
     hi_cfg = RefinementConfig(factor=3 * CFG.factor, threshold=CFG.threshold)
-    hi = region_encode(make_region(embs), t, params, hi_cfg)
+    hi = region_encode(region_batch(embs), t, params, hi_cfg)
     assert hi.weight_values()[0] > lo.weight_values()[0]
 
 
@@ -313,8 +329,8 @@ def test_lambda_amplification_property(c, boost):
     h = np.array([c, math.sqrt(1 - c * c), 0.0])
     embs = np.vstack([h, rng.standard_normal((2, 3))])
     params = random_params(rng, 2, 3)
-    base = region_encode(make_region(embs), t, params, CFG)
-    boosted = region_encode(make_region(embs), t, params,
+    base = region_encode(region_batch(embs), t, params, CFG)
+    boosted = region_encode(region_batch(embs), t, params,
                             RefinementConfig(factor=CFG.factor * boost,
                                              threshold=CFG.threshold))
     assert boosted.weight_values()[0] > base.weight_values()[0]
@@ -327,27 +343,26 @@ def test_lambda_amplification_property(c, boost):
 def test_saliency_single_instance_degenerate():
     rng = np.random.default_rng(12)
     bag = make_bag([rng.standard_normal((1, 4))])
-    out = wsi_encode(bag, None, random_params(rng, 2, 4), CFG)
+    out = wsi_encode(batch_of(bag), None, random_params(rng, 2, 4), CFG)
     sal = instance_saliency(out)
-    assert sal[0][0] == 0.5
+    assert sal.shape == (1,) and sal[0] == 0.5
 
 
 def test_saliency_uniform_attention_everywhere():
     rng = np.random.default_rng(13)
     h = rng.standard_normal(4)
     bag = make_bag([np.vstack([h, h]), np.vstack([h, h])])
-    out = wsi_encode(bag, None, random_params(rng, 2, 4), CFG)
-    for arr in instance_saliency(out):
-        assert np.array_equal(arr, np.full_like(arr, 0.5))
+    out = wsi_encode(batch_of(bag), None, random_params(rng, 2, 4), CFG)
+    assert np.array_equal(instance_saliency(out), np.full(4, 0.5))
 
 
 def test_saliency_range_and_modes():
     rng = np.random.default_rng(14)
     bag = make_bag([rng.standard_normal((4, 5)) for _ in range(3)])
     t = tp.l2_normalize(rng.standard_normal(5))
-    out = wsi_encode(bag, t, random_params(rng, 3, 5), CFG)
+    out = wsi_encode(batch_of(bag), t, random_params(rng, 3, 5), CFG)
     for mode in ("multiplicative", "instance-only"):
-        flat = np.concatenate(instance_saliency(out, mode))
+        flat = instance_saliency(out, mode)
         assert flat.min() >= 0.0 and flat.max() <= 1.0
         assert flat.min() == 0.0 and flat.max() == 1.0
     with pytest.raises(ConfigError):
@@ -371,8 +386,8 @@ def test_saliency_planted_signal_above_background():
         truth = bag.flat_mask()
         if truth.sum() == 0:
             continue
-        out = wsi_encode(bag, guidance, params, CFG)
-        sal = np.concatenate(instance_saliency(out))
+        out = wsi_encode(batch_of(bag), guidance, params, CFG)
+        sal = instance_saliency(out)
         assert sal[truth == 1].min() > np.median(sal[truth == 0])
         checked += 1
     assert checked == spec.slides_per_class
@@ -382,8 +397,8 @@ def test_attention_record_round_trip(tmp_path):
     rng = np.random.default_rng(15)
     bag = make_bag([rng.standard_normal((3, 5)) for _ in range(2)])
     t = tp.l2_normalize(rng.standard_normal(5))
-    out = wsi_encode(bag, t, random_params(rng, 3, 5), CFG)
-    record = attention_record(bag, out)
+    out = wsi_encode(batch_of(bag), t, random_params(rng, 3, 5), CFG)
+    [record] = attention_records(out)
     # weights sum to one per softmax group
     assert sum(r["weight"] for r in record["regions"]) == pytest.approx(1.0, abs=1e-9)
     for r in record["regions"]:
@@ -477,3 +492,112 @@ def test_refinement_score_detached_records_nothing():
     detached = RefinementConfig(factor=10.0, threshold=0.2, gradient="detached")
     assert not isinstance(refinement_score(H, t, detached), tp.Node)
     assert isinstance(refinement_score(H, t, CFG), tp.Node)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_save_bag_rejects_non_finite_and_keeps_the_old_file(tmp_path, bad):
+    rng = np.random.default_rng(23)
+    bag = make_bag([rng.standard_normal((2, 4))], slide_id="x4")
+    path = tmp_path / "x4.json"
+    save_bag(bag, path)
+    before = path.read_bytes()
+    bag.regions[0].embeddings[1, 2] = bad
+    with pytest.raises(NumericError, match="x4.json"):
+        save_bag(bag, path)
+    assert path.read_bytes() == before
+
+
+def test_save_attention_record_rejects_non_finite(tmp_path):
+    rng = np.random.default_rng(24)
+    out = wsi_encode(batch_of(make_bag([rng.standard_normal((3, 5))])), None,
+                     random_params(rng, 3, 5), CFG)
+    [record] = attention_records(out)
+    record["regions"][0]["instances"][1]["saliency"] = float("nan")
+    path = tmp_path / "attn.json"
+    with pytest.raises(NumericError, match="attn.json"):
+        save_attention_record(record, path)
+    assert not path.exists()
+
+
+# ---------------------------------------------------------------------------
+# batches
+
+
+def mixed_bags(rng, dim=5):
+    """Slides with different region counts, among them a one-instance
+    region and a one-region slide."""
+    layouts = ([3, 1, 4], [2], [1], [4, 2, 3, 2])  # instances per region
+    return [make_bag([rng.standard_normal((n, dim)) for n in layout], label=s % 2,
+                     slide_id=f"s{s}")
+            for s, layout in enumerate(layouts)]
+
+
+def pooled(out):
+    """Every per-row output of a pooling pass, as plain arrays."""
+    return {"slides": np.asarray(tp.value(out.slide_embedding)),
+            "region_weights": out.region_weight_values(),
+            "instance_weights": out.region.weight_values(),
+            "saliency": instance_saliency(out)}
+
+
+def test_batch_layout():
+    bags = mixed_bags(np.random.default_rng(29))
+    batch = BagBatch.of(bags)
+    assert batch.n_instances == 22 and batch.n_slides == 4
+    assert batch.region_offsets.tolist() == [0, 3, 4, 8, 10, 11, 15, 17, 20, 22]
+    assert batch.slide_offsets.tolist() == [0, 3, 4, 5, 9]
+    assert batch.slide_row_offsets().tolist() == [0, 8, 10, 11, 22]
+    assert batch.labels.tolist() == [0, 1, 0, 1]
+    assert np.array_equal(batch.rows[8:10], bags[1].regions[0].embeddings)
+
+
+@pytest.mark.parametrize("guided", [True, False])
+def test_multi_slide_batch_matches_per_slide_batches(guided):
+    rng = np.random.default_rng(30)
+    bags = mixed_bags(rng)
+    t = tp.l2_normalize(rng.standard_normal(5)) if guided else None
+    params = random_params(rng, 4, 5)
+    together = pooled(wsi_encode(BagBatch.of(bags), t, params, CFG))
+    alone = [pooled(wsi_encode(batch_of(b), t, params, CFG)) for b in bags]
+    for key, got in together.items():
+        assert np.abs(got - np.concatenate([a[key] for a in alone])).max() <= 1e-12, key
+
+
+def test_batch_bags_cuts_at_the_row_limit(monkeypatch):
+    rng = np.random.default_rng(31)
+    layouts = ([2, 1], [2], [4, 3], [1], [3, 1])  # 3, 2, 7, 1 and 4 rows
+    bags = [make_bag([rng.standard_normal((n, 5)) for n in layout], slide_id=f"s{s}")
+            for s, layout in enumerate(layouts)]
+    assert len(list(batch_bags(bags))) == 1
+    monkeypatch.setattr(hierpool, "MAX_BATCH_ROWS", 5)
+    batches = list(batch_bags(bags))
+    assert [[b.slide_id for b in batch.bags] for batch in batches] == \
+        [["s0", "s1"], ["s2"], ["s3", "s4"]]  # the 7-row slide forms its own batch
+    assert [batch.n_instances for batch in batches] == [5, 7, 5]
+    t = tp.l2_normalize(rng.standard_normal(5))
+    params = random_params(rng, 4, 5)
+    whole = pooled(wsi_encode(BagBatch.of(bags), t, params, CFG))
+    parts = [pooled(wsi_encode(batch, t, params, CFG)) for batch in batches]
+    for key, got in whole.items():
+        assert np.abs(got - np.concatenate([p[key] for p in parts])).max() <= 1e-12, key
+
+
+def test_slide_permutation_within_a_batch():
+    rng = np.random.default_rng(32)
+    bags = mixed_bags(rng)
+    t = tp.l2_normalize(rng.standard_normal(5))
+    params = random_params(rng, 4, 5)
+    base = wsi_encode(BagBatch.of(bags), t, params, CFG)
+    perm = [2, 0, 3, 1]
+    out = wsi_encode(BagBatch.of([bags[i] for i in perm]), t, params, CFG)
+    assert np.abs(np.asarray(out.slide_embedding)
+                  - np.asarray(base.slide_embedding)[perm]).max() <= 1e-9
+    rows = [np.arange(*base.batch.slide_row_offsets()[s:s + 2]) for s in perm]
+    assert np.abs(instance_saliency(out) - instance_saliency(base)[np.concatenate(rows)]).max() \
+        <= 1e-9
+
+
+def test_batch_rejects_empty_inputs():
+    with pytest.raises(DataError):
+        BagBatch.of([])
+    assert list(batch_bags([])) == []

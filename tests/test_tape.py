@@ -1,5 +1,6 @@
 import ast
 import gc
+import inspect
 import math
 from pathlib import Path
 
@@ -48,7 +49,7 @@ def test_tanh_vjp_closed_form():
     t = tp.Tape()
     x = t.param(np.array([0.5]))
     y = tp.tanh(x)
-    g = t.backward(tp.pick(y, 0))[x]
+    g = t.backward(tp.dot(np.ones(1), y))[x]
     assert g[0] == pytest.approx(0.7864477329659274, abs=1e-15)
 
 
@@ -236,7 +237,14 @@ def refine(x, t):
     return tp.refine_scores(x, t, FACTOR, THRESHOLD)
 
 
+# The finite-difference table: one case per (primitive, differentiable
+# argument, random draw), as (id, fn, args, k, op). `fn(*args)` calls the
+# primitive `op` with its constant arguments bound, and args[k] is the
+# argument checked; `test_table_covers_every_public_op` keeps the table
+# complete.
 PRIMITIVE_CASES = []
+OFFSETS = np.array([0, 1, 4, 7])  # a one-row segment and two of three rows
+LABELS = np.array([2, 0, 3])
 _prng = np.random.default_rng(20261018)
 for i in range(3):
     H = _prng.standard_normal((5, 6))
@@ -246,19 +254,53 @@ for i in range(3):
     X = rows_at_cosines(_prng, t, COSINES)
     vecs = [_prng.standard_normal(6) for _ in range(3)]
     p = _prng.standard_normal(5)
-    PRIMITIVE_CASES += [(f"rows-{j}-{i}", lambda *a: tp.rows(list(a)), vecs, j) for j in range(3)]
-    PRIMITIVE_CASES += [(f"gate_logits-{n}-{i}", tp.gate_logits, gate, j)
+    PRIMITIVE_CASES += [(f"rows-{j}-{i}", lambda *a: tp.rows(list(a)), vecs, j, tp.rows)
+                        for j in range(3)]
+    PRIMITIVE_CASES += [(f"gate_logits-{n}-{i}", tp.gate_logits, gate, j, tp.gate_logits)
                         for j, n in enumerate(("H", "w", "M1", "M2"))]
-    PRIMITIVE_CASES += [(f"pool-p-{i}", tp.pool, [p, H], 0), (f"pool-H-{i}", tp.pool, [p, H], 1)]
-    PRIMITIVE_CASES += [(f"refine_scores-rows-{i}", refine, [X, t], 0),
-                        (f"refine_scores-guidance-{i}", refine, [X, t], 1),
-                        (f"refine_scores-amplified-vector-{i}", refine, [X[0], t], 0),
-                        (f"refine_scores-pass-vector-{i}", refine, [X[1], t], 0),
-                        (f"refine_scores-vector-guidance-{i}", refine, [X[3], t], 1)]
+    PRIMITIVE_CASES += [(f"pool-p-{i}", tp.pool, [p, H], 0, tp.pool),
+                        (f"pool-H-{i}", tp.pool, [p, H], 1, tp.pool)]
+    PRIMITIVE_CASES += [(f"refine_scores-rows-{i}", refine, [X, t], 0, tp.refine_scores),
+                        (f"refine_scores-guidance-{i}", refine, [X, t], 1, tp.refine_scores),
+                        (f"refine_scores-amplified-vector-{i}", refine, [X[0], t], 0,
+                         tp.refine_scores),
+                        (f"refine_scores-pass-vector-{i}", refine, [X[1], t], 0, tp.refine_scores),
+                        (f"refine_scores-vector-guidance-{i}", refine, [X[3], t], 1,
+                         tp.refine_scores)]
+
+    def draw(*shape):
+        return _prng.standard_normal(shape)
+
+    def both(op, fn, args, names, tag=""):
+        return [(f"{op.__name__}-{tag}{n}-{i}", fn, args, j, op) for j, n in enumerate(names)]
+
+    v6, w6, M = draw(6), draw(6), draw(4, 6)
+    PRIMITIVE_CASES += both(tp.add, tp.add, [v6, w6], "ab")
+    PRIMITIVE_CASES += both(tp.add, tp.add, [M, draw(4, 6)], "ab", "rows-")
+    PRIMITIVE_CASES += [(f"scale-a-{i}", lambda a: tp.scale(a, -1.7), [M], 0, tp.scale)]
+    PRIMITIVE_CASES += both(tp.hadamard, tp.hadamard, [v6, w6], "ab")
+    PRIMITIVE_CASES += [(f"tanh-a-{i}", tp.tanh, [M], 0, tp.tanh)]
+    PRIMITIVE_CASES += both(tp.matvec, tp.matvec, [M, v6], "ax")
+    PRIMITIVE_CASES += both(tp.dot, tp.dot, [v6, w6], "uv")
+    PRIMITIVE_CASES += [(f"softmax-x-{i}", tp.softmax, [v6], 0, tp.softmax),
+                        (f"softmax-rows-x-{i}", tp.softmax, [M], 0, tp.softmax)]
+    PRIMITIVE_CASES += [(f"l2_normalize-u-{i}", tp.l2_normalize, [v6], 0, tp.l2_normalize)]
+    PRIMITIVE_CASES += both(tp.layernorm, tp.layernorm, [v6, 1.0 + 0.3 * draw(6), draw(6)],
+                            ("x", "gain", "bias"))
+    PRIMITIVE_CASES += both(tp.cosine, tp.cosine, [v6, w6], "uv")
+    PRIMITIVE_CASES += both(tp.cosine, tp.cosine, [draw(3, 6), M], "uv", "rows-")
+    PRIMITIVE_CASES += both(tp.cosine, tp.cosine, [v6, M], "uv", "vector-rows-")
+    PRIMITIVE_CASES += [(f"segment_softmax-z-{i}", lambda z: tp.segment_softmax(z, OFFSETS),
+                         [draw(7)], 0, tp.segment_softmax)]
+    PRIMITIVE_CASES += both(tp.segment_pool, lambda p, h: tp.segment_pool(p, h, OFFSETS),
+                            [draw(7), draw(7, 5)], ("p", "H"))
+    PRIMITIVE_CASES += [(f"mean_nll-p-{i}", lambda p: tp.mean_nll(p, LABELS),
+                         [_prng.uniform(0.1, 1.0, (3, 4))], 0, tp.mean_nll)]
 
 
-@pytest.mark.parametrize("name,fn,args,k", PRIMITIVE_CASES, ids=[c[0] for c in PRIMITIVE_CASES])
-def test_primitive_argument_vjp(name, fn, args, k):
+@pytest.mark.parametrize("name,fn,args,k,op", PRIMITIVE_CASES,
+                         ids=[c[0] for c in PRIMITIVE_CASES])
+def test_primitive_argument_vjp(name, fn, args, k, op):
     rng = np.random.default_rng(7)
     u, v = rng.standard_normal(8), rng.standard_normal(8)
     x0 = np.asarray(args[k], dtype=np.float64)
@@ -272,6 +314,28 @@ def test_primitive_argument_vjp(name, fn, args, k):
     err = tp.grad_check(lambda flat: float(tp.value(call(flat.reshape(x0.shape)))),
                         x0.ravel(), np.asarray(g).ravel(), h=1e-6)
     assert err <= 1e-4, f"{name}: rel err {err}"
+
+
+# functions of tape.py that are not differentiable ops, and the arguments
+# of ops that are constants by contract
+NOT_OPS = {"value", "record", "central_difference", "grad_check", "refine_value"}
+CONSTANT_ARGS = {"k", "offsets", "labels", "factor", "threshold"}
+
+
+def test_table_covers_every_public_op():
+    """Every public op of tape.py has a table case for each argument it
+    differentiates; an op added without cases fails here."""
+    public = {name: f for name, f in vars(tp).items()
+              if inspect.isfunction(f) and f.__module__ == tp.__name__
+              and not name.startswith("_") and name not in NOT_OPS}
+    covered = {}
+    for _, _, _, k, op in PRIMITIVE_CASES:
+        params = list(inspect.signature(op).parameters)
+        covered.setdefault(op.__name__, set()).add(params[0] if op is tp.rows else params[k])
+    assert set(covered) == set(public)
+    for name, f in public.items():
+        wanted = set(inspect.signature(f).parameters) - CONSTANT_ARGS
+        assert wanted <= covered[name], f"{name}: no table case for {wanted - covered[name]}"
 
 
 def test_refine_scores_branch_values():
@@ -437,4 +501,4 @@ def test_grad_check_rejects_nonfinite():
 
 def test_log_of_nonpositive_rejected():
     with pytest.raises(NumericError):
-        tp.log(0.0)
+        tp.mean_nll(np.array([[0.0, 1.0]]), [0])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from textmil import tape as tp
-from textmil.errors import DataError
+from textmil.errors import DataError, NumericError
 from textmil.ssf import SsfParams, build_sites, identity_params
 from textmil.textenc import (ClassPrompt, PromptSet, build_prompt, build_stack, encode,
                              encode_prefix, load_prompts, merge_reparam, refinement_embedding,
@@ -263,3 +263,12 @@ def test_encode_start_out_of_range():
         encode(stack, golden_tokens(), sites=None, start=stack.n_blocks + 1)
     with pytest.raises(ValueError):
         encode_prefix(stack, golden_tokens(), None, -1)
+
+
+def test_save_prompts_rejects_non_finite(tmp_path):
+    prompts = PromptSet(classes=[make_prompt(seed=3)], tumor_class=None)
+    prompts.classes[0].slide_tokens[0, 1] = np.inf
+    path = tmp_path / "p.json"
+    with pytest.raises(NumericError, match="p.json"):
+        save_prompts(prompts, path)
+    assert not path.exists()
