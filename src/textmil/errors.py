@@ -2,8 +2,9 @@
 
 The CLI maps these onto its exit-code contract: config errors exit 2,
 data errors exit 3, numeric failures exit 4. Every JSON artifact is
-written through `strict_dumps`, so a non-finite value is a numeric
-failure rather than a `NaN` in a file.
+written through `strict_dumps`, and `hierpool.save_bag` checks the
+embeddings it stores as binary blocks itself, so a non-finite value is a
+numeric failure rather than a `NaN` in a file.
 """
 
 import json

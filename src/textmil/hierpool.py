@@ -26,10 +26,19 @@ workload (~290 instances each) raised peak RSS by about 0.6 MB under
 this limit, against about 20 MB as one batch, at about the same speed.
 Training, evaluation, localization, the gradient check and the merge
 check all run this one path: plain arrays simply record nothing.
+
+Bag files are JSON. `save_bag` stores each region's embeddings as one
+block, `{"dtype": "<f8", "shape": [n, dim], "base64": ...}`, the raw
+little-endian float64 rows: bit-exact, half the size of decimal text, and
+read without parsing a number per value (the default 96-slide dataset
+loads in under half the time it took as number lists). `load_bag` still
+reads the older form, one `"embedding"` number list per instance, which
+is also the easy form to write by hand.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,9 +47,10 @@ from typing import Iterator
 import numpy as np
 
 from . import tape as tp
-from .errors import ConfigError, DataError, strict_dumps
+from .errors import ConfigError, DataError, NumericError, strict_dumps
 
 MAX_BATCH_ROWS = 512  # instance rows pooled in one pass (see module docs)
+ROW_DTYPE = "<f8"     # embeddings in bag files: little-endian float64
 
 
 # ---------------------------------------------------------------------------
@@ -103,12 +113,29 @@ def validate_bag(bag: SlideBag) -> SlideBag:
         if r.mask is not None:
             if r.mask.shape != (r.n_instances,):
                 raise DataError(f"slide {bag.slide_id} region {r.region_id}: mask does not align with instances")
-            if not np.isin(r.mask, (0, 1)).all():
+            if not ((r.mask == 0) | (r.mask == 1)).all():
                 raise DataError(f"slide {bag.slide_id} region {r.region_id}: mask entries must be 0 or 1")
     if all((np.linalg.norm(r.embeddings, axis=1) < tp.EPS_NORM).all() for r in bag.regions):
         raise DataError(f"slide {bag.slide_id}: every instance embedding is zero "
                         f"(norm < {tp.EPS_NORM:g})")
     return bag
+
+
+def _encode_rows(x: np.ndarray) -> dict:
+    return {"dtype": ROW_DTYPE, "shape": list(x.shape),
+            "base64": base64.b64encode(np.ascontiguousarray(x, dtype=ROW_DTYPE).tobytes()).decode()}
+
+
+def _decode_rows(block: dict, n_rows: int) -> np.ndarray:
+    if block["dtype"] != ROW_DTYPE:
+        raise ValueError(f"embeddings dtype {block['dtype']!r} is not {ROW_DTYPE!r}")
+    shape = tuple(int(s) for s in block["shape"])
+    if len(shape) != 2 or shape[0] != n_rows:
+        raise ValueError(f"embeddings shape {list(shape)} does not hold {n_rows} instance rows")
+    data = base64.b64decode(block["base64"], validate=True)
+    if len(data) != shape[0] * shape[1] * 8:
+        raise ValueError(f"embeddings hold {len(data)} bytes, not {shape[0]} x {shape[1]} x 8")
+    return np.frombuffer(data, dtype=ROW_DTYPE).reshape(shape).astype(np.float64)
 
 
 def load_bag(path: str | Path) -> SlideBag:
@@ -126,7 +153,8 @@ def load_bag(path: str | Path) -> SlideBag:
                 region_id=str(r.get("id", i)),
                 coord=tuple(int(c) for c in r["coord"]),
                 instance_coords=[tuple(int(c) for c in inst["coord"]) for inst in insts],
-                embeddings=np.asarray([inst["embedding"] for inst in insts], dtype=np.float64),
+                embeddings=(_decode_rows(r["embeddings"], len(insts)) if "embeddings" in r else
+                            np.asarray([inst["embedding"] for inst in insts], dtype=np.float64)),
                 mask=np.asarray(masks, dtype=np.int64) if has_mask else None,
             ))
         bag = SlideBag(slide_id=str(raw["slide_id"]), label=int(raw["label"]), regions=regions)
@@ -136,6 +164,13 @@ def load_bag(path: str | Path) -> SlideBag:
 
 
 def save_bag(bag: SlideBag, path: str | Path) -> None:
+    """Write `bag` with each region's embeddings as one base64 block (see
+    the module docs); a non-finite value raises a NumericError naming the
+    file before anything is written."""
+    for r in bag.regions:
+        if not np.isfinite(r.embeddings).all():
+            raise NumericError(f"refusing to write {path}: slide {bag.slide_id} region "
+                               f"{r.region_id} holds a non-finite embedding value")
     payload = {
         "slide_id": bag.slide_id,
         "label": bag.label,
@@ -144,9 +179,9 @@ def save_bag(bag: SlideBag, path: str | Path) -> None:
             "coord": list(r.coord),
             "instances": [{
                 "coord": list(r.instance_coords[j]),
-                "embedding": r.embeddings[j].tolist(),
                 **({"mask": int(r.mask[j])} if r.mask is not None else {}),
             } for j in range(r.n_instances)],
+            "embeddings": _encode_rows(r.embeddings),
         } for r in bag.regions],
     }
     text = strict_dumps(payload, path)

@@ -1,3 +1,4 @@
+import base64
 import json
 from pathlib import Path
 
@@ -38,6 +39,20 @@ def dataset_dir(tmp_path, config_path):
 
 def read_json(path):
     return json.loads(Path(path).read_text())
+
+
+def edit_bag_rows(path, edit):
+    """Rewrite a bag file by hand (bypassing save_bag's checks) after
+    `edit(region_index, rows)` changed each region's embedding rows in place."""
+    raw = read_json(path)
+    for m, region in enumerate(raw["regions"]):
+        block = region["embeddings"]
+        rows = np.frombuffer(base64.b64decode(block["base64"]), dtype=block["dtype"])
+        rows = rows.reshape(block["shape"]).copy()
+        edit(m, rows)
+        block["base64"] = base64.b64encode(rows.astype(block["dtype"]).tobytes()).decode()
+    Path(path).write_text(json.dumps(raw))
+    return raw
 
 
 def dir_bytes(root):
@@ -130,9 +145,13 @@ def test_eval_rejects_non_finite_bag(tmp_path, config_path, dataset_dir, capsys)
     slide_id = read_json(run / "checkpoint.json")["split"]["test"][0]
     files = {s["id"]: s["file"] for s in read_json(dataset_dir / "manifest.json")["slides"]}
     bag_path = dataset_dir / files[slide_id]
-    raw = read_json(bag_path)
-    raw["regions"][-1]["instances"][0]["embedding"][0] = float("nan")
-    bag_path.write_text(json.dumps(raw))
+    last = len(read_json(bag_path)["regions"]) - 1
+
+    def poison(m, rows):
+        if m == last:
+            rows[0, 0] = float("nan")
+
+    raw = edit_bag_rows(bag_path, poison)
     ev = tmp_path / "eval"
     assert main(["eval", "--data", str(dataset_dir), "--checkpoint", str(run / "checkpoint.json"),
                  "--split", "test", "--out", str(ev)]) == 3
@@ -253,11 +272,7 @@ def test_eval_rejects_all_zero_slide(tmp_path, dataset_dir, checkpoint, capsys):
     slide_id = read_json(checkpoint)["split"]["test"][0]
     files = {s["id"]: s["file"] for s in read_json(dataset_dir / "manifest.json")["slides"]}
     bag_path = dataset_dir / files[slide_id]
-    raw = read_json(bag_path)
-    for region in raw["regions"]:
-        for inst in region["instances"]:
-            inst["embedding"] = [0.0] * len(inst["embedding"])
-    bag_path.write_text(json.dumps(raw))
+    edit_bag_rows(bag_path, lambda m, rows: rows.fill(0.0))
     out = tmp_path / "out"
     assert main(["eval", "--data", str(dataset_dir), "--checkpoint", str(checkpoint),
                  "--out", str(out)]) == 3

@@ -430,6 +430,57 @@ def test_bag_round_trip(tmp_path):
     assert np.array_equal(loaded.flat_mask(), np.array([1, 0, 0, 0]))
 
 
+def test_bag_file_rows_are_bit_exact(tmp_path):
+    rng = np.random.default_rng(25)
+    bag = make_bag([rng.standard_normal((3, 4)), rng.standard_normal((1, 4))], slide_id="x5")
+    bag.regions[0].embeddings[0] = [-0.0, 5e-324, 1e150, 0.1]
+    save_bag(bag, tmp_path / "x5.json")
+    raw = json.loads((tmp_path / "x5.json").read_text())
+    assert raw["regions"][0]["embeddings"]["dtype"] == "<f8"
+    assert raw["regions"][0]["embeddings"]["shape"] == [3, 4]
+    assert all("embedding" not in inst for r in raw["regions"] for inst in r["instances"])
+    loaded = load_bag(tmp_path / "x5.json")
+    for a, b in zip(loaded.regions, bag.regions):
+        assert a.embeddings.dtype == np.float64 and a.embeddings.flags.writeable
+        assert a.embeddings.tobytes() == b.embeddings.tobytes()
+
+
+def test_bag_file_with_embedding_lists_loads(tmp_path):
+    """The per-instance number lists of hand-written bag files still load."""
+    rng = np.random.default_rng(26)
+    bag = make_bag([rng.standard_normal((2, 3)), rng.standard_normal((3, 3))], slide_id="x6")
+    bag.regions[0].mask = np.array([1, 0])
+    bag.regions[1].mask = np.array([0, 0, 1])
+    save_bag(bag, tmp_path / "block.json")
+    raw = json.loads((tmp_path / "block.json").read_text())
+    for region, r in zip(raw["regions"], bag.regions):
+        del region["embeddings"]
+        for inst, row in zip(region["instances"], r.embeddings.tolist()):
+            inst["embedding"] = row
+    (tmp_path / "lists.json").write_text(json.dumps(raw))
+    a, b = load_bag(tmp_path / "block.json"), load_bag(tmp_path / "lists.json")
+    for ra, rb in zip(a.regions, b.regions):
+        assert np.array_equal(ra.embeddings, rb.embeddings)
+        assert np.array_equal(ra.mask, rb.mask) and ra.instance_coords == rb.instance_coords
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("dtype", "<f4", "dtype"),
+    ("shape", [3, 4], "does not hold 2 instance rows"),
+    ("shape", [2], "does not hold 2 instance rows"),
+    ("shape", [2, 3], "bytes"),
+    ("base64", "not base64!", "malformed bag file"),
+])
+def test_bag_file_rejects_malformed_embedding_block(tmp_path, field, value, message):
+    rng = np.random.default_rng(27)
+    save_bag(make_bag([rng.standard_normal((2, 4))], slide_id="x7"), tmp_path / "x7.json")
+    raw = json.loads((tmp_path / "x7.json").read_text())
+    raw["regions"][0]["embeddings"][field] = value
+    (tmp_path / "x7.json").write_text(json.dumps(raw))
+    with pytest.raises(DataError, match=message):
+        load_bag(tmp_path / "x7.json")
+
+
 def test_bag_validation_duplicate_coords(tmp_path):
     rng = np.random.default_rng(17)
     bag = make_bag([rng.standard_normal((2, 4))])
@@ -446,6 +497,20 @@ def test_bag_validation_mask_alignment():
     from textmil.hierpool import validate_bag
     with pytest.raises(DataError):
         validate_bag(bag)
+
+
+@pytest.mark.parametrize("mask,ok", [([1, 0, 1], True), ([0, 0, 0], True), ([1, 2, 0], False),
+                                     ([0, -1, 1], False), ([0.0, 0.5, 1.0], False)])
+def test_bag_validation_mask_values(mask, ok):
+    rng = np.random.default_rng(18)
+    bag = make_bag([rng.standard_normal((3, 4))])
+    bag.regions[0].mask = np.array(mask)
+    from textmil.hierpool import validate_bag
+    if ok:
+        assert validate_bag(bag) is bag
+    else:
+        with pytest.raises(DataError, match="mask entries must be 0 or 1"):
+            validate_bag(bag)
 
 
 def test_bag_save_over_existing_writes_new_file(tmp_path):
