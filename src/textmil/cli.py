@@ -181,7 +181,7 @@ def cmd_merge(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(merged, out / "checkpoint_merged.json", history=history, split=split)
-    print(f"merged {sum(1 for s in model.sites if s.trainable)} trainable adapter sites "
+    print(f"merged {len(model.sites)} trainable adapter sites "
           f"into the backbone -> {out / 'checkpoint_merged.json'}")
     return 0
 

@@ -1,11 +1,12 @@
 """Classifier bundle: frozen encoder + adapters + attention + prompts.
 
-The trainable state is exactly the adapter vectors on the trailing
-blocks plus the two attention-pooling parameter sets, flattened into
-one vector in a fixed order (adapters by block then site, gamma before
-beta; then attention fields). Checkpoints are plain JSON and normally
-reference the backbone by seed; a merged checkpoint stores the folded
-backbone weights explicitly.
+The trainable state is exactly the adapter vectors of the model's sites
+(which sit on the trailing blocks only) plus the two attention-pooling
+parameter sets: one ordered map of named arrays (`TrainableLayout`),
+flattened into one vector in that order. Checkpoints are plain JSON and
+normally reference the backbone by seed; they list an identity record
+for every block without an adapter, which loading drops again. A merged
+checkpoint stores the folded backbone weights explicitly.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from . import tape as tp
 from .config import RunConfig, config_from_dict
 from .errors import ConfigError, DataError, strict_dumps
 from .hierpool import AttentionParams, BagBatch, BagScores, SlideBag, init_attention, wsi_encode
-from .ssf import SsfParams, SsfSite, build_sites
+from .ssf import SITE_KINDS, SsfParams, SsfSite, build_sites, identity_params
 from .textenc import (EncoderBlock, PromptSet, TextEncoderStack, build_prompt, build_stack,
                       encode, encode_prefix, finite_array, merge_reparam, prompts_from_dict,
                       prompts_to_dict, refinement_embedding)
@@ -56,29 +57,26 @@ class SlideClassifier:
 
     def class_embeddings(self, sites=None) -> list:
         """One text embedding per class prompt; `sites` (default: the
-        model's) may hold tape nodes on trainable sites. Only the blocks
-        from the first trainable site onward run here; the frozen blocks
-        before it come from `frozen_prefix`."""
+        model's) may hold tape nodes. Only the blocks from the first site
+        onward run here; the bare blocks before it come from
+        `frozen_prefix`."""
         use = self.sites if sites is None else sites
         boundary, prefixes = self.frozen_prefix(use)
         return [encode(self.stack, x, use, start=boundary) for x in prefixes]
 
     def frozen_prefix(self, sites) -> tuple[int, list[np.ndarray]]:
         """(boundary, each class prompt's token activations after blocks
-        1..boundary), where the boundary is the block before the first
-        trainable site (the whole stack when none trains). Computed once
-        and reused while the stack, the prompt tokens and the prefix
-        sites' arrays stay the same objects; writing new trainable
-        parameters (`TrainableLayout.apply`) does not invalidate it."""
-        first = min((s.block for s in sites if s.trainable), default=self.stack.n_blocks + 1)
-        boundary = first - 1
-        frozen = [s for s in sites if s.block <= boundary]
+        1..boundary), where the boundary is the block before the first of
+        `sites` (the whole stack when there is none). Computed once and
+        reused while the stack and the prompt tokens stay the same objects
+        and the boundary does not move; new adapter or attention arrays
+        (`TrainableLayout.apply`) do not invalidate it."""
+        boundary = min((s.block for s in sites), default=self.stack.n_blocks + 1) - 1
         objs = (self.stack,
-                *(t for c in self.prompts.classes for t in (c.region_tokens, c.slide_tokens)),
-                *(a for s in frozen for a in (s.params.gamma, s.params.beta)))
-        key = (boundary, tuple((s.block, s.kind) for s in frozen), tuple(map(id, objs)))
+                *(t for c in self.prompts.classes for t in (c.region_tokens, c.slide_tokens)))
+        key = (boundary, tuple(map(id, objs)))
         if self._prefix is None or self._prefix[0] != key:
-            prefixes = [encode_prefix(self.stack, build_prompt(c), frozen, boundary)
+            prefixes = [encode_prefix(self.stack, build_prompt(c), boundary)
                         for c in self.prompts.classes]
             self._prefix = (key, objs, prefixes)
         return boundary, self._prefix[2]
@@ -136,76 +134,69 @@ def build_model(config: RunConfig, prompts: PromptSet) -> SlideClassifier:
 
 
 class TrainableLayout:
-    """Fixed flattening of the trainable parameters.
-
-    Order: adapter sites sorted by (block, site kind), gamma then beta;
-    then attention fields w_r, v1, v2, w, u1, u2 in C order.
-    """
+    """The model's trainable arrays as one ordered map of named arrays,
+    flattened into one vector in that order: `ssf.<block>.<kind>.gamma`
+    and `.beta` for each adapter site in the model's order, then
+    `attn.<field>` for w_r, v1, v2, w, u1, u2 (C order)."""
 
     def __init__(self, model: SlideClassifier):
         self._model = model
-        self._site_indices = [i for i, s in enumerate(model.sites) if s.trainable]
-        self._entries: list[tuple] = []
-        for i in self._site_indices:
-            dim = model.sites[i].params.gamma.shape[0]
-            self._entries.append(("ssf", i, "gamma", (dim,)))
-            self._entries.append(("ssf", i, "beta", (dim,)))
-        for name in AttentionParams.FIELDS:
-            self._entries.append(("attn", None, name, getattr(model.attention, name).shape))
-        self.size = sum(int(np.prod(shape)) for *_, shape in self._entries)
+        self.shapes = {name: a.shape for name, a in self.arrays().items()}
+        self._offsets = np.cumsum([0, *(int(np.prod(s)) for s in self.shapes.values())]).tolist()
+        self.size = self._offsets[-1]
 
-    def _arrays(self):
-        for kind, idx, name, _ in self._entries:
-            if kind == "ssf":
-                yield getattr(self._model.sites[idx].params, name)
-            else:
-                yield getattr(self._model.attention, name)
+    def arrays(self) -> dict[str, np.ndarray]:
+        """The model's current trainable arrays by name."""
+        attn = {f"attn.{f}": getattr(self._model.attention, f) for f in AttentionParams.FIELDS}
+        return {f"ssf.{s.block}.{s.kind}.{v}": getattr(s.params, v)
+                for s in self._model.sites for v in ("gamma", "beta")} | attn
+
+    def split(self, theta: np.ndarray) -> dict[str, np.ndarray]:
+        """`theta` cut into the named arrays (views into it)."""
+        return {name: theta[lo:hi].reshape(shape) for (name, shape), lo, hi
+                in zip(self.shapes.items(), self._offsets, self._offsets[1:])}
+
+    def assemble(self, named: dict) -> tuple[list[SsfSite], AttentionParams]:
+        """(sites, attention) of the model's structure holding the named
+        values, which may be arrays or tape nodes."""
+        sites = [SsfSite(s.block, s.kind, SsfParams(*(named[f"ssf.{s.block}.{s.kind}.{v}"]
+                                                      for v in ("gamma", "beta"))))
+                 for s in self._model.sites]
+        return sites, AttentionParams(*(named[f"attn.{f}"] for f in AttentionParams.FIELDS))
 
     def pack(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for a in self._arrays()])
+        return np.concatenate([a.ravel() for a in self.arrays().values()])
 
     def apply(self, theta: np.ndarray) -> None:
-        """Write a flat vector back into the model's arrays."""
+        """Make a copy of a flat vector the model's trainable arrays."""
         if theta.shape != (self.size,):
             raise ValueError(f"theta must have shape ({self.size},), got {theta.shape}")
-        pos = 0
-        for kind, idx, name, shape in self._entries:
-            n = int(np.prod(shape))
-            arr = theta[pos:pos + n].reshape(shape).copy()
-            if kind == "ssf":
-                setattr(self._model.sites[idx].params, name, arr)
-            else:
-                setattr(self._model.attention, name, arr)
-            pos += n
+        self._model.sites, self._model.attention = self.assemble(self.split(theta.copy()))
 
-    def bind(self, theta: np.ndarray):
-        """Leaf nodes for one training step: returns (tape, sites view,
-        attention view, nodes in entry order)."""
+    def bind(self, theta: np.ndarray) -> tuple[tp.Tape, dict[str, tp.Node]]:
+        """A fresh tape and its leaf nodes for one training step, by name."""
         tape = tp.Tape()
-        nodes, pos = [], 0
-        bound: dict[tuple, tp.Node] = {}
-        for kind, idx, name, shape in self._entries:
-            n = int(np.prod(shape))
-            node = tape.param(theta[pos:pos + n].reshape(shape))
-            bound[(kind, idx, name)] = node
-            nodes.append(node)
-            pos += n
-        sites = []
-        for i, site in enumerate(self._model.sites):
-            if site.trainable:
-                params = SsfParams(bound[("ssf", i, "gamma")], bound[("ssf", i, "beta")])
-            else:
-                params = site.params
-            sites.append(SsfSite(site.block, site.kind, params, site.trainable))
-        attn = AttentionParams(*(bound[("attn", None, f)] for f in AttentionParams.FIELDS))
-        return tape, sites, attn, nodes
+        return tape, {name: tape.param(a) for name, a in self.split(theta).items()}
 
-    def flatten_grads(self, grads: tp.Gradients, nodes: list) -> np.ndarray:
-        return np.concatenate([np.asarray(grads[n]).ravel() for n in nodes])
+    def flatten_grads(self, grads: tp.Gradients, leaves: dict[str, tp.Node]) -> np.ndarray:
+        return np.concatenate([np.ravel(grads[n]) for n in leaves.values()])
 
 
 # ---------------------------------------------------------------------------
 # checkpoints
+
+
+def _adapter_records(model: SlideClassifier) -> list[dict]:
+    """Format-1 adapter records by block then kind: every site of an
+    unmerged model's stack, those without an adapter as frozen identity
+    records, or a merged model's own sites (none after `merge_model`)."""
+    adapters = {(s.block, s.kind): s.params for s in model.sites}
+    keys = adapters if model.merged else [(b, k) for b in range(1, model.stack.n_blocks + 1)
+                                          for k in SITE_KINDS]
+    identity = identity_params(model.stack.dim)
+    return [{"block": b, "kind": k, "trainable": (b, k) in adapters,
+             "gamma": p.gamma.tolist(), "beta": p.beta.tolist()}
+            for b, k in keys for p in [adapters.get((b, k), identity)]]
 
 
 def save_checkpoint(model: SlideClassifier, path: str | Path, history: list | None = None,
@@ -224,9 +215,7 @@ def save_checkpoint(model: SlideClassifier, path: str | Path, history: list | No
         "merged": model.merged,
         "config": model.config.to_dict(),
         "backbone": backbone,
-        "ssf": [{"block": s.block, "kind": s.kind, "trainable": s.trainable,
-                 "gamma": s.params.gamma.tolist(), "beta": s.params.beta.tolist()}
-                for s in model.sites],
+        "ssf": _adapter_records(model),
         "attention": {f: getattr(model.attention, f).tolist() for f in AttentionParams.FIELDS},
         "prompts": prompts_to_dict(model.prompts),
         "history": history or [],
@@ -234,6 +223,39 @@ def save_checkpoint(model: SlideClassifier, path: str | Path, history: list | No
     }
     text = strict_dumps(payload, path)
     Path(path).write_text(text + "\n")
+
+
+def _shaped(value, field: str, shape: tuple) -> np.ndarray:
+    arr = finite_array(value, field)
+    if arr.shape != shape:
+        raise ValueError(f"{field} must have shape {shape}, got {arr.shape}")
+    return arr
+
+
+def _load_sites(records, n_blocks: int, dim: int) -> list[SsfSite]:
+    """The adapter sites of format-1 `records`, frozen identity records
+    dropped; a bad record raises a ValueError that names its field."""
+    if not isinstance(records, list):
+        raise ValueError("ssf must be a list of adapter records")
+    sites, seen = [], set()
+    for i, r in enumerate(records):
+        block, kind, trainable = r["block"], r["kind"], r["trainable"]
+        if type(block) is not int or not 1 <= block <= n_blocks:
+            raise ValueError(f"ssf[{i}].block must be an integer in 1..{n_blocks}, got {block!r}")
+        if kind not in SITE_KINDS:
+            raise ValueError(f"ssf[{i}].kind must be one of {SITE_KINDS}, got {kind!r}")
+        if (block, kind) in seen:
+            raise ValueError(f"ssf[{i}] repeats the {kind} site of block {block}")
+        seen.add((block, kind))
+        if not isinstance(trainable, bool):
+            raise ValueError(f"ssf[{i}].trainable must be true or false, got {trainable!r}")
+        params = SsfParams(_shaped(r["gamma"], f"ssf[{i}].gamma", (dim,)),
+                           _shaped(r["beta"], f"ssf[{i}].beta", (dim,)))
+        if trainable:
+            sites.append(SsfSite(block, kind, params))
+        elif (params.gamma != 1.0).any() or params.beta.any():
+            raise ValueError(f"ssf[{i}] is frozen but not an identity adapter")
+    return sites
 
 
 def load_checkpoint(path: str | Path):
@@ -244,23 +266,24 @@ def load_checkpoint(path: str | Path):
         raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
     try:
         config = config_from_dict(raw["config"])
+        enc = config.encoder
         bb = raw["backbone"]
         if bb["kind"] == "seeded":
-            stack = build_stack(bb["seed"], config.encoder.blocks, config.encoder.dim,
-                                config.encoder.mlp_hidden)
+            seed = bb["seed"]
+            if type(seed) is not int or seed < 0:
+                raise ValueError(f"backbone.seed must be a non-negative integer, got {seed!r}")
+            stack = build_stack(seed, enc.blocks, enc.dim, enc.mlp_hidden)
         else:
             blocks = [EncoderBlock(**{k: finite_array(v, f"backbone.blocks[{i}].{k}")
                                       for k, v in b.items()})
                       for i, b in enumerate(bb["blocks"])]
             stack = TextEncoderStack(blocks=blocks, proj=finite_array(bb["proj"], "backbone.proj"),
                                      dim=int(bb["dim"]), seed=None)
-        sites = [SsfSite(block=int(s["block"]), kind=str(s["kind"]),
-                         params=SsfParams(finite_array(s["gamma"], f"ssf[{i}].gamma"),
-                                          finite_array(s["beta"], f"ssf[{i}].beta")),
-                         trainable=bool(s["trainable"]))
-                 for i, s in enumerate(raw["ssf"])]
-        attention = AttentionParams(*(finite_array(raw["attention"][f], f"attention.{f}")
-                                      for f in AttentionParams.FIELDS))
+        sites = _load_sites(raw["ssf"], stack.n_blocks, stack.dim)
+        attention = AttentionParams(*(
+            _shaped(raw["attention"][f], f"attention.{f}",
+                    (enc.attn_hidden,) if f in ("w_r", "w") else (enc.attn_hidden, enc.dim))
+            for f in AttentionParams.FIELDS))
         prompts = prompts_from_dict(raw["prompts"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed checkpoint {path}: {exc}") from exc

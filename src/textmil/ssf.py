@@ -2,15 +2,12 @@
 
 Each adapter multiplies a feature vector elementwise by a learned scale
 and adds a learned shift. Adapters sit at two sites per encoder block
-(after the layernorm and after the MLP); only the trailing `depth`
-blocks get trainable adapters, all other blocks carry a frozen identity
-adapter, kept so a checkpoint lists every site. Frozen blocks before the
-first trainable site are encoded once per model (`SlideClassifier.
-frozen_prefix`), so their adapters run once, not at every step; the
-trainable ones run once per token of each class prompt on the tape of an
-epoch, which also holds the batched pooling of every training slide. At
-inference time an adapter can be folded exactly into the affine layer it
-follows.
+(after the layernorm and after the MLP), on the trailing `depth` blocks
+only; the other blocks run bare. The blocks before the first site are
+encoded once per model (`SlideClassifier.frozen_prefix`); the adapters
+run once per token of each class prompt on the tape of an epoch, which
+also holds the batched pooling of every training slide. At inference
+time an adapter can be folded exactly into the affine layer it follows.
 """
 
 from __future__ import annotations
@@ -33,9 +30,6 @@ class SsfParams:
     gamma: np.ndarray
     beta: np.ndarray
 
-    def copy(self) -> "SsfParams":
-        return SsfParams(np.array(self.gamma, copy=True), np.array(self.beta, copy=True))
-
 
 @dataclass
 class SsfSite:
@@ -44,7 +38,6 @@ class SsfSite:
     block: int
     kind: str
     params: SsfParams
-    trainable: bool
 
 
 def identity_params(dim: int) -> SsfParams:
@@ -64,25 +57,20 @@ def attach_depth(n_blocks: int, depth: int) -> list[int]:
 
 
 def build_sites(seed: int, n_blocks: int, depth: int, dim: int, init_std: float) -> list[SsfSite]:
-    """Adapters for a whole stack: trainable sites on the trailing `depth`
-    blocks with gamma ~ N(1, std^2) and beta ~ N(0, std^2), frozen identity
-    everywhere else."""
+    """Adapters on the trailing `depth` blocks, by block then site kind,
+    with gamma ~ N(1, std^2) and beta ~ N(0, std^2). The site of kind k
+    on block b draws from child (b - 1) * SITES_PER_BLOCK + k of the
+    seed's spawn, so its values do not depend on `depth`."""
     if init_std < 0:
         raise ConfigError(f"init_std must be >= 0, got {init_std}")
-    trainable = set(attach_depth(n_blocks, depth))
     seeds = np.random.SeedSequence(seed).spawn(n_blocks * SITES_PER_BLOCK)
     sites = []
-    for block in range(1, n_blocks + 1):
+    for block in attach_depth(n_blocks, depth):
         for k, kind in enumerate(SITE_KINDS):
-            child = seeds[(block - 1) * SITES_PER_BLOCK + k]
-            if block in trainable:
-                rng = np.random.default_rng(child)
-                gamma = 1.0 + init_std * rng.standard_normal(dim)
-                beta = init_std * rng.standard_normal(dim)
-                params = SsfParams(gamma, beta)
-            else:
-                params = identity_params(dim)
-            sites.append(SsfSite(block, kind, params, block in trainable))
+            rng = np.random.default_rng(seeds[(block - 1) * SITES_PER_BLOCK + k])
+            gamma = 1.0 + init_std * rng.standard_normal(dim)
+            beta = init_std * rng.standard_normal(dim)
+            sites.append(SsfSite(block, kind, SsfParams(gamma, beta)))
     return sites
 
 

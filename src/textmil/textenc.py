@@ -3,9 +3,11 @@
 The stack maps a sequence of prompt token embeddings to a unit-norm
 text embedding. Backbone weights are drawn once from a seeded RNG and
 never trained; the only learnable influence on the output is through
-the scale/shift adapters threaded into each block. Class prompts come
-as precomputed token embeddings (region-level tokens followed by
-slide-level tokens) — there is no tokenizer here.
+the scale/shift adapters on the trailing blocks, so the blocks before
+the first adapter map a prompt to fixed activations that the model
+computes once (`encode_prefix`) and `encode` continues from. Class
+prompts come as precomputed token embeddings (region-level tokens
+followed by slide-level tokens) — there is no tokenizer here.
 
 The class embeddings become the rows of the class matrix that the
 batched head compares every slide of a batch against
@@ -205,15 +207,14 @@ def _run_blocks(stack: TextEncoderStack, xs: list, sites: list[SsfSite] | None,
     return xs
 
 
-def encode_prefix(stack: TextEncoderStack, tokens: np.ndarray, sites: list[SsfSite] | None,
-                  boundary: int) -> np.ndarray:
-    """Token activations (n_tokens, dim) after blocks 1..`boundary`, with
-    the sites of those blocks applied as they stand. Those sites must hold
-    plain arrays; `encode(stack, prefix, sites, start=boundary)` then
-    finishes the forward pass bit for bit as `encode(stack, tokens, sites)`."""
+def encode_prefix(stack: TextEncoderStack, tokens: np.ndarray, boundary: int) -> np.ndarray:
+    """Token activations (n_tokens, dim) after the bare blocks
+    1..`boundary`. When no adapter site sits on those blocks,
+    `encode(stack, prefix, sites, start=boundary)` finishes the forward
+    pass bit for bit as `encode(stack, tokens, sites)`."""
     if not 0 <= boundary <= stack.n_blocks:
         raise ValueError(f"boundary must be in [0, {stack.n_blocks}], got {boundary}")
-    return np.stack(_run_blocks(stack, _token_rows(stack, tokens), sites, 1, boundary))
+    return np.stack(_run_blocks(stack, _token_rows(stack, tokens), None, 1, boundary))
 
 
 def encode(stack: TextEncoderStack, tokens: np.ndarray, sites: list[SsfSite] | None = None,

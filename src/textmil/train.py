@@ -111,15 +111,16 @@ def batch_loss(model: SlideClassifier, batches: list[BagBatch], embs, guidance, 
 
 def epoch_loss(model: SlideClassifier, bags, layout: TrainableLayout, theta: np.ndarray):
     """Mean cross-entropy over `bags` on a fresh tape; returns the loss
-    node together with the tape and bound leaf nodes. The tape holds the
-    whole step: the adapted blocks of each class prompt and the batched
-    pooling and head of every training slide."""
-    tape, sites, attn, nodes = layout.bind(theta)
+    node together with the tape and its leaf nodes by parameter name.
+    The tape holds the whole step: the adapted blocks of each class
+    prompt and the batched pooling and head of every training slide."""
+    tape, leaves = layout.bind(theta)
+    sites, attn = layout.assemble(leaves)
     embs = model.class_embeddings(sites)
     loss = batch_loss(model, list(batch_bags(bags)), embs, model.guidance(embs), attn)
     if not np.isfinite(tp.value(loss)):
         raise NumericError(f"non-finite training loss {tp.value(loss)}")
-    return loss, tape, nodes
+    return loss, tape, leaves
 
 
 def fit(model: SlideClassifier, train_bags, val_bags) -> FitResult:

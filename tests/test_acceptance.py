@@ -223,8 +223,8 @@ def test_criterion_08_parameter_accounting():
     ds = build_dataset(replace(cfg.generator, slides_per_class=2,
                                test_per_class=0, val_per_class=0))
     model = build_model(cfg, ds.prompts)
-    by_hand = sum(s.params.gamma.size + s.params.beta.size
-                  for s in model.sites if s.trainable)
+    assert len(model.sites) == 2 * d_s
+    by_hand = sum(s.params.gamma.size + s.params.beta.size for s in model.sites)
     from textmil.hierpool import AttentionParams
     by_hand += sum(getattr(model.attention, f).size for f in AttentionParams.FIELDS)
     assert by_hand == closed_form

@@ -1,13 +1,18 @@
 import base64
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from textmil import cli
 from textmil.cli import main
 from textmil.errors import NumericError
+from textmil.hierpool import AttentionParams
 from textmil.metrics import EvalResult
 from textmil.ssf import count_trainable
 from textmil.tape import DegenerateVectorError
@@ -266,6 +271,114 @@ def test_eval_rejects_non_finite_checkpoint(tmp_path, dataset_dir, checkpoint, c
                  "--out", str(out)]) == 3
     assert not (out / "metrics.json").exists()
     assert "non-finite value in attention.w" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    """(dataset dir, parsed checkpoint) of one small training run, shared
+    by the checkpoint-validation tests, which write edited copies."""
+    root = tmp_path_factory.mktemp("trained")
+    config = root / "config.json"
+    config.write_text(json.dumps(FAST_CONFIG))
+    data, run = root / "data", root / "run"
+    assert main(["generate", "--config", str(config), "--out", str(data)]) == 0
+    assert main(["train", "--config", str(config), "--data", str(data), "--out", str(run)]) == 0
+    return data, read_json(run / "checkpoint.json")
+
+
+def eval_edited_checkpoint(data, raw, root):
+    """(exit code, stderr, whether metrics.json was written) of `eval` on `raw`."""
+    path, out = Path(root) / "checkpoint.json", Path(root) / "out"
+    path.write_text(json.dumps(raw))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["eval", "--data", str(data), "--checkpoint", str(path), "--out", str(out)])
+    return code, err.getvalue(), (out / "metrics.json").exists()
+
+
+def _at(raw, path):
+    """(container, key) of the value at `path` in a parsed checkpoint."""
+    *parents, last = path
+    for key in parents:
+        raw = raw[key]
+    return raw, last
+
+
+def _set(path, value):
+    def edit(raw):
+        node, last = _at(raw, path)
+        node[last] = value(node[last])
+    return edit
+
+
+# FAST_CONFIG: 3 blocks (records 0-1 are block 1's frozen identity
+# records, 2-5 the adapters of blocks 2 and 3), attn_hidden 4, dim 16
+CHECKPOINT_DEFECTS = {
+    "block-0": (_set(["ssf", 5, "block"], lambda v: 0), "ssf[5].block"),
+    "block-99": (_set(["ssf", 5, "block"], lambda v: 99), "ssf[5].block"),
+    "unknown-kind": (_set(["ssf", 5, "kind"], lambda v: "post_attention"), "ssf[5].kind"),
+    "duplicate-site": (lambda raw: raw["ssf"].append(dict(raw["ssf"][3])), "ssf[6]"),
+    "gamma-length-5": (_set(["ssf", 5, "gamma"], lambda v: v[:5]), "ssf[5].gamma"),
+    "gamma-2d": (_set(["ssf", 5, "gamma"], lambda v: [v]), "ssf[5].gamma"),
+    "frozen-not-identity": (_set(["ssf", 0, "beta"], lambda v: [0.5] + v[1:]), "ssf[0]"),
+    "attention-w-length-3": (_set(["attention", "w"], lambda v: v[:3]), "attention.w"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(CHECKPOINT_DEFECTS))
+def test_eval_rejects_malformed_adapter_or_attention_record(tmp_path, trained_run, defect):
+    data, raw = trained_run
+    edit, field = CHECKPOINT_DEFECTS[defect]
+    raw = json.loads(json.dumps(raw))
+    edit(raw)
+    code, err, wrote = eval_edited_checkpoint(data, raw, tmp_path)
+    assert code == 3
+    assert not wrote
+    assert field in err
+
+
+ARRAY_FIELDS = ([("ssf", i, v) for i in range(6) for v in ("gamma", "beta")]
+                + [("attention", f) for f in AttentionParams.FIELDS])
+SCALAR_FIELDS = ([("ssf", i, k) for i in range(6) for k in ("block", "kind", "trainable")]
+                 + [("backbone", "seed")])
+TOP_LEVEL = [(k,) for k in ("config", "backbone", "ssf", "attention", "prompts", "split")]
+SWAPS = [None, "x", {}, [], True, 2.5]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_eval_rejects_fuzzed_checkpoint(trained_run, data):
+    """Random key deletions, type swaps, truncated or reshaped arrays and
+    non-finite values: `eval` exits 2, 3 or 4, writing nothing."""
+    dataset, raw = trained_run
+    raw = json.loads(json.dumps(raw))
+    path = data.draw(st.sampled_from(TOP_LEVEL + SCALAR_FIELDS + ARRAY_FIELDS), label="path")
+    node, last = _at(raw, path)
+    reshaping = ["truncate", "reshape", "non-finite"] if path in ARRAY_FIELDS else []
+    op = data.draw(st.sampled_from(["delete", "swap"] + reshaping), label="op")
+    value = np.asarray(node[last]) if path in ARRAY_FIELDS else None
+    if op == "delete":
+        del node[last]
+    elif op == "swap":
+        node[last] = data.draw(st.sampled_from(
+            [v for v in SWAPS if type(v) is not type(node[last])]), label="value")
+    elif op == "truncate":
+        if value.ndim == 2 and data.draw(st.booleans(), label="ragged"):
+            node[last] = [row[:-1] if r == 0 else row for r, row in enumerate(node[last])]
+        else:
+            node[last] = node[last][:-1]
+    elif op == "reshape":
+        node[last] = [node[last]] if value.ndim == 1 else value.ravel().tolist()
+    else:
+        flat = value.ravel()
+        flat[data.draw(st.integers(0, flat.size - 1), label="index")] = data.draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]), label="non-finite")
+        node[last] = flat.reshape(value.shape).tolist()
+    with tempfile.TemporaryDirectory() as root:
+        code, err, wrote = eval_edited_checkpoint(dataset, raw, root)
+    assert code in (2, 3, 4), err
+    assert "Traceback" not in err
+    assert not wrote
 
 
 def test_eval_rejects_all_zero_slide(tmp_path, dataset_dir, checkpoint, capsys):

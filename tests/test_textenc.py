@@ -118,12 +118,10 @@ def test_frozen_weights_never_enter_tape():
     stack = build_stack(3, 3, 8, 8)
     sites = build_sites(4, 3, 1, 8, 0.05)
     t = tp.Tape()
-    bound = [s if not s.trainable else
-             type(s)(s.block, s.kind, SsfParams(t.param(s.params.gamma),
-                                                t.param(s.params.beta)), True)
+    bound = [type(s)(s.block, s.kind, SsfParams(t.param(s.params.gamma), t.param(s.params.beta)))
              for s in sites]
     out = encode(stack, np.random.default_rng(0).standard_normal((3, 8)), sites=bound)
-    trainable_nodes = 2 * 2  # one trainable block, two sites, gamma+beta
+    trainable_nodes = 2 * 2  # one adapted block, two sites, gamma+beta
     # every leaf on the tape is a bound adapter vector; no backbone array
     nodes, todo = {}, [out]
     while todo:
@@ -231,27 +229,23 @@ def test_merge_rejects_unknown_site_kind():
 # frozen prefix
 
 
-@pytest.mark.parametrize("frozen_identity", [True, False])
-def test_encode_from_prefix_bitwise(frozen_identity):
+@pytest.mark.parametrize("identity", [True, False])
+def test_encode_from_prefix_bitwise(identity):
+    # every depth 1..L, adapters at identity (init_std 0) or drawn
     stack = build_stack(31, 6, 8, 8)
     tokens = np.random.default_rng(3).standard_normal((5, 8))
-    sites = build_sites(32, 6, 2, 8, 0.1)
-    if not frozen_identity:  # frozen sites apply as they stand, identity or not
-        rng = np.random.default_rng(33)
-        for s in sites:
-            if not s.trainable:
-                s.params = SsfParams(1.0 + 0.1 * rng.standard_normal(8),
-                                     0.1 * rng.standard_normal(8))
-    full = encode(stack, tokens, sites=sites)
-    for boundary in range(0, 5):  # blocks 5 and 6 train
-        prefix = encode_prefix(stack, tokens, sites, boundary)
-        assert prefix.shape == tokens.shape
-        assert np.array_equal(encode(stack, prefix, sites=sites, start=boundary), full)
+    for depth in range(1, stack.n_blocks + 1):
+        sites = build_sites(32, 6, depth, 8, 0.0 if identity else 0.1)
+        full = encode(stack, tokens, sites=sites)
+        for boundary in range(0, stack.n_blocks - depth + 1):  # every bare prefix
+            prefix = encode_prefix(stack, tokens, boundary)
+            assert prefix.shape == tokens.shape
+            assert np.array_equal(encode(stack, prefix, sites=sites, start=boundary), full)
 
 
 def test_encode_from_full_stack_prefix_runs_no_block():
     stack = golden_stack()
-    prefix = encode_prefix(stack, golden_tokens(), None, stack.n_blocks)
+    prefix = encode_prefix(stack, golden_tokens(), stack.n_blocks)
     out = encode(stack, prefix, sites=None, start=stack.n_blocks)
     assert np.array_equal(out, encode(stack, golden_tokens(), sites=None))
     assert np.abs(out - np.array(GOLDEN["output"])).max() <= 1e-12
@@ -262,7 +256,7 @@ def test_encode_start_out_of_range():
     with pytest.raises(ValueError):
         encode(stack, golden_tokens(), sites=None, start=stack.n_blocks + 1)
     with pytest.raises(ValueError):
-        encode_prefix(stack, golden_tokens(), None, -1)
+        encode_prefix(stack, golden_tokens(), -1)
 
 
 def test_save_prompts_rejects_non_finite(tmp_path):

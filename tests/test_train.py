@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -13,7 +15,7 @@ from textmil.hierpool import BagBatch, RefinementConfig
 from textmil.metrics import evaluate
 from textmil.model import (SlideClassifier, TrainableLayout, build_model, class_probabilities,
                            load_checkpoint, merge_model, save_checkpoint)
-from textmil.ssf import SsfParams, build_sites, count_trainable
+from textmil.ssf import SITE_KINDS, build_sites, count_trainable
 from textmil.textenc import PromptSet, build_prompt, build_stack, encode, encode_prefix
 from textmil.train import AdamState, adam_step, epoch_loss, fit, run_kshot
 
@@ -174,6 +176,24 @@ def test_trainable_vector_size_matches_closed_form():
     assert layout.size == count_trainable(16, 2, 6, 16)
 
 
+def test_trainable_layout_names_order_and_offsets():
+    cfg = small_config()
+    cfg = replace(cfg, encoder=replace(cfg.encoder, blocks=12))
+    model = build_model(cfg, build_dataset(cfg.generator).prompts)
+    layout = TrainableLayout(model)
+    assert list(layout.shapes) == (
+        [f"ssf.{b}.{k}.{v}" for b in (11, 12) for k in SITE_KINDS for v in ("gamma", "beta")]
+        + [f"attn.{f}" for f in hierpool.AttentionParams.FIELDS])
+    assert layout.size == count_trainable(16, 2, 6, 16)
+    theta = layout.pack()
+    for (name, part), (key, arr) in zip(layout.split(theta).items(), layout.arrays().items()):
+        assert name == key and np.array_equal(part, arr)
+    _, leaves = layout.bind(theta)
+    assert list(leaves) == list(layout.shapes)
+    layout.apply(theta + 1.0)
+    assert np.array_equal(layout.pack(), theta + 1.0)
+
+
 def test_identity_init_zero_lr_keeps_parameters():
     cfg = small_config(lr=0.0, ssf_init_std=0.0)
     model, train_bags, val_bags, _ = make_problem(cfg)
@@ -298,6 +318,25 @@ def test_checkpoint_round_trip(tmp_path):
         assert ra == rb
 
 
+def test_checkpoint_lists_identity_records_for_bare_blocks(tmp_path):
+    model, *_ = make_problem(small_config())  # 4 blocks, the last 2 adapted
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(model, path, history=[{"epoch": 1}], split={"train": ["a"]})
+    records = json.loads(path.read_text())["ssf"]
+    assert [(r["block"], r["kind"]) for r in records] == \
+        [(b, k) for b in range(1, 5) for k in SITE_KINDS]
+    for r in records:
+        assert r["trainable"] == (r["block"] > 2)
+        if not r["trainable"]:
+            assert r["gamma"] == [1.0] * 16 and r["beta"] == [0.0] * 16
+    loaded, history, split = load_checkpoint(path)  # identity records are dropped again
+    assert [(s.block, s.kind) for s in loaded.sites] == [(s.block, s.kind) for s in model.sites]
+    assert len(loaded.sites) == 2 * 2
+    again = tmp_path / "again.json"
+    save_checkpoint(loaded, again, history=history, split=split)
+    assert again.read_bytes() == path.read_bytes()
+
+
 def test_merge_matches_probabilities(tmp_path):
     cfg = small_config()
     model, train_bags, val_bags, test_bags = make_problem(cfg)
@@ -339,7 +378,7 @@ def count_prefixes(monkeypatch):
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args[3])
+        calls.append(args[2])
         return encode_prefix(*args, **kwargs)
 
     monkeypatch.setattr(model_mod, "encode_prefix", counted)
@@ -371,15 +410,14 @@ def test_prefix_cache_follows_reassigned_sites_stack_and_prompts(monkeypatch):
     layout = TrainableLayout(model)
     layout.apply(layout.pack() + 0.01)  # new trainable arrays only: cache still valid
     model.class_embeddings()
-    assert len(calls) == 2
-    rng = np.random.default_rng(40)
-    sites = build_sites(41, 4, 2, 16, 0.1)
-    for s in sites:
-        if not s.trainable:
-            s.params = SsfParams(1.0 + 0.1 * rng.standard_normal(16), 0.1 * rng.standard_normal(16))
-    model.sites = sites
+    model.sites = build_sites(41, 4, 2, 16, 0.1)  # new sites, same boundary: still valid
     for a, b in zip(model.class_embeddings(), full_encode(model)):
         assert np.array_equal(a, b)
+    assert len(calls) == 2
+    model.sites = build_sites(41, 4, 3, 16, 0.1)  # one more adapted block: boundary moves
+    for a, b in zip(model.class_embeddings(), full_encode(model)):
+        assert np.array_equal(a, b)
+    assert calls[-1] == 1
     model.stack = build_stack(6, 4, 16, 8)
     for a, b in zip(model.class_embeddings(), full_encode(model)):
         assert np.array_equal(a, b)
