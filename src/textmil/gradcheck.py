@@ -105,7 +105,7 @@ def branch_margin(model: SlideClassifier, bags) -> float:
 def tape_gradient(model: SlideClassifier, bags):
     layout = TrainableLayout(model)
     theta0 = layout.pack()
-    loss, tape_, nodes = epoch_loss(model, bags, layout, theta0)
+    loss, tape_, nodes, _ = epoch_loss(model, list(batch_bags(bags)), layout, theta0)
     return layout, theta0, layout.flatten_grads(tape_.backward(loss), nodes)
 
 

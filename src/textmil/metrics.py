@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .hierpool import SlideBag, attention_records, batch_bags, instance_saliency
+from .hierpool import BagBatch, SlideBag, attention_records, batch_bags, instance_saliency
 
 
 class UndefinedMetricError(ValueError):
@@ -92,7 +92,8 @@ class EvalResult:
 
 def evaluate(model, bags: list[SlideBag], *, with_localization: bool = False,
              saliency_mode: str = "multiplicative", threshold: float = 0.5,
-             attention: bool = False) -> EvalResult:
+             attention: bool = False, class_embeddings: list[np.ndarray] | None = None,
+             batches: list[BagBatch] | None = None) -> EvalResult:
     """Deterministic metrics for a trained model on a bag set.
 
     AUC uses the positive-class probability for binary tasks and the
@@ -103,14 +104,20 @@ def evaluate(model, bags: list[SlideBag], *, with_localization: bool = False,
     (saliency 0.5 everywhere) predicts nothing. With `attention`, the
     result also carries each slide's attention record, taken from the
     same pooling pass. Slides pool in batches, in slide-id order.
+
+    A caller that already holds them may pass the values of the model's
+    current class embeddings (`fit` takes them from its next training
+    step's tape) and `bags` already cut by `batch_bags` in slide-id
+    order; the result is the same as without them.
     """
     if not bags:
         raise DataError("cannot evaluate an empty bag set")
-    bags = sorted(bags, key=lambda b: b.slide_id)
-    class_embs = model.class_embeddings()
+    if batches is None:
+        batches = batch_bags(sorted(bags, key=lambda b: b.slide_id))
+    class_embs = model.class_embeddings() if class_embeddings is None else class_embeddings
     guidance = model.guidance(class_embs)
     probs, per_slide, dice_rows, records = [], [], [], []
-    for batch in batch_bags(bags):
+    for batch in batches:
         p, out = model.forward(batch, class_embs, guidance)
         probs.append(p)
         per_slide += [{"slide_id": bag.slide_id, "label": bag.label,
@@ -128,7 +135,7 @@ def evaluate(model, bags: list[SlideBag], *, with_localization: bool = False,
                     dice_rows.append({"slide_id": bag.slide_id, "dice": dice(predicted, truth),
                                       "n_truth": int(truth.sum()),
                                       "n_predicted": int(predicted.sum())})
-    score = macro_auc(np.concatenate(probs), np.array([b.label for b in bags]),
+    score = macro_auc(np.concatenate(probs), np.array([r["label"] for r in per_slide]),
                       model.prompts.n_classes)
     result = EvalResult(auc=score, per_slide=per_slide, attention=records if attention else None)
     if with_localization and dice_rows:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tape as tp
-from .config import RunConfig, config_from_dict
+from .config import EncoderConfig, RunConfig, config_from_dict
 from .errors import ConfigError, DataError, strict_dumps
 from .hierpool import AttentionParams, BagBatch, BagScores, SlideBag, init_attention, wsi_encode
 from .ssf import SITE_KINDS, SsfParams, SsfSite, build_sites, identity_params
@@ -103,11 +103,16 @@ class SlideClassifier:
         return probs, out
 
     def check_bags(self, bags: list[SlideBag]) -> list[SlideBag]:
-        """`bags` unchanged, once each embedding width matches the encoder's."""
+        """`bags` unchanged, once each embedding width matches the encoder's
+        and each label names one of the model's classes."""
+        n = self.prompts.n_classes
         for bag in bags:
             if bag.dim != self.stack.dim:
                 raise DataError(f"slide {bag.slide_id} has embedding dim {bag.dim}; "
                                 f"the model expects {self.stack.dim}")
+            if not 0 <= bag.label < n:
+                raise DataError(f"slide {bag.slide_id} has label {bag.label}; "
+                                f"the model has classes 0..{n - 1}")
         return bags
 
 
@@ -258,6 +263,28 @@ def _load_sites(records, n_blocks: int, dim: int) -> list[SsfSite]:
     return sites
 
 
+def _load_backbone(bb: dict, enc: EncoderConfig) -> TextEncoderStack:
+    """The explicit backbone of a merged checkpoint, checked against the
+    config's encoder; a bad field raises a ValueError that names it."""
+    d, h = enc.dim, enc.mlp_hidden
+    shapes = {"ln_gain": (d,), "ln_bias": (d,), "w1": (h, d), "b1": (h,), "w2": (d, h),
+              "b2": (d,)}
+    if type(bb["dim"]) is not int or bb["dim"] != d:
+        raise ValueError(f"backbone.dim must be the encoder dim {d}, got {bb['dim']!r}")
+    records = bb["blocks"]
+    if not isinstance(records, list) or len(records) != enc.blocks:
+        n = len(records) if isinstance(records, list) else type(records).__name__
+        raise ValueError(f"backbone.blocks must list the encoder's {enc.blocks} blocks, got {n}")
+    blocks = []
+    for i, b in enumerate(records):
+        if not isinstance(b, dict) or set(b) != set(shapes):
+            raise ValueError(f"backbone.blocks[{i}] must hold exactly {sorted(shapes)}")
+        blocks.append(EncoderBlock(**{k: _shaped(b[k], f"backbone.blocks[{i}].{k}", shape)
+                                      for k, shape in shapes.items()}))
+    return TextEncoderStack(blocks=blocks, proj=_shaped(bb["proj"], "backbone.proj", (d, d)),
+                            dim=d, seed=None)
+
+
 def load_checkpoint(path: str | Path):
     """Returns (model, history, split)."""
     try:
@@ -268,23 +295,24 @@ def load_checkpoint(path: str | Path):
         config = config_from_dict(raw["config"])
         enc = config.encoder
         bb = raw["backbone"]
+        if bb["kind"] not in ("seeded", "explicit"):
+            raise ValueError(f"backbone.kind must be 'seeded' or 'explicit', got {bb['kind']!r}")
         if bb["kind"] == "seeded":
             seed = bb["seed"]
             if type(seed) is not int or seed < 0:
                 raise ValueError(f"backbone.seed must be a non-negative integer, got {seed!r}")
             stack = build_stack(seed, enc.blocks, enc.dim, enc.mlp_hidden)
         else:
-            blocks = [EncoderBlock(**{k: finite_array(v, f"backbone.blocks[{i}].{k}")
-                                      for k, v in b.items()})
-                      for i, b in enumerate(bb["blocks"])]
-            stack = TextEncoderStack(blocks=blocks, proj=finite_array(bb["proj"], "backbone.proj"),
-                                     dim=int(bb["dim"]), seed=None)
+            stack = _load_backbone(bb, enc)
         sites = _load_sites(raw["ssf"], stack.n_blocks, stack.dim)
         attention = AttentionParams(*(
             _shaped(raw["attention"][f], f"attention.{f}",
                     (enc.attn_hidden,) if f in ("w_r", "w") else (enc.attn_hidden, enc.dim))
             for f in AttentionParams.FIELDS))
         prompts = prompts_from_dict(raw["prompts"])
+        if prompts.n_classes < 2:
+            raise ValueError(f"prompts.classes must hold at least 2 classes, "
+                             f"got {prompts.n_classes}")
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed checkpoint {path}: {exc}") from exc
     model = SlideClassifier(stack=stack, sites=sites, attention=attention,

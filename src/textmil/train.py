@@ -3,11 +3,15 @@
 One epoch is one full-batch gradient step over the k-shot training
 bags (loss averaged per slide in slide-id order) on one fresh tape,
 followed by a validation AUC; the returned parameters are the ones from
-the best validation epoch. The training slides pool in batches
-(`hierpool.batch_bags`; every default training set is one batch), so
-the pooling and head add about fifteen nodes to the epoch's tape.
-Everything is deterministic given the config seed. `run_kshot` is the
-one split -> build -> fit path of a k-shot run.
+the best validation epoch. The training and validation slides are cut
+into batches (`hierpool.batch_bags`; every default set is one batch)
+once per fit, so the pooling and head add about fifteen nodes to the
+epoch's tape. Each epoch runs the adapted encoder blocks once: the
+forward pass of step t+1 is taped right after the Adam update of step
+t, its class embeddings score step t's validation, and the next epoch
+backpropagates that same tape. Everything is deterministic given the
+config seed. `run_kshot` is the one split -> build -> fit path of a
+k-shot run.
 """
 
 from __future__ import annotations
@@ -109,41 +113,53 @@ def batch_loss(model: SlideClassifier, batches: list[BagBatch], embs, guidance, 
     return reduce(tp.add, terms)
 
 
-def epoch_loss(model: SlideClassifier, bags, layout: TrainableLayout, theta: np.ndarray):
-    """Mean cross-entropy over `bags` on a fresh tape; returns the loss
-    node together with the tape and its leaf nodes by parameter name.
-    The tape holds the whole step: the adapted blocks of each class
-    prompt and the batched pooling and head of every training slide."""
+def epoch_loss(model: SlideClassifier, batches: list[BagBatch], layout: TrainableLayout,
+               theta: np.ndarray):
+    """Mean cross-entropy over the slides of `batches` on a fresh tape;
+    returns the loss node, the tape, its leaf nodes by parameter name and
+    the class-embedding nodes. The tape holds the whole step: the adapted
+    blocks of each class prompt and the batched pooling and head of every
+    training slide."""
     tape, leaves = layout.bind(theta)
     sites, attn = layout.assemble(leaves)
     embs = model.class_embeddings(sites)
-    loss = batch_loss(model, list(batch_bags(bags)), embs, model.guidance(embs), attn)
+    loss = batch_loss(model, batches, embs, model.guidance(embs), attn)
     if not np.isfinite(tp.value(loss)):
         raise NumericError(f"non-finite training loss {tp.value(loss)}")
-    return loss, tape, leaves
+    return loss, tape, leaves, embs
 
 
 def fit(model: SlideClassifier, train_bags, val_bags) -> FitResult:
-    """Train in place; leaves the model at the best-validation parameters."""
+    """Train in place; leaves the model at the best-validation parameters.
+
+    Validation after step t reuses the class embeddings of step t+1's
+    taped forward pass, which runs at the same parameters, so each epoch
+    encodes the class prompts once. A fit of E epochs runs E + 1 forward
+    passes; the last one only scores validation, yet a non-finite loss
+    there raises NumericError as at any other step."""
     cfg = model.config.train
     train_bags = sorted(train_bags, key=lambda b: b.slide_id)
     val_bags = sorted(val_bags, key=lambda b: b.slide_id)
     _check_split(model, train_bags, val_bags)
+    batches, val_batches = list(batch_bags(train_bags)), list(batch_bags(val_bags))
 
     layout = TrainableLayout(model)
     state = TrainState(theta=layout.pack(), adam=AdamState.zeros(layout.size))
     state.best_theta = state.theta.copy()
     result = FitResult()
 
+    step = epoch_loss(model, batches, layout, state.theta)
     for epoch in range(1, cfg.max_epochs + 1):
         state.epoch = epoch
-        loss, tape, nodes = epoch_loss(model, train_bags, layout, state.theta)
+        loss, tape, nodes, _ = step
         grad = layout.flatten_grads(tape.backward(loss), nodes)
         state.theta = adam_step(state.adam, state.theta, grad,
                                 lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
                                 eps=cfg.adam_eps)
         layout.apply(state.theta)
-        val_auc = evaluate(model, val_bags).auc
+        step = epoch_loss(model, batches, layout, state.theta)
+        val_auc = evaluate(model, val_bags, batches=val_batches,
+                           class_embeddings=[tp.value(e) for e in step[3]]).auc
         result.history.append({"epoch": epoch,
                                "train_loss": float(tp.value(loss)),
                                "val_auc": float(val_auc)})

@@ -2,6 +2,7 @@ import base64
 import contextlib
 import io
 import json
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -286,6 +287,16 @@ def trained_run(tmp_path_factory):
     return data, read_json(run / "checkpoint.json")
 
 
+@pytest.fixture(scope="module")
+def merged_raw(trained_run, tmp_path_factory):
+    """The parsed merged checkpoint of `trained_run`'s checkpoint."""
+    root = tmp_path_factory.mktemp("merged")
+    (root / "checkpoint.json").write_text(json.dumps(trained_run[1]))
+    assert main(["merge", "--checkpoint", str(root / "checkpoint.json"),
+                 "--out", str(root / "merged")]) == 0
+    return read_json(root / "merged" / "checkpoint_merged.json")
+
+
 def eval_edited_checkpoint(data, raw, root):
     """(exit code, stderr, whether metrics.json was written) of `eval` on `raw`."""
     path, out = Path(root) / "checkpoint.json", Path(root) / "out"
@@ -322,6 +333,8 @@ CHECKPOINT_DEFECTS = {
     "gamma-2d": (_set(["ssf", 5, "gamma"], lambda v: [v]), "ssf[5].gamma"),
     "frozen-not-identity": (_set(["ssf", 0, "beta"], lambda v: [0.5] + v[1:]), "ssf[0]"),
     "attention-w-length-3": (_set(["attention", "w"], lambda v: v[:3]), "attention.w"),
+    "one-class": (_set(["prompts", "classes"], lambda v: v[:1]),
+                  "prompts.classes must hold at least 2 classes"),
 }
 
 
@@ -337,26 +350,85 @@ def test_eval_rejects_malformed_adapter_or_attention_record(tmp_path, trained_ru
     assert field in err
 
 
+# FAST_CONFIG's merged backbone: 3 blocks, dim 16, mlp_hidden 8
+MERGED_DEFECTS = {
+    "w1-3-rows": (_set(["backbone", "blocks", 0, "w1"], lambda v: v[:3]), "backbone.blocks[0].w1"),
+    "w2-transposed": (_set(["backbone", "blocks", 1, "w2"], lambda v: np.transpose(v).tolist()),
+                      "backbone.blocks[1].w2"),
+    "b1-length-16": (_set(["backbone", "blocks", 2, "b1"], lambda v: v + v),
+                     "backbone.blocks[2].b1"),
+    "b2-length-8": (_set(["backbone", "blocks", 0, "b2"], lambda v: v[:8]),
+                    "backbone.blocks[0].b2"),
+    "ln-gain-2d": (_set(["backbone", "blocks", 1, "ln_gain"], lambda v: [v]),
+                   "backbone.blocks[1].ln_gain"),
+    "ln-bias-length-15": (_set(["backbone", "blocks", 2, "ln_bias"], lambda v: v[:-1]),
+                          "backbone.blocks[2].ln_bias"),
+    "unknown-weight": (_set(["backbone", "blocks", 0], lambda v: dict(v, w3=v["w1"])),
+                       "backbone.blocks[0]"),
+    "proj-10-rows": (_set(["backbone", "proj"], lambda v: v[:10]), "backbone.proj"),
+    "two-blocks": (_set(["backbone", "blocks"], lambda v: v[:2]), "backbone.blocks"),
+    "four-blocks": (_set(["backbone", "blocks"], lambda v: v + v[:1]), "backbone.blocks"),
+    "no-blocks": (_set(["backbone", "blocks"], lambda v: []), "backbone.blocks"),
+    "dim-8": (_set(["backbone", "dim"], lambda v: 8), "backbone.dim"),
+    "unknown-kind": (_set(["backbone", "kind"], lambda v: "folded"), "backbone.kind"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(MERGED_DEFECTS))
+def test_eval_rejects_malformed_merged_backbone(tmp_path, trained_run, merged_raw, defect):
+    edit, field = MERGED_DEFECTS[defect]
+    raw = json.loads(json.dumps(merged_raw))
+    edit(raw)
+    code, err, wrote = eval_edited_checkpoint(trained_run[0], raw, tmp_path)
+    assert code == 3
+    assert not wrote
+    assert field in err
+
+
+def test_eval_rejects_label_outside_the_model_classes(tmp_path, trained_run):
+    data, raw = trained_run
+    data = Path(shutil.copytree(data, tmp_path / "data"))
+    slide_id = raw["split"]["test"][0]
+    manifest = read_json(data / "manifest.json")
+    entry = next(s for s in manifest["slides"] if s["id"] == slide_id)
+    bag = read_json(data / entry["file"])
+    entry["label"] = bag["label"] = 2
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    (data / entry["file"]).write_text(json.dumps(bag))
+    code, err, wrote = eval_edited_checkpoint(data, raw, tmp_path)
+    assert code == 3
+    assert not wrote
+    assert f"slide {slide_id} has label 2" in err
+
+
 ARRAY_FIELDS = ([("ssf", i, v) for i in range(6) for v in ("gamma", "beta")]
                 + [("attention", f) for f in AttentionParams.FIELDS])
 SCALAR_FIELDS = ([("ssf", i, k) for i in range(6) for k in ("block", "kind", "trainable")]
                  + [("backbone", "seed")])
 TOP_LEVEL = [(k,) for k in ("config", "backbone", "ssf", "attention", "prompts", "split")]
+MERGED_ARRAY_FIELDS = ([("backbone", "blocks", i, k) for i in range(3)
+                        for k in ("ln_gain", "ln_bias", "w1", "b1", "w2", "b2")]
+                       + [("backbone", "proj")] + [("attention", f) for f in AttentionParams.FIELDS])
+MERGED_SCALAR_FIELDS = [("backbone", k) for k in ("kind", "dim", "blocks")]
 SWAPS = [None, "x", {}, [], True, 2.5]
 
 
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
 @given(data=st.data())
-def test_eval_rejects_fuzzed_checkpoint(trained_run, data):
+def test_eval_rejects_fuzzed_checkpoint(trained_run, merged_raw, data):
     """Random key deletions, type swaps, truncated or reshaped arrays and
-    non-finite values: `eval` exits 2, 3 or 4, writing nothing."""
+    non-finite values in the trained or the merged checkpoint: `eval`
+    exits 2, 3 or 4, writing nothing."""
     dataset, raw = trained_run
-    raw = json.loads(json.dumps(raw))
-    path = data.draw(st.sampled_from(TOP_LEVEL + SCALAR_FIELDS + ARRAY_FIELDS), label="path")
+    merged = data.draw(st.booleans(), label="merged")
+    raw = json.loads(json.dumps(merged_raw if merged else raw))
+    arrays = MERGED_ARRAY_FIELDS if merged else ARRAY_FIELDS
+    scalars = MERGED_SCALAR_FIELDS if merged else SCALAR_FIELDS
+    path = data.draw(st.sampled_from(TOP_LEVEL + scalars + arrays), label="path")
     node, last = _at(raw, path)
-    reshaping = ["truncate", "reshape", "non-finite"] if path in ARRAY_FIELDS else []
+    reshaping = ["truncate", "reshape", "non-finite"] if path in arrays else []
     op = data.draw(st.sampled_from(["delete", "swap"] + reshaping), label="op")
-    value = np.asarray(node[last]) if path in ARRAY_FIELDS else None
+    value = np.asarray(node[last]) if path in arrays else None
     if op == "delete":
         del node[last]
     elif op == "swap":

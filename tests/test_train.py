@@ -249,6 +249,67 @@ def test_fit_determinism():
     assert np.array_equal(TrainableLayout(m1).pack(), TrainableLayout(m2).pack())
 
 
+def test_fit_encodes_class_prompts_once_per_epoch(monkeypatch):
+    cfg = small_config()
+    model, train_bags, val_bags, _ = make_problem(cfg)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return encode(*args, **kwargs)
+
+    monkeypatch.setattr(model_mod, "encode", counted)
+    res = fit(model, train_bags, val_bags)
+    assert model.prompts.n_classes == 2
+    assert len(calls) == 2 * (len(res.history) + 1)
+
+
+def reference_fit(model, train_bags, val_bags):
+    """The loop order in which validation encodes the class prompts anew:
+    step, Adam update, then `evaluate(model, val)`. Returns (history,
+    best epoch, final parameter vector)."""
+    cfg = model.config.train
+    batches = list(hierpool.batch_bags(sorted(train_bags, key=lambda b: b.slide_id)))
+    layout = TrainableLayout(model)
+    theta, adam = layout.pack(), AdamState.zeros(layout.size)
+    best, best_theta, best_epoch, since, history = -np.inf, theta.copy(), 0, 0, []
+    for epoch in range(1, cfg.max_epochs + 1):
+        loss, tape, nodes, _ = epoch_loss(model, batches, layout, theta)
+        theta = adam_step(adam, theta, layout.flatten_grads(tape.backward(loss), nodes),
+                          lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.adam_eps)
+        layout.apply(theta)
+        val_auc = evaluate(model, val_bags).auc
+        history.append({"epoch": epoch, "train_loss": float(tp.value(loss)),
+                        "val_auc": float(val_auc)})
+        if val_auc > best:
+            best, best_theta, best_epoch, since = val_auc, theta.copy(), epoch, 0
+        else:
+            if val_auc == best:
+                best_theta, best_epoch = theta.copy(), epoch
+            since += 1
+            if since > cfg.patience:
+                break
+    layout.apply(best_theta)
+    return history, best_epoch, layout.pack()
+
+
+def test_fit_matches_reference_loop_bitwise():
+    # noisy enough that the validation AUC rises, drops, then ties until
+    # the patience runs out well before max_epochs
+    cfg = small_config(seed=2, patience=3)
+    cfg = replace(cfg, generator=replace(cfg.generator, noise_std=0.3))
+    model, train_bags, val_bags, _ = make_problem(cfg)
+    res = fit(model, train_bags, val_bags)
+    ref_model, *_ = make_problem(cfg)
+    history, best_epoch, theta = reference_fit(ref_model, train_bags, val_bags)
+    aucs = [h["val_auc"] for h in history]
+    assert len(history) < cfg.train.max_epochs
+    assert aucs[-1] == aucs[-2] == max(aucs) and min(aucs) < aucs[0]
+    assert res.history == history
+    assert res.best_epoch == best_epoch
+    assert np.array_equal(TrainableLayout(model).pack(), theta)
+
+
 def test_fit_validates_split():
     cfg = small_config()
     model, train_bags, val_bags, _ = make_problem(cfg)
@@ -392,10 +453,13 @@ def test_cached_class_embeddings_bitwise_plain_and_taped(monkeypatch):
         assert np.array_equal(a, b)
     layout = TrainableLayout(model)
     theta = layout.pack()
-    loss, tape, nodes = epoch_loss(model, train_bags, layout, theta)
+    batches = list(hierpool.batch_bags(train_bags))
+    loss, tape, nodes, embs = epoch_loss(model, batches, layout, theta)
+    for a, b in zip(embs, model.class_embeddings()):
+        assert np.array_equal(tp.value(a), b)
     grad = layout.flatten_grads(tape.backward(loss), nodes)
     monkeypatch.setattr(SlideClassifier, "class_embeddings", full_encode)
-    ref_loss, ref_tape, ref_nodes = epoch_loss(model, train_bags, layout, theta)
+    ref_loss, ref_tape, ref_nodes, _ = epoch_loss(model, batches, layout, theta)
     ref_grad = layout.flatten_grads(ref_tape.backward(ref_loss), ref_nodes)
     assert tp.value(loss) == tp.value(ref_loss)
     assert np.array_equal(grad, ref_grad)
@@ -483,10 +547,11 @@ def test_epoch_loss_is_the_same_for_any_batching(monkeypatch):
     model, train_bags, _, _ = make_problem(cfg)
     layout = TrainableLayout(model)
     theta = layout.pack()
-    loss, tape, nodes = epoch_loss(model, train_bags, layout, theta)
+    loss, tape, nodes, _ = epoch_loss(model, list(hierpool.batch_bags(train_bags)), layout, theta)
     grad = layout.flatten_grads(tape.backward(loss), nodes)
     monkeypatch.setattr(hierpool, "MAX_BATCH_ROWS", 1)  # one slide per batch
-    cut, cut_tape, cut_nodes = epoch_loss(model, train_bags, layout, theta)
+    cut, cut_tape, cut_nodes, _ = epoch_loss(model, list(hierpool.batch_bags(train_bags)),
+                                             layout, theta)
     cut_grad = layout.flatten_grads(cut_tape.backward(cut), cut_nodes)
     assert len(cut_tape) > len(tape)
     assert abs(tp.value(loss) - tp.value(cut)) <= 1e-12
