@@ -18,14 +18,25 @@ holds. One training epoch tapes this pass once for all its slides.
 
 `batch_bags` cuts a slide list, in order, into batches of at most
 MAX_BATCH_ROWS instance rows and builds each batch only when it is
-asked for. The limit exists for memory: a batch copies its rows into one
-matrix and the pooling temporaries grow with it. Every default k-shot
-training set and the 24-slide validation set still fit in one batch.
-Evaluating the 40 large test slides of the benchmark's eval-bigbag
-workload (~290 instances each) raised peak RSS by about 0.6 MB under
-this limit, against about 20 MB as one batch, at about the same speed.
-Training, evaluation, localization, the gradient check and the merge
-check all run this one path: plain arrays simply record nothing.
+asked for, and `metrics.evaluate` releases each batch before it asks for
+the next. The limit trades the fixed cost of a pass against memory: a
+batch copies its rows into one matrix and the pooling temporaries grow
+with it. On the benchmark's eval-bigbag inputs (40 test slides of ~284
+instance rows of width 64; one round of evaluate, evaluate with
+localization and a merged evaluate; 2-vCPU Xeon VM, NumPy 2.4):
+
+    limit        batches   round time   tracemalloc peak of one evaluate
+    512 rows     37        1.00x        0.65 MB
+    1024 rows    14        0.70x        1.12 MB
+    2048 rows    6         0.63x        2.50 MB
+    one batch    1         0.85x        14.0 MB
+
+1024 takes most of the gain of 2048 at under half its memory: with 2048
+rows the benchmark's peak RSS rose 4-5%, against a 5% bound. Every
+default k-shot training set and the 24-slide validation set fit in one
+batch either way. Training, evaluation, localization, the gradient check
+and the merge check all run this one path: plain arrays simply record
+nothing.
 
 Bag files are JSON. `save_bag` stores each region's embeddings as one
 block, `{"dtype": "<f8", "shape": [n, dim], "base64": ...}`, the raw
@@ -49,8 +60,8 @@ import numpy as np
 from . import tape as tp
 from .errors import ConfigError, DataError, NumericError, strict_dumps
 
-MAX_BATCH_ROWS = 512  # instance rows pooled in one pass (see module docs)
-ROW_DTYPE = "<f8"     # embeddings in bag files: little-endian float64
+MAX_BATCH_ROWS = 1024  # instance rows pooled in one pass (see module docs)
+ROW_DTYPE = "<f8"      # embeddings in bag files: little-endian float64
 
 
 # ---------------------------------------------------------------------------
@@ -95,11 +106,15 @@ def validate_bag(bag: SlideBag) -> SlideBag:
     if bag.n_regions < 1:
         raise DataError(f"slide {bag.slide_id} has no regions")
     dim = bag.regions[0].embeddings.shape[1]
-    seen_region = set()
-    for r in bag.regions:
+    seen_region, seen_id = set(), set()
+    for m, r in enumerate(bag.regions):
         if tuple(r.coord) in seen_region:
             raise DataError(f"slide {bag.slide_id}: duplicate region coord {r.coord}")
+        if r.region_id in seen_id:  # region ids name the attention records
+            raise DataError(f"slide {bag.slide_id}: regions[{m}].id {r.region_id!r} "
+                            f"repeats an earlier region's id")
         seen_region.add(tuple(r.coord))
+        seen_id.add(r.region_id)
         if r.embeddings.ndim != 2 or r.n_instances < 1:
             raise DataError(f"slide {bag.slide_id} region {r.region_id} has no instances")
         if r.embeddings.shape[1] != dim:
@@ -138,16 +153,32 @@ def _decode_rows(block: dict, n_rows: int) -> np.ndarray:
     return np.frombuffer(data, dtype=ROW_DTYPE).reshape(shape).astype(np.float64)
 
 
+_JSON_KINDS = {dict: "object", list: "array", int: "integer"}
+
+
+def _json(value, kind: type, field: str):
+    """`value` if it is a JSON value of `kind` (a bool is no integer);
+    otherwise a ValueError that names `field`."""
+    if isinstance(value, kind) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{field} must be a JSON {_JSON_KINDS[kind]}, "
+                     f"got {type(value).__name__} {value!r:.40}")
+
+
 def load_bag(path: str | Path) -> SlideBag:
     try:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read bag file {path}: {exc}") from exc
     try:
+        raw = _json(raw, dict, "the bag")
+        label = _json(raw["label"], int, "label")
         regions = []
-        for i, r in enumerate(raw["regions"]):
-            insts = r["instances"]
-            masks = [inst.get("mask") for inst in insts]
+        for i, r in enumerate(_json(raw["regions"], list, "regions")):
+            insts = _json(_json(r, dict, f"regions[{i}]")["instances"], list,
+                          f"regions[{i}].instances")
+            masks = [_json(inst, dict, f"regions[{i}].instances[{j}]").get("mask")
+                     for j, inst in enumerate(insts)]
             has_mask = all(m is not None for m in masks)
             regions.append(Region(
                 region_id=str(r.get("id", i)),
@@ -157,10 +188,13 @@ def load_bag(path: str | Path) -> SlideBag:
                             np.asarray([inst["embedding"] for inst in insts], dtype=np.float64)),
                 mask=np.asarray(masks, dtype=np.int64) if has_mask else None,
             ))
-        bag = SlideBag(slide_id=str(raw["slide_id"]), label=int(raw["label"]), regions=regions)
+        bag = SlideBag(slide_id=str(raw["slide_id"]), label=label, regions=regions)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed bag file {path}: {exc}") from exc
-    return validate_bag(bag)
+    try:
+        return validate_bag(bag)
+    except DataError as exc:
+        raise DataError(f"bag file {path}: {exc}") from exc
 
 
 def save_bag(bag: SlideBag, path: str | Path) -> None:

@@ -103,7 +103,8 @@ def evaluate(model, bags: list[SlideBag], *, with_localization: bool = False,
     positive strictly above the threshold, so an all-tied slide
     (saliency 0.5 everywhere) predicts nothing. With `attention`, the
     result also carries each slide's attention record, taken from the
-    same pooling pass. Slides pool in batches, in slide-id order.
+    same pooling pass. Slides pool in batches, in slide-id order, and a
+    batch is released before the next one is built.
 
     A caller that already holds them may pass the values of the model's
     current class embeddings (`fit` takes them from its next training
@@ -135,6 +136,9 @@ def evaluate(model, bags: list[SlideBag], *, with_localization: bool = False,
                     dice_rows.append({"slide_id": bag.slide_id, "dice": dice(predicted, truth),
                                       "n_truth": int(truth.sum()),
                                       "n_predicted": int(predicted.sum())})
+        # release this batch before `batch_bags` builds the next one, so
+        # only one batch's rows and pooling values are alive at a time
+        del batch, out
     score = macro_auc(np.concatenate(probs), np.array([r["label"] for r in per_slide]),
                       model.prompts.n_classes)
     result = EvalResult(auc=score, per_slide=per_slide, attention=records if attention else None)

@@ -139,8 +139,12 @@ def prompts_to_dict(prompts: PromptSet) -> dict:
 
 
 def prompts_from_dict(raw: dict) -> PromptSet:
-    """Inverse of `prompts_to_dict`; raises KeyError/TypeError/ValueError."""
-    classes = [ClassPrompt(class_id=int(c["id"]), name=str(c["name"]),
+    """Inverse of `prompts_to_dict`; raises KeyError/TypeError/ValueError.
+    Classes pair with labels by position, so class i must carry id i."""
+    for i, c in enumerate(raw["classes"]):
+        if type(c["id"]) is not int or c["id"] != i:
+            raise ValueError(f"prompts.classes[{i}].id must be the integer {i}, got {c['id']!r}")
+    classes = [ClassPrompt(class_id=c["id"], name=str(c["name"]),
                            region_tokens=finite_array(c["region_tokens"],
                                                       f"prompts.classes[{i}].region_tokens"),
                            slide_tokens=finite_array(c["slide_tokens"],

@@ -316,9 +316,12 @@ def _at(raw, path):
 
 
 def _set(path, value):
+    """An edit that replaces the value at `path` by `value(old value)` in
+    place and returns the edited object."""
     def edit(raw):
         node, last = _at(raw, path)
         node[last] = value(node[last])
+        return raw
     return edit
 
 
@@ -335,6 +338,8 @@ CHECKPOINT_DEFECTS = {
     "attention-w-length-3": (_set(["attention", "w"], lambda v: v[:3]), "attention.w"),
     "one-class": (_set(["prompts", "classes"], lambda v: v[:1]),
                   "prompts.classes must hold at least 2 classes"),
+    "class-id-1-first": (_set(["prompts", "classes", 0, "id"], lambda v: 1),
+                         "prompts.classes[0].id"),
 }
 
 
@@ -399,6 +404,48 @@ def test_eval_rejects_label_outside_the_model_classes(tmp_path, trained_run):
     assert code == 3
     assert not wrote
     assert f"slide {slide_id} has label 2" in err
+
+
+# edits of the first label-0 slide with at least 3 regions, or of the
+# prompt file; `int()` turned each bad label into that slide's label 0,
+# and classes paired with labels by position whatever their ids
+INPUT_DEFECTS = {
+    "label-half": ("bag", _set(["label"], lambda v: 0.5), "label must be a JSON integer"),
+    "label-string": ("bag", _set(["label"], lambda v: "0"), "label must be a JSON integer"),
+    "label-false": ("bag", _set(["label"], lambda v: False), "label must be a JSON integer"),
+    "region-id-repeated": ("bag", _set(["regions"], lambda v: v[:2] + [dict(v[2], id=v[0]["id"])]
+                                       + v[3:]), "regions[2].id"),
+    "bag-is-list": ("bag", lambda raw: [raw], "the bag must be a JSON object"),
+    "regions-int": ("bag", _set(["regions"], lambda v: 5), "regions must be a JSON array"),
+    "instances-int": ("bag", _set(["regions", 0, "instances"], lambda v: 3),
+                      "regions[0].instances must be a JSON array"),
+    "class-ids-swapped": ("prompts", _set(["classes"], lambda v: [
+        dict(c, id=1 - c["id"]) for c in v]), "prompts.classes[0].id"),
+    "class-id-7": ("prompts", _set(["classes", 1, "id"], lambda v: 7), "prompts.classes[1].id"),
+    "class-id-true": ("prompts", _set(["classes", 1, "id"], lambda v: True),
+                      "prompts.classes[1].id"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(INPUT_DEFECTS))
+def test_train_rejects_malformed_bag_or_prompt_file(tmp_path, trained_run, defect):
+    kind, edit, field = INPUT_DEFECTS[defect]
+    data = Path(shutil.copytree(trained_run[0], tmp_path / "data"))
+    manifest = read_json(data / "manifest.json")
+    if kind == "bag":
+        name = next(s["file"] for s in manifest["slides"]
+                    if s["label"] == 0 and len(read_json(data / s["file"])["regions"]) >= 3)
+    else:
+        name = manifest["prompts_file"]
+    (data / name).write_text(json.dumps(edit(read_json(data / name))))
+    (tmp_path / "config.json").write_text(json.dumps(FAST_CONFIG))
+    run, err = tmp_path / "run", io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["train", "--config", str(tmp_path / "config.json"), "--data", str(data),
+                     "--out", str(run)])
+    assert code == 3
+    assert not run.exists() or not any(run.iterdir())
+    assert name in err.getvalue() and field in err.getvalue()
 
 
 ARRAY_FIELDS = ([("ssf", i, v) for i in range(6) for v in ("gamma", "beta")]

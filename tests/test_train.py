@@ -1,4 +1,5 @@
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -529,7 +530,24 @@ def test_save_checkpoint_rejects_non_finite(tmp_path):
 # batched forward pass
 
 
-def test_batched_probabilities_match_per_slide_batches():
+def assert_json_close(a, b, tol, where="result"):
+    """`a` and `b` have the same structure and strings, and their numbers
+    differ by at most `tol`."""
+    if isinstance(a, dict):
+        assert a.keys() == b.keys(), where
+        for key in a:
+            assert_json_close(a[key], b[key], tol, f"{where}.{key}")
+    elif isinstance(a, list):
+        assert len(a) == len(b), where
+        for i, (x, y) in enumerate(zip(a, b)):
+            assert_json_close(x, y, tol, f"{where}[{i}]")
+    elif isinstance(a, float):
+        assert abs(a - b) <= tol, where
+    else:
+        assert a == b, where
+
+
+def test_batched_probabilities_match_per_slide_batches(monkeypatch):
     cfg = small_config()
     model, train_bags, val_bags, test_bags = make_problem(cfg)
     fit(model, train_bags, val_bags)
@@ -540,6 +558,42 @@ def test_batched_probabilities_match_per_slide_batches():
     res = evaluate(model, bags)
     by_id = {r["slide_id"]: r["probabilities"] for r in res.per_slide}
     assert np.abs(np.array([by_id[b.slide_id] for b in bags]) - together).max() <= 1e-12
+    # the same slide ids (same generator seed) at 266-294 instance rows
+    # each, so the real row limit cuts them three to a batch
+    big = build_dataset(replace(cfg.generator, regions_min=14, regions_max=14,
+                                instances_min=19, instances_max=21))
+    ids = {b.slide_id for b in bags}
+    large = [b for b in big.bags if b.slide_id in ids]
+    cut = list(hierpool.batch_bags(sorted(large, key=lambda b: b.slide_id)))
+    assert len(large) == len(bags) and len(cut) == -(-len(large) // 3)
+    assert all(batch.n_slides == 3 for batch in cut[:-1])
+    batched = evaluate(model, large, with_localization=True, attention=True)
+    monkeypatch.setattr(hierpool, "MAX_BATCH_ROWS", 1)  # one slide per batch
+    single = evaluate(model, large, with_localization=True, attention=True)
+    assert batched.dice_per_slide
+    assert_json_close(batched.to_dict(), single.to_dict(), 1e-12)
+    assert_json_close(batched.attention, single.attention, 1e-12, "attention")
+
+
+def test_evaluate_holds_one_batch_at_a_time(monkeypatch):
+    cfg = small_config()
+    model, _, val_bags, test_bags = make_problem(cfg)
+    built, alive = [], []
+    real = BagBatch.of
+
+    def of(bags):
+        alive.append(sum(ref() is not None for ref in built))
+        batch = real(bags)
+        built.append(weakref.ref(batch))
+        return batch
+
+    monkeypatch.setattr(BagBatch, "of", staticmethod(of))
+    monkeypatch.setattr(hierpool, "MAX_BATCH_ROWS", 30)
+    for localize in (False, True):
+        built.clear()
+        evaluate(model, test_bags + val_bags, with_localization=localize, attention=localize)
+        assert len(built) > 2
+    assert alive == [0] * len(alive)  # each earlier batch is gone before the next is built
 
 
 def test_epoch_loss_is_the_same_for_any_batching(monkeypatch):
