@@ -1,17 +1,21 @@
 """Run configuration: nested dataclasses with strict JSON loading.
 
 Every field has a working default; unknown keys are rejected so typos
-fail fast instead of silently running a different experiment.
+fail fast instead of silently running a different experiment. A config
+file is read by `errors.read`, which takes each field's kind from its
+annotation: an `int` field takes only a JSON integer (not a bool, not
+8.0), a `float` field only a finite number, so `{"train": {"seed": 1.5}}`
+is a ConfigError naming `train.seed` rather than a crash or a silent
+cast. A dataset manifest's `generator` section is read the same way.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .data import GeneratorSpec
-from .errors import ConfigError
+from .errors import ConfigError, json_input, read
 from .hierpool import SALIENCY_MODES, RefinementConfig
 
 
@@ -29,6 +33,8 @@ class EncoderConfig:
         for name in ("blocks", "mlp_hidden", "attn_hidden"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.backbone_seed < 0:  # numpy seeds are non-negative
+            raise ConfigError(f"encoder.backbone_seed must be >= 0, got {self.backbone_seed}")
 
 
 @dataclass
@@ -54,6 +60,8 @@ class TrainConfig:
             raise ConfigError(f"patience {self.patience} exceeds max_epochs {self.max_epochs}")
         if self.shots < 1 or self.depth < 1 or self.max_epochs < 1:
             raise ConfigError("shots, depth and max_epochs must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"train.seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -85,65 +93,30 @@ class RunConfig:
         return asdict(self)
 
 
-_SECTIONS = {
-    "encoder": EncoderConfig,
-    "train": TrainConfig,
-    "refinement": RefinementConfig,
-    "generator": GeneratorSpec,
-    "localization": LocalizationConfig,
-}
-
-
-def _build_section(cls, data, where: str):
-    if not isinstance(data, dict):
-        raise ConfigError(f"config section '{where}' must be an object")
-    known = {f.name for f in fields(cls)}
-    for key in data:
-        if key not in known:
-            raise ConfigError(f"unknown config key '{where}.{key}'")
+def config_from_dict(data, at: str = "") -> RunConfig:
+    """The RunConfig of a parsed JSON object; each field is read as its
+    annotation says (`errors.read`), and a bad one raises a ConfigError
+    naming it under `at`."""
     try:
-        return cls(**data)
-    except TypeError as exc:
-        raise ConfigError(f"bad value in config section '{where}': {exc}") from exc
-
-
-def config_from_dict(data: dict) -> RunConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a JSON object")
-    for key in data:
-        if key not in _SECTIONS:
-            raise ConfigError(f"unknown config section '{key}'")
-    parts = {name: _build_section(cls, data.get(name, {}), name)
-             for name, cls in _SECTIONS.items()}
-    return RunConfig(**parts)
+        return read(data, RunConfig, at)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def load_config(path: str | Path | None) -> RunConfig:
     if path is None:
         return RunConfig()
-    try:
-        raw = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    return config_from_dict(raw)
+    with json_input(path, "config file", ConfigError) as raw:
+        return config_from_dict(raw)
 
 
 def apply_overrides(cfg: RunConfig, *, seed: int | None = None, shots: int | None = None,
                     depth: int | None = None, factor: float | None = None,
                     threshold: float | None = None) -> RunConfig:
-    """Command-line overrides for the most commonly swept knobs."""
-    train = cfg.train
-    if seed is not None:
-        train = replace(train, seed=seed)
-    if shots is not None:
-        train = replace(train, shots=shots)
-    if depth is not None:
-        train = replace(train, depth=depth)
-    refinement = cfg.refinement
-    if factor is not None:
-        refinement = replace(refinement, factor=factor)
-    if threshold is not None:
-        refinement = replace(refinement, threshold=threshold)
-    return replace(cfg, train=train, refinement=refinement)
+    """Command-line overrides for the most commonly swept knobs, each read
+    as its config field is, so `--lambda nan` is a ConfigError too."""
+    data = cfg.to_dict()
+    for section, values in (("train", dict(seed=seed, shots=shots, depth=depth)),
+                            ("refinement", dict(factor=factor, threshold=threshold))):
+        data[section].update((k, v) for k, v in values.items() if v is not None)
+    return config_from_dict(data)

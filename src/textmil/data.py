@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ID, ConfigError, DataError, get, json_input, read
 from .hierpool import Region, SlideBag, load_bag, save_bag, validate_bag
 from .textenc import ClassPrompt, PromptSet, save_prompts, load_prompts
 
@@ -60,6 +60,8 @@ class GeneratorSpec:
                 raise ConfigError(f"{name} must be >= 1")
         if self.regions_max < self.regions_min or self.instances_max < self.instances_min:
             raise ConfigError("count ranges must satisfy min <= max")
+        if self.seed < 0:
+            raise ConfigError(f"generator.seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -193,23 +195,24 @@ def write_dataset(ds: Dataset, out_dir: str | Path) -> Path:
 
 
 def load_dataset(path: str | Path) -> Dataset:
+    """The dataset under `path`; the manifest's `generator` section is
+    read as a config section is (`errors.read`), and each slide record
+    must agree with its bag file."""
     root = Path(path)
-    manifest_path = root / "manifest.json"
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read dataset manifest {manifest_path}: {exc}") from exc
-    try:
-        spec = GeneratorSpec(**manifest["generator"])
-        prompts = load_prompts(root / manifest["prompts_file"])
-        bags = [load_bag(root / s["file"]) for s in manifest["slides"]]
-        for s, bag in zip(manifest["slides"], bags):
-            if (bag.slide_id, bag.label) != (s["id"], s["label"]):
-                raise DataError(f"manifest {manifest_path} lists slide {s['id']} with label "
-                                f"{s['label']}, but {s['file']} holds slide {bag.slide_id} "
-                                f"with label {bag.label}")
-    except (KeyError, TypeError) as exc:
-        raise DataError(f"malformed manifest {manifest_path}: {exc}") from exc
+    with json_input(root / "manifest.json", "manifest") as manifest:
+        manifest = read(manifest, dict, "the manifest")
+        spec = get(manifest, "generator", GeneratorSpec)
+        prompts = load_prompts(root / get(manifest, "prompts_file", str))
+        bags = []
+        for i, s in enumerate(get(manifest, "slides", list)):
+            at = f"slides[{i}]"
+            sid, label = get(read(s, dict, at), "id", ID, at), get(s, "label", int, at)
+            name = get(s, "file", str, at)
+            bag = load_bag(root / name)
+            if (bag.slide_id, bag.label) != (sid, label):
+                raise ValueError(f"{at} lists slide {sid} with label {label}, but {name} "
+                                 f"holds slide {bag.slide_id} with label {bag.label}")
+            bags.append(bag)
     return Dataset(spec=spec, bags=bags, prompts=prompts)
 
 

@@ -1,13 +1,38 @@
-"""Exception types shared across the package.
+"""Exception types, and the one strict JSON reader and writer.
 
 The CLI maps these onto its exit-code contract: config errors exit 2,
 data errors exit 3, numeric failures exit 4. Every JSON artifact is
 written through `strict_dumps`, and `hierpool.save_bag` checks the
 embeddings it stores as binary blocks itself, so a non-finite value is a
 numeric failure rather than a `NaN` in a file.
+
+Every input file is opened by `json_input` and each of its values read
+by `read`, `get` or `column`, which check a value against a kind and
+never convert it. A bad value raises a ValueError naming its field path
+(such as `regions[3].instances[1].coord`, `ssf[2].gamma`, `train.seed`),
+which `json_input` turns into a ConfigError or DataError naming the
+file. Kinds: `int` (a JSON integer, not a bool), `float` (a finite
+number), `str`, `bool`, `dict`, `list`, `object` (anything), `T | None`;
+`ID`, a string or an integer read as its decimal string; `(float,
+*shape)` and `(int, *shape)`, nested arrays of such numbers (None
+matches any length) read into a new float64 or int64 array; `Rows(n)`,
+a bag region's n instance rows as one base64 block; and a dataclass, an
+object of its fields, each read by its annotation.
 """
 
+import base64
+import contextlib
+import dataclasses
+import functools
 import json
+import types
+import typing
+from itertools import chain
+from pathlib import Path
+
+import numpy as np
+
+ROW_DTYPE = "<f8"  # bag-file embedding rows: little-endian float64
 
 
 class ConfigError(Exception):
@@ -22,6 +47,21 @@ class NumericError(Exception):
     """Non-finite value where the computation requires finite numbers."""
 
 
+@contextlib.contextmanager
+def json_input(path, what: str, error: type = DataError):
+    """The parsed JSON file `path` (a `what`), for a `with` block that
+    reads it: an unreadable file, bad JSON, or a ValueError or ConfigError
+    raised in the block becomes an `error` that names the file."""
+    try:
+        raw = json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    try:
+        yield raw
+    except (ValueError, ConfigError) as exc:
+        raise error(f"malformed {what} {path}: {exc}") from exc
+
+
 def strict_dumps(payload, path, **kw) -> str:
     """`payload` as strict JSON text for the file `path`; a NaN or infinity
     raises a NumericError naming the file, before anything is written."""
@@ -29,3 +69,132 @@ def strict_dumps(payload, path, **kw) -> str:
         return json.dumps(payload, sort_keys=True, allow_nan=False, **kw)
     except ValueError as exc:
         raise NumericError(f"refusing to write {path}: {exc}") from exc
+
+
+@dataclasses.dataclass(frozen=True)
+class Rows:
+    """Kind of a bag region's `n` instance rows as one block, `{"dtype":
+    "<f8", "shape": [n, width], "base64": ...}`: the raw little-endian
+    float64 rows, as `encode` writes them."""
+
+    n: int
+
+    @staticmethod
+    def encode(x: np.ndarray) -> dict:
+        data = np.ascontiguousarray(x, dtype=ROW_DTYPE).tobytes()
+        return {"dtype": ROW_DTYPE, "shape": list(x.shape), "base64": base64.b64encode(data).decode()}
+
+
+ID = "id"  # kind of an identifier: a string, or an integer read as its decimal string
+
+_NAMES = {int: "a JSON integer", float: "a finite JSON number", str: "a JSON string",
+          bool: "JSON true or false", dict: "a JSON object", list: "a JSON array",
+          ID: "a JSON string or integer"}
+_NUMBERS = {float: {int, float}, int: {int}}
+_TYPES = {**_NUMBERS, ID: set()}
+_MISSING = object()
+_hints = functools.cache(typing.get_type_hints)  # a dataclass kind's field kinds
+
+
+def read(value, kind, field: str):
+    """`value` if it is of `kind` (see the module docs); otherwise a
+    ValueError naming `field`."""
+    if type(value) is kind and kind is not float:
+        return value
+    if kind is ID and type(value) in (str, int):
+        return str(value)
+    if isinstance(kind, tuple):
+        return _array(value, kind[0], kind[1:], field)
+    if isinstance(kind, Rows):
+        return _rows(value, kind.n, field)
+    if isinstance(kind, types.UnionType):  # T | None
+        return None if value is None else read(value, typing.get_args(kind)[0], field)
+    if dataclasses.is_dataclass(kind):
+        return _record(value, kind, field)
+    if kind is float and type(value) is float and not np.isfinite(value):
+        raise ValueError(f"non-finite value in {field}")
+    if kind is not object and type(value) not in _TYPES.get(kind, {kind}):
+        raise ValueError(f"{field} must be {_NAMES[kind]}, {_got(value)}")
+    return value
+
+
+def get(obj: dict, key: str, kind, at: str = ""):
+    """`obj[key]` read as `kind` and named `at.key`; a missing key is a
+    ValueError too."""
+    value = obj.get(key, _MISSING)
+    if type(value) is kind and kind is not float:
+        return value
+    field = f"{at}.{key}" if at else key
+    if value is _MISSING:
+        raise ValueError(f"{field} is missing")
+    return read(value, kind, field)
+
+
+def column(groups: list[list], key: str, kind, at: str) -> np.ndarray:
+    """`item[key]` of every object of every list in `groups` (at least one
+    object), each a number or an array of the number kind `kind`, as one
+    array with a leading item axis. The whole column is checked at array
+    speed; only a bad one is read item by item, to name the first bad
+    `at.format(g)[j].key`, where g indexes `groups` (`at` may hold a `{}`)."""
+    dtype, shape = (kind[0], kind[1:]) if isinstance(kind, tuple) else (kind, ())
+    try:
+        return _array([item[key] for group in groups for item in group], dtype, (None, *shape),
+                      at.format("*"))
+    except (KeyError, TypeError, ValueError):
+        for g, group in enumerate(groups):
+            for j, item in enumerate(group):
+                name = f"{at.format(g)}[{j}]"
+                get(read(item, dict, name), key, kind, name)
+        if not any(groups):
+            raise ValueError(f"{at.format('*')} is empty") from None
+        raise  # every item reads, but they do not stack
+
+
+def _got(value) -> str:
+    return f"got {type(value).__name__} {value!r:.40}"
+
+
+def _array(value, dtype: type, shape: tuple, field: str) -> np.ndarray:
+    level, dims = [value], []
+    for n in shape:  # the arrays at each depth share one length: `n` unless None
+        lengths = set(map(len, level)) if set(map(type, level)) == {list} else set()
+        if len(lengths) != 1 or n not in (None, *lengths):
+            break
+        dims.append(lengths.pop())
+        level = list(chain.from_iterable(level))
+    else:
+        if set(map(type, level)) <= _NUMBERS[dtype]:
+            with contextlib.suppress(OverflowError):  # an integer out of range
+                arr = np.array(level, dtype=np.float64 if dtype is float else np.int64)
+                if dtype is float and not np.isfinite(arr).all():
+                    raise ValueError(f"non-finite value in {field}")
+                return arr.reshape(dims)
+    raise ValueError(f"{field} must be an array of shape {str(shape).replace('None', 'n')} "
+                     f"of {'finite numbers' if dtype is float else 'integers'}, {_got(value)}")
+
+
+def _rows(value, n: int, field: str) -> np.ndarray:
+    value = read(value, dict, field)
+    dtype = get(value, "dtype", str, field)
+    if dtype != ROW_DTYPE:
+        raise ValueError(f"{field}.dtype {dtype!r} is not {ROW_DTYPE!r}")
+    shape = get(value, "shape", list, field)
+    if list(map(type, shape)) != [int, int] or shape[0] != n:
+        raise ValueError(f"{field}.shape {shape} does not hold {n} instance rows")
+    text = get(value, "base64", str, field)
+    try:
+        data = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error
+        raise ValueError(f"{field}.base64 is not base64: {exc}") from exc
+    if len(data) != n * shape[1] * 8:
+        raise ValueError(f"{field} holds {len(data)} bytes, not {n} x {shape[1]} x 8")
+    return np.frombuffer(data, dtype=ROW_DTYPE).reshape(shape).astype(np.float64)
+
+
+def _record(value, cls: type, field: str):
+    value = read(value, dict, field or "the top level")
+    kinds = _hints(cls)
+    for key in value:
+        if key not in kinds:
+            raise ValueError(f"unknown key '{f'{field}.{key}' if field else key}'")
+    return cls(**{key: get(value, key, kinds[key], field) for key in value})

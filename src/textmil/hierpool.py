@@ -39,29 +39,32 @@ and the merge check all run this one path: plain arrays simply record
 nothing.
 
 Bag files are JSON. `save_bag` stores each region's embeddings as one
-block, `{"dtype": "<f8", "shape": [n, dim], "base64": ...}`, the raw
-little-endian float64 rows: bit-exact, half the size of decimal text, and
-read without parsing a number per value (the default 96-slide dataset
-loads in under half the time it took as number lists). `load_bag` still
-reads the older form, one `"embedding"` number list per instance, which
-is also the easy form to write by hand.
+block (`errors.Rows`), `{"dtype": "<f8", "shape": [n, dim], "base64":
+...}`, the raw little-endian float64 rows: bit-exact, half the size of
+decimal text, and read without parsing a number per value (the default
+96-slide dataset loads in under half the time it took as number lists).
+`load_bag` still reads the older form, one `"embedding"` number list per
+instance, which is also the easy form to write by hand. It reads every
+field through `errors.read`, which checks and never converts: the coords
+and the masks of all the bag's instances are read as one array each
+(`errors.column`), and a bad one is named, as in
+`regions[0].instances[1].mask`.
 """
 
 from __future__ import annotations
 
-import base64
-import json
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
 from . import tape as tp
-from .errors import ConfigError, DataError, NumericError, strict_dumps
+from .errors import (ID, ConfigError, DataError, NumericError, Rows, column, get, json_input,
+                     read, strict_dumps)
 
 MAX_BATCH_ROWS = 1024  # instance rows pooled in one pass (see module docs)
-ROW_DTYPE = "<f8"      # embeddings in bag files: little-endian float64
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +122,6 @@ def validate_bag(bag: SlideBag) -> SlideBag:
             raise DataError(f"slide {bag.slide_id} region {r.region_id} has no instances")
         if r.embeddings.shape[1] != dim:
             raise DataError(f"slide {bag.slide_id}: inconsistent embedding dims")
-        if not np.isfinite(r.embeddings).all():
-            raise DataError(f"slide {bag.slide_id} region {r.region_id}: non-finite embedding values")
         if len(r.instance_coords) != r.n_instances:
             raise DataError(f"slide {bag.slide_id} region {r.region_id}: coords do not align with instances")
         if len(set(map(tuple, r.instance_coords))) != r.n_instances:
@@ -128,69 +129,46 @@ def validate_bag(bag: SlideBag) -> SlideBag:
         if r.mask is not None:
             if r.mask.shape != (r.n_instances,):
                 raise DataError(f"slide {bag.slide_id} region {r.region_id}: mask does not align with instances")
-            if not ((r.mask == 0) | (r.mask == 1)).all():
+            if not set(r.mask.tolist()) <= {0, 1}:
                 raise DataError(f"slide {bag.slide_id} region {r.region_id}: mask entries must be 0 or 1")
-    if all((np.linalg.norm(r.embeddings, axis=1) < tp.EPS_NORM).all() for r in bag.regions):
+    rows = np.concatenate([r.embeddings for r in bag.regions])  # one pass over the slide
+    if not np.isfinite(rows).all():
+        bad = next(r for r in bag.regions if not np.isfinite(r.embeddings).all())
+        raise DataError(f"slide {bag.slide_id} region {bad.region_id}: non-finite embedding values")
+    if (np.linalg.norm(rows, axis=1) < tp.EPS_NORM).all():
         raise DataError(f"slide {bag.slide_id}: every instance embedding is zero "
                         f"(norm < {tp.EPS_NORM:g})")
     return bag
 
 
-def _encode_rows(x: np.ndarray) -> dict:
-    return {"dtype": ROW_DTYPE, "shape": list(x.shape),
-            "base64": base64.b64encode(np.ascontiguousarray(x, dtype=ROW_DTYPE).tobytes()).decode()}
-
-
-def _decode_rows(block: dict, n_rows: int) -> np.ndarray:
-    if block["dtype"] != ROW_DTYPE:
-        raise ValueError(f"embeddings dtype {block['dtype']!r} is not {ROW_DTYPE!r}")
-    shape = tuple(int(s) for s in block["shape"])
-    if len(shape) != 2 or shape[0] != n_rows:
-        raise ValueError(f"embeddings shape {list(shape)} does not hold {n_rows} instance rows")
-    data = base64.b64decode(block["base64"], validate=True)
-    if len(data) != shape[0] * shape[1] * 8:
-        raise ValueError(f"embeddings hold {len(data)} bytes, not {shape[0]} x {shape[1]} x 8")
-    return np.frombuffer(data, dtype=ROW_DTYPE).reshape(shape).astype(np.float64)
-
-
-_JSON_KINDS = {dict: "object", list: "array", int: "integer"}
-
-
-def _json(value, kind: type, field: str):
-    """`value` if it is a JSON value of `kind` (a bool is no integer);
-    otherwise a ValueError that names `field`."""
-    if isinstance(value, kind) and not isinstance(value, bool):
-        return value
-    raise ValueError(f"{field} must be a JSON {_JSON_KINDS[kind]}, "
-                     f"got {type(value).__name__} {value!r:.40}")
-
-
 def load_bag(path: str | Path) -> SlideBag:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read bag file {path}: {exc}") from exc
-    try:
-        raw = _json(raw, dict, "the bag")
-        label = _json(raw["label"], int, "label")
-        regions = []
-        for i, r in enumerate(_json(raw["regions"], list, "regions")):
-            insts = _json(_json(r, dict, f"regions[{i}]")["instances"], list,
-                          f"regions[{i}].instances")
-            masks = [_json(inst, dict, f"regions[{i}].instances[{j}]").get("mask")
-                     for j, inst in enumerate(insts)]
-            has_mask = all(m is not None for m in masks)
-            regions.append(Region(
-                region_id=str(r.get("id", i)),
-                coord=tuple(int(c) for c in r["coord"]),
-                instance_coords=[tuple(int(c) for c in inst["coord"]) for inst in insts],
-                embeddings=(_decode_rows(r["embeddings"], len(insts)) if "embeddings" in r else
-                            np.asarray([inst["embedding"] for inst in insts], dtype=np.float64)),
-                mask=np.asarray(masks, dtype=np.int64) if has_mask else None,
-            ))
-        bag = SlideBag(slide_id=str(raw["slide_id"]), label=label, regions=regions)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"malformed bag file {path}: {exc}") from exc
+    """The bag file at `path`, every field read by `errors.read`: coords
+    are pairs of JSON integers, and either every instance of the bag has
+    a 0/1 `mask` or none does."""
+    with json_input(path, "bag file") as raw:
+        raw = read(raw, dict, "the bag")
+        records = get(raw, "regions", list)
+        region_coords = column([records], "coord", (int, 2), "regions").tolist()
+        groups = [get(r, "instances", list, f"regions[{i}]") for i, r in enumerate(records)]
+        coords = column(groups, "coord", (int, 2), "regions[{}].instances").tolist()
+        masked = "mask" in next(chain.from_iterable(groups))
+        stray = [] if masked else [f"regions[{i}].instances[{j}]" for i, insts in enumerate(groups)
+                                   for j, inst in enumerate(insts) if "mask" in inst]
+        if stray:
+            raise ValueError(f"{stray[0]}.mask is given, but the bag's first instance has none")
+        masks = column(groups, "mask", int, "regions[{}].instances") if masked else None
+        ends = list(accumulate(map(len, groups)))
+        regions = [Region(
+            region_id=read(r.get("id", i), ID, f"regions[{i}].id"),
+            coord=tuple(region_coords[i]),
+            instance_coords=list(map(tuple, coords[lo:hi])),
+            embeddings=(read(r["embeddings"], Rows(hi - lo), f"regions[{i}].embeddings")
+                        if "embeddings" in r else
+                        column([insts], "embedding", (float, None), f"regions[{i}].instances")),
+            mask=None if masks is None else masks[lo:hi],
+        ) for i, (r, insts, lo, hi) in enumerate(zip(records, groups, [0, *ends], ends))]
+        bag = SlideBag(slide_id=get(raw, "slide_id", ID), label=get(raw, "label", int),
+                       regions=regions)
     try:
         return validate_bag(bag)
     except DataError as exc:
@@ -215,7 +193,7 @@ def save_bag(bag: SlideBag, path: str | Path) -> None:
                 "coord": list(r.instance_coords[j]),
                 **({"mask": int(r.mask[j])} if r.mask is not None else {}),
             } for j in range(r.n_instances)],
-            "embeddings": _encode_rows(r.embeddings),
+            "embeddings": Rows.encode(r.embeddings),
         } for r in bag.regions],
     }
     text = strict_dumps(payload, path)

@@ -7,11 +7,13 @@ flattened into one vector in that order. Checkpoints are plain JSON and
 normally reference the backbone by seed; they list an identity record
 for every block without an adapter, which loading drops again. A merged
 checkpoint stores the folded backbone weights explicitly.
+`load_checkpoint` reads every field, its config section included,
+through `errors.read` and names a bad one (such as `ssf[2].gamma`); it
+keeps only the checks against the config and between records.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,11 +21,11 @@ import numpy as np
 
 from . import tape as tp
 from .config import EncoderConfig, RunConfig, config_from_dict
-from .errors import ConfigError, DataError, strict_dumps
+from .errors import ConfigError, DataError, get, json_input, read, strict_dumps
 from .hierpool import AttentionParams, BagBatch, BagScores, SlideBag, init_attention, wsi_encode
 from .ssf import SITE_KINDS, SsfParams, SsfSite, build_sites, identity_params
 from .textenc import (EncoderBlock, PromptSet, TextEncoderStack, build_prompt, build_stack,
-                      encode, encode_prefix, finite_array, merge_reparam, prompts_from_dict,
+                      encode, encode_prefix, merge_reparam, prompts_from_dict,
                       prompts_to_dict, refinement_embedding)
 
 
@@ -230,36 +232,25 @@ def save_checkpoint(model: SlideClassifier, path: str | Path, history: list | No
     Path(path).write_text(text + "\n")
 
 
-def _shaped(value, field: str, shape: tuple) -> np.ndarray:
-    arr = finite_array(value, field)
-    if arr.shape != shape:
-        raise ValueError(f"{field} must have shape {shape}, got {arr.shape}")
-    return arr
-
-
-def _load_sites(records, n_blocks: int, dim: int) -> list[SsfSite]:
+def _load_sites(records: list, n_blocks: int, dim: int) -> list[SsfSite]:
     """The adapter sites of format-1 `records`, frozen identity records
     dropped; a bad record raises a ValueError that names its field."""
-    if not isinstance(records, list):
-        raise ValueError("ssf must be a list of adapter records")
     sites, seen = [], set()
     for i, r in enumerate(records):
-        block, kind, trainable = r["block"], r["kind"], r["trainable"]
-        if type(block) is not int or not 1 <= block <= n_blocks:
-            raise ValueError(f"ssf[{i}].block must be an integer in 1..{n_blocks}, got {block!r}")
+        at = f"ssf[{i}]"
+        block, kind = get(read(r, dict, at), "block", int, at), get(r, "kind", str, at)
+        if not 1 <= block <= n_blocks:
+            raise ValueError(f"{at}.block must be an integer in 1..{n_blocks}, got {block!r}")
         if kind not in SITE_KINDS:
-            raise ValueError(f"ssf[{i}].kind must be one of {SITE_KINDS}, got {kind!r}")
+            raise ValueError(f"{at}.kind must be one of {SITE_KINDS}, got {kind!r}")
         if (block, kind) in seen:
-            raise ValueError(f"ssf[{i}] repeats the {kind} site of block {block}")
+            raise ValueError(f"{at} repeats the {kind} site of block {block}")
         seen.add((block, kind))
-        if not isinstance(trainable, bool):
-            raise ValueError(f"ssf[{i}].trainable must be true or false, got {trainable!r}")
-        params = SsfParams(_shaped(r["gamma"], f"ssf[{i}].gamma", (dim,)),
-                           _shaped(r["beta"], f"ssf[{i}].beta", (dim,)))
-        if trainable:
+        params = SsfParams(get(r, "gamma", (float, dim), at), get(r, "beta", (float, dim), at))
+        if get(r, "trainable", bool, at):
             sites.append(SsfSite(block, kind, params))
         elif (params.gamma != 1.0).any() or params.beta.any():
-            raise ValueError(f"ssf[{i}] is frozen but not an identity adapter")
+            raise ValueError(f"{at} is frozen but not an identity adapter")
     return sites
 
 
@@ -269,55 +260,59 @@ def _load_backbone(bb: dict, enc: EncoderConfig) -> TextEncoderStack:
     d, h = enc.dim, enc.mlp_hidden
     shapes = {"ln_gain": (d,), "ln_bias": (d,), "w1": (h, d), "b1": (h,), "w2": (d, h),
               "b2": (d,)}
-    if type(bb["dim"]) is not int or bb["dim"] != d:
+    if get(bb, "dim", int, "backbone") != d:
         raise ValueError(f"backbone.dim must be the encoder dim {d}, got {bb['dim']!r}")
-    records = bb["blocks"]
-    if not isinstance(records, list) or len(records) != enc.blocks:
-        n = len(records) if isinstance(records, list) else type(records).__name__
-        raise ValueError(f"backbone.blocks must list the encoder's {enc.blocks} blocks, got {n}")
+    records = get(bb, "blocks", list, "backbone")
+    if len(records) != enc.blocks:
+        raise ValueError(f"backbone.blocks must list the encoder's {enc.blocks} blocks, "
+                         f"got {len(records)}")
     blocks = []
     for i, b in enumerate(records):
-        if not isinstance(b, dict) or set(b) != set(shapes):
-            raise ValueError(f"backbone.blocks[{i}] must hold exactly {sorted(shapes)}")
-        blocks.append(EncoderBlock(**{k: _shaped(b[k], f"backbone.blocks[{i}].{k}", shape)
+        at = f"backbone.blocks[{i}]"
+        if set(read(b, dict, at)) != set(shapes):
+            raise ValueError(f"{at} must hold exactly {sorted(shapes)}")
+        blocks.append(EncoderBlock(**{k: get(b, k, (float, *shape), at)
                                       for k, shape in shapes.items()}))
-    return TextEncoderStack(blocks=blocks, proj=_shaped(bb["proj"], "backbone.proj", (d, d)),
+    return TextEncoderStack(blocks=blocks, proj=get(bb, "proj", (float, d, d), "backbone"),
                             dim=d, seed=None)
 
 
 def load_checkpoint(path: str | Path):
     """Returns (model, history, split)."""
-    try:
-        raw = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
-    try:
-        config = config_from_dict(raw["config"])
+    with json_input(path, "checkpoint") as raw:
+        raw = read(raw, dict, "the checkpoint")
+        config = config_from_dict(get(raw, "config", dict), "config")
         enc = config.encoder
-        bb = raw["backbone"]
-        if bb["kind"] not in ("seeded", "explicit"):
-            raise ValueError(f"backbone.kind must be 'seeded' or 'explicit', got {bb['kind']!r}")
-        if bb["kind"] == "seeded":
-            seed = bb["seed"]
-            if type(seed) is not int or seed < 0:
+        bb = get(raw, "backbone", dict)
+        kind = get(bb, "kind", str, "backbone")
+        if kind not in ("seeded", "explicit"):
+            raise ValueError(f"backbone.kind must be 'seeded' or 'explicit', got {kind!r}")
+        if kind == "seeded":
+            seed = get(bb, "seed", int, "backbone")
+            if seed < 0:
                 raise ValueError(f"backbone.seed must be a non-negative integer, got {seed!r}")
             stack = build_stack(seed, enc.blocks, enc.dim, enc.mlp_hidden)
         else:
             stack = _load_backbone(bb, enc)
-        sites = _load_sites(raw["ssf"], stack.n_blocks, stack.dim)
+        sites = _load_sites(get(raw, "ssf", list), stack.n_blocks, stack.dim)
+        attention = get(raw, "attention", dict)
         attention = AttentionParams(*(
-            _shaped(raw["attention"][f], f"attention.{f}",
-                    (enc.attn_hidden,) if f in ("w_r", "w") else (enc.attn_hidden, enc.dim))
+            get(attention, f, (float, enc.attn_hidden) if f in ("w_r", "w")
+                else (float, enc.attn_hidden, enc.dim), "attention")
             for f in AttentionParams.FIELDS))
-        prompts = prompts_from_dict(raw["prompts"])
+        prompts = prompts_from_dict(get(raw, "prompts", dict))
         if prompts.n_classes < 2:
             raise ValueError(f"prompts.classes must hold at least 2 classes, "
                              f"got {prompts.n_classes}")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"malformed checkpoint {path}: {exc}") from exc
+        merged = read(raw.get("merged", False), bool, "merged")
+        split = read(raw.get("split"), dict | None, "split")
+        for name, ids in (split or {}).items():
+            if name != "k":  # a split's slide ids
+                for j, sid in enumerate(read(ids, list, f"split.{name}")):
+                    read(sid, str, f"split.{name}[{j}]")
     model = SlideClassifier(stack=stack, sites=sites, attention=attention,
-                            prompts=prompts, config=config, merged=bool(raw.get("merged")))
-    return model, raw.get("history", []), raw.get("split")
+                            prompts=prompts, config=config, merged=merged)
+    return model, raw.get("history", []), split
 
 
 def merge_model(model: SlideClassifier) -> SlideClassifier:

@@ -7,7 +7,10 @@ the scale/shift adapters on the trailing blocks, so the blocks before
 the first adapter map a prompt to fixed activations that the model
 computes once (`encode_prefix`) and `encode` continues from. Class
 prompts come as precomputed token embeddings (region-level tokens
-followed by slide-level tokens) — there is no tokenizer here.
+followed by slide-level tokens) — there is no tokenizer here. A prompt
+file or a checkpoint's prompts are read field by field through
+`errors.read`: class i carries the JSON integer id i, a string name and
+finite token matrices, and `tumor_class` is an integer or null.
 
 The class embeddings become the rows of the class matrix that the
 batched head compares every slide of a batch against
@@ -18,14 +21,13 @@ many slides the epoch pools.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import tape as tp
-from .errors import DataError, strict_dumps
+from .errors import DataError, get, json_input, read, strict_dumps
 from .ssf import SITE_KINDS, SsfParams, SsfSite, merge_into_layernorm, merge_into_linear, ssf_forward
 
 
@@ -118,15 +120,6 @@ def build_prompt(prompt: ClassPrompt) -> np.ndarray:
     return np.concatenate([prompt.region_tokens, prompt.slide_tokens], axis=0)
 
 
-def finite_array(value, field: str) -> np.ndarray:
-    """`value` as a float64 array; a non-finite entry raises a ValueError
-    that names `field` (loaders turn it into a DataError naming the file)."""
-    arr = np.asarray(value, dtype=np.float64)
-    if not np.isfinite(arr).all():
-        raise ValueError(f"non-finite value in {field}")
-    return arr
-
-
 def prompts_to_dict(prompts: PromptSet) -> dict:
     """The JSON form of a prompt set, shared by the prompt file and checkpoints."""
     return {
@@ -138,31 +131,25 @@ def prompts_to_dict(prompts: PromptSet) -> dict:
     }
 
 
-def prompts_from_dict(raw: dict) -> PromptSet:
-    """Inverse of `prompts_to_dict`; raises KeyError/TypeError/ValueError.
-    Classes pair with labels by position, so class i must carry id i."""
-    for i, c in enumerate(raw["classes"]):
-        if type(c["id"]) is not int or c["id"] != i:
-            raise ValueError(f"prompts.classes[{i}].id must be the integer {i}, got {c['id']!r}")
-    classes = [ClassPrompt(class_id=c["id"], name=str(c["name"]),
-                           region_tokens=finite_array(c["region_tokens"],
-                                                      f"prompts.classes[{i}].region_tokens"),
-                           slide_tokens=finite_array(c["slide_tokens"],
-                                                     f"prompts.classes[{i}].slide_tokens"))
-               for i, c in enumerate(raw["classes"])]
-    tumor = raw.get("tumor_class")
-    return PromptSet(classes=classes, tumor_class=None if tumor is None else int(tumor))
+def prompts_from_dict(raw) -> PromptSet:
+    """Inverse of `prompts_to_dict`; a bad field raises a ValueError that
+    names it. Classes pair with labels by position, so class i must carry
+    id i."""
+    classes = []
+    for i, c in enumerate(get(read(raw, dict, "prompts"), "classes", list, "prompts")):
+        at = f"prompts.classes[{i}]"
+        if get(read(c, dict, at), "id", int, at) != i:
+            raise ValueError(f"{at}.id must be the integer {i}, got {c['id']!r}")
+        classes.append(ClassPrompt(class_id=i, name=get(c, "name", str, at),
+                                   region_tokens=get(c, "region_tokens", (float, None, None), at),
+                                   slide_tokens=get(c, "slide_tokens", (float, None, None), at)))
+    return PromptSet(classes=classes,
+                     tumor_class=read(raw.get("tumor_class"), int | None, "prompts.tumor_class"))
 
 
 def load_prompts(path: str | Path) -> PromptSet:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read prompt file {path}: {exc}") from exc
-    try:
+    with json_input(path, "prompt file") as raw:
         return prompts_from_dict(raw)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"malformed prompt file {path}: {exc}") from exc
 
 
 def save_prompts(prompts: PromptSet, path: str | Path) -> None:

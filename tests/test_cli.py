@@ -325,6 +325,15 @@ def _set(path, value):
     return edit
 
 
+def _drop(path):
+    """An edit that deletes the value at `path` and returns the edited object."""
+    def edit(raw):
+        node, last = _at(raw, path)
+        del node[last]
+        return raw
+    return edit
+
+
 # FAST_CONFIG: 3 blocks (records 0-1 are block 1's frozen identity
 # records, 2-5 the adapters of blocks 2 and 3), attn_hidden 4, dim 16
 CHECKPOINT_DEFECTS = {
@@ -340,6 +349,9 @@ CHECKPOINT_DEFECTS = {
                   "prompts.classes must hold at least 2 classes"),
     "class-id-1-first": (_set(["prompts", "classes", 0, "id"], lambda v: 1),
                          "prompts.classes[0].id"),
+    "split-not-a-list": (_set(["split", "test"], lambda v: 5), "split.test"),
+    "split-id-not-a-string": (_set(["split", "test"], lambda v: [[1]] + v[1:]), "split.test[0]"),
+    "config-seed-half": (_set(["config", "train", "seed"], lambda v: 1.5), "config.train.seed"),
 }
 
 
@@ -406,9 +418,20 @@ def test_eval_rejects_label_outside_the_model_classes(tmp_path, trained_run):
     assert f"slide {slide_id} has label 2" in err
 
 
-# edits of the first label-0 slide with at least 3 regions, or of the
-# prompt file; `int()` turned each bad label into that slide's label 0,
-# and classes paired with labels by position whatever their ids
+def _one_mask(raw):
+    """Drop every instance mask of a bag but that of regions[1].instances[0]."""
+    for i, region in enumerate(raw["regions"]):
+        for j, inst in enumerate(region["instances"]):
+            if (i, j) != (1, 0):
+                del inst["mask"]
+    return raw
+
+
+# edits of the first label-0 slide with at least 3 regions, of the
+# prompt file or of the manifest; each must exit 3 naming its file and
+# field, as no loader casts a value (a label or mask of 0.5 is not 0, a
+# coord [0, 1.7] not [0, 1], an id [1] not "[1]") and classes pair with
+# labels by position
 INPUT_DEFECTS = {
     "label-half": ("bag", _set(["label"], lambda v: 0.5), "label must be a JSON integer"),
     "label-string": ("bag", _set(["label"], lambda v: "0"), "label must be a JSON integer"),
@@ -424,6 +447,29 @@ INPUT_DEFECTS = {
     "class-id-7": ("prompts", _set(["classes", 1, "id"], lambda v: 7), "prompts.classes[1].id"),
     "class-id-true": ("prompts", _set(["classes", 1, "id"], lambda v: True),
                       "prompts.classes[1].id"),
+    "mask-half": ("bag", _set(["regions", 0, "instances", 0, "mask"], lambda v: 0.5),
+                  "regions[0].instances[0].mask"),
+    "mask-missing": ("bag", _drop(["regions", 0, "instances", 1, "mask"]),
+                     "regions[0].instances[1].mask"),
+    "mask-on-one-instance": ("bag", _one_mask, "regions[1].instances[0].mask"),
+    "coord-three": ("bag", _set(["regions", 0, "instances", 0, "coord"], lambda v: [0, 1, 2]),
+                    "regions[0].instances[0].coord"),
+    "coord-fraction": ("bag", _set(["regions", 0, "instances", 1, "coord"], lambda v: [0, 1.7]),
+                       "regions[0].instances[1].coord"),
+    "region-id-list": ("bag", _set(["regions", 0, "id"], lambda v: [1]), "regions[0].id"),
+    "embeddings-shape-string": ("bag", _set(["regions", 0, "embeddings", "shape"], lambda v: "x"),
+                                "regions[0].embeddings.shape"),
+    "embeddings-base64-int": ("bag", _set(["regions", 0, "embeddings", "base64"], lambda v: 5),
+                              "regions[0].embeddings.base64"),
+    "slide-file-int": ("manifest", _set(["slides", 0, "file"], lambda v: 3), "slides[0].file"),
+    "prompts-file-null": ("manifest", _set(["prompts_file"], lambda v: None), "prompts_file"),
+    "tumor-class-half": ("prompts", _set(["tumor_class"], lambda v: 1.5), "prompts.tumor_class"),
+    "tumor-class-true": ("prompts", _set(["tumor_class"], lambda v: True), "prompts.tumor_class"),
+    "class-name-list": ("prompts", _set(["classes", 0, "name"], lambda v: [1]),
+                        "prompts.classes[0].name"),
+    "region-tokens-ragged": ("prompts", _set(["classes", 0, "region_tokens"],
+                                             lambda v: [v[0], v[1][:-1]] + v[2:]),
+                             "prompts.classes[0].region_tokens"),
 }
 
 
@@ -436,7 +482,7 @@ def test_train_rejects_malformed_bag_or_prompt_file(tmp_path, trained_run, defec
         name = next(s["file"] for s in manifest["slides"]
                     if s["label"] == 0 and len(read_json(data / s["file"])["regions"]) >= 3)
     else:
-        name = manifest["prompts_file"]
+        name = manifest["prompts_file"] if kind == "prompts" else "manifest.json"
     (data / name).write_text(json.dumps(edit(read_json(data / name))))
     (tmp_path / "config.json").write_text(json.dumps(FAST_CONFIG))
     run, err = tmp_path / "run", io.StringIO()
@@ -446,6 +492,51 @@ def test_train_rejects_malformed_bag_or_prompt_file(tmp_path, trained_run, defec
     assert code == 3
     assert not run.exists() or not any(run.iterdir())
     assert name in err.getvalue() and field in err.getvalue()
+
+
+# (command, file, path, value): a bad config field under `train`,
+# `generate` or `params` (or a bad override) exits 2, and a bad field of
+# the manifest's `generator` section exits 3; each names its field
+FIELD_DEFECTS = {
+    "train-seed-half": ("train", "config", ["train", "seed"], 1.5),
+    "encoder-dim-float": ("train", "config", ["encoder", "dim"], 8.0),
+    "generator-seed-half": ("generate", "config", ["generator", "seed"], 0.5),
+    "slides-per-class-half": ("generate", "config", ["generator", "slides_per_class"], 2.5),
+    "depth-true": ("train", "config", ["train", "depth"], True),
+    "blocks-float": ("params", "config", ["encoder", "blocks"], 12.0),
+    "lr-nan": ("train", "config", ["train", "lr"], float("nan")),
+    "temperature-inf": ("train", "config", ["train", "temperature"], float("inf")),
+    "shots-string": ("train", "config", ["train", "shots"], "4"),
+    "seed-negative": ("train", "config", ["train", "seed"], -1),
+    "backbone-seed-negative": ("params", "config", ["encoder", "backbone_seed"], -3),
+    "generator-seed-negative": ("generate", "config", ["generator", "seed"], -1),
+    "override-lambda-nan": ("train --lambda nan", "config", ["refinement", "factor"], None),
+    "manifest-seed-half": ("train", "manifest", ["generator", "seed"], 0.5),
+    "manifest-unknown-key": ("train", "manifest", ["generator", "bogus"], 1),
+    "manifest-normal-class-string": ("train", "manifest", ["generator", "normal_class"], "0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIELD_DEFECTS))
+def test_config_and_generator_fields_are_read_as_declared(tmp_path, trained_run, case):
+    """A value of None stands for no edit: the field is bad on the command line."""
+    command, kind, path, value = FIELD_DEFECTS[case]
+    data = Path(shutil.copytree(trained_run[0], tmp_path / "data"))
+    config, manifest = json.loads(json.dumps(FAST_CONFIG)), read_json(data / "manifest.json")
+    if value is not None:
+        _at(config if kind == "config" else manifest, path)[0][path[-1]] = value
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    command, *flags = command.split()
+    argv = [command, "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out"),
+            *flags] + (["--data", str(data)] if command == "train" else [])
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    assert code == (2 if kind == "config" else 3)
+    assert not (tmp_path / "out").exists()
+    assert ".".join(path) in err.getvalue()
+    assert value is None or f"{kind}.json" in err.getvalue()
 
 
 ARRAY_FIELDS = ([("ssf", i, v) for i in range(6) for v in ("gamma", "beta")]
@@ -458,9 +549,10 @@ MERGED_ARRAY_FIELDS = ([("backbone", "blocks", i, k) for i in range(3)
                        + [("backbone", "proj")] + [("attention", f) for f in AttentionParams.FIELDS])
 MERGED_SCALAR_FIELDS = [("backbone", k) for k in ("kind", "dim", "blocks")]
 SWAPS = [None, "x", {}, [], True, 2.5]
+CLI_FUZZ = settings(settings.get_profile("cli-fuzz"))
 
 
-@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@CLI_FUZZ
 @given(data=st.data())
 def test_eval_rejects_fuzzed_checkpoint(trained_run, merged_raw, data):
     """Random key deletions, type swaps, truncated or reshaped arrays and
@@ -498,6 +590,95 @@ def test_eval_rejects_fuzzed_checkpoint(trained_run, merged_raw, data):
     assert code in (2, 3, 4), err
     assert "Traceback" not in err
     assert not wrote
+
+
+def _numbers(value) -> bool:
+    """Whether `value` is a nonempty JSON array of numbers or of such arrays."""
+    return isinstance(value, list) and bool(value) and all(
+        type(v) in (int, float) or _numbers(v) for v in value)
+
+
+def json_paths(raw, path=()):
+    """Every path into a parsed JSON file, an array of numbers counting as one leaf."""
+    items = (raw.items() if isinstance(raw, dict) else
+             enumerate(raw) if isinstance(raw, list) and not _numbers(raw) else [])
+    return [path] + [p for key, value in items for p in json_paths(value, path + (key,))]
+
+
+def fuzz_edit(data, raw):
+    """`raw` after one drawn edit: the value at a path of it deleted or
+    swapped for a value of another JSON type, or an array of numbers cut
+    short, made ragged or given a non-finite entry."""
+    path = data.draw(st.sampled_from(json_paths(raw)), label="path")
+    if not path:
+        return data.draw(st.sampled_from(SWAPS), label="value")
+    node, last = _at(raw, path)
+    numeric = _numbers(node[last])
+    op = data.draw(st.sampled_from(["delete", "swap"] + (["cut", "non-finite"] if numeric else [])),
+                   label="op")
+    if op == "delete":
+        del node[last]
+    elif op == "swap":
+        node[last] = data.draw(st.sampled_from(
+            [v for v in SWAPS if type(v) is not type(node[last])]), label="value")
+    elif op == "cut":
+        node[last] = [node[last][0][:-1]] + node[last][1:] if isinstance(node[last][0], list) \
+            else node[last][:-1]
+    else:
+        value = np.asarray(node[last], dtype=np.float64)
+        flat = value.ravel()
+        flat[data.draw(st.integers(0, flat.size - 1), label="index")] = data.draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]), label="non-finite")
+        node[last] = flat.reshape(value.shape).tolist()
+    return raw
+
+
+def run_strict(argv, out):
+    """Exit code of `main(argv)`, once every JSON file it wrote under `out`
+    has been checked to hold no NaN or infinity."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    for path in Path(out).rglob("*.json*"):
+        text = path.read_text()
+        for doc in (text.splitlines() if path.suffix == ".jsonl" else [text]):
+            json.loads(doc, parse_constant=lambda c: pytest.fail(f"{path} holds {c}"))
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
+@pytest.mark.parametrize("target", ["bag", "prompts", "manifest"])
+@CLI_FUZZ
+@given(data=st.data())
+def test_eval_survives_fuzzed_input_file(trained_run, target, data):
+    """Random deletions, type swaps, cut or ragged arrays and non-finite
+    values in a test slide's bag file, the prompt file or the manifest:
+    `eval` exits 0, 2, 3 or 4, with no traceback and no NaN written."""
+    dataset, raw = trained_run
+    manifest = read_json(dataset / "manifest.json")
+    test_slide = raw["split"]["test"][0]
+    name = {"bag": next(s["file"] for s in manifest["slides"] if s["id"] == test_slide),
+            "prompts": manifest["prompts_file"], "manifest": "manifest.json"}[target]
+    with tempfile.TemporaryDirectory() as root:
+        root = Path(root)
+        shutil.copytree(dataset, root / "data")
+        (root / "data" / name).write_text(json.dumps(fuzz_edit(data, read_json(dataset / name))))
+        (root / "checkpoint.json").write_text(json.dumps(raw))
+        code = run_strict(["eval", "--data", str(root / "data"), "--checkpoint",
+                           str(root / "checkpoint.json"), "--out", str(root / "out")], root / "out")
+    assert code in (0, 2, 3, 4)
+
+
+@CLI_FUZZ
+@given(data=st.data())
+def test_params_survives_fuzzed_config(data):
+    """The same edits of a config file: `params` exits 0, 2, 3 or 4."""
+    with tempfile.TemporaryDirectory() as root:
+        config = Path(root) / "config.json"
+        config.write_text(json.dumps(fuzz_edit(data, json.loads(json.dumps(FAST_CONFIG)))))
+        code = run_strict(["params", "--config", str(config), "--out", f"{root}/out"],
+                          f"{root}/out")
+    assert code in (0, 2, 3, 4)
 
 
 def test_eval_rejects_all_zero_slide(tmp_path, dataset_dir, checkpoint, capsys):
