@@ -6,6 +6,15 @@ of background instances (masked 0). A designated normal class carries
 background only. Prompt token embeddings are a convex mix of the class
 prototype and per-token noise, so text guidance genuinely correlates
 with the planted signal without solving the task outright.
+
+On disk a dataset is a manifest (the generator spec and one record per
+slide: id, label, bag file), a prompt file and one bag file per slide
+(`hierpool.save_bag`). `load_dataset` reads the manifest and the prompt
+file; a bag file is read, validated and checked against its record the
+first time a command selects its slide, and at most once. So `train`
+reads only its training and validation slides, `eval` and `localize`
+only the checkpoint's split, and a bad bag file of a slide that a
+command does not use is not reported by it.
 """
 
 from __future__ import annotations
@@ -62,29 +71,66 @@ class GeneratorSpec:
             raise ConfigError("count ranges must satisfy min <= max")
         if self.seed < 0:
             raise ConfigError(f"generator.seed must be >= 0, got {self.seed}")
+        for name, least in (("dim", 2), ("slides_per_class", 1), ("region_tokens", 1),
+                            ("slide_tokens", 1), ("test_per_class", 0), ("val_per_class", 0)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"generator.{name} must be >= {least}, got {getattr(self, name)}")
+        held_out = self.test_per_class + self.val_per_class
+        if self.slides_per_class <= held_out:
+            raise ConfigError(f"generator.slides_per_class must exceed test_per_class + "
+                              f"val_per_class = {held_out}, got {self.slides_per_class}")
+
+
+@dataclass(frozen=True)
+class SlideFile:
+    """A manifest's record of a slide whose bag file has not been read yet."""
+
+    slide_id: str
+    label: int
+    path: Path
+    at: str  # the record's field in the manifest, such as `slides[3]`
+
+    def load(self) -> SlideBag:
+        """The bag file, once it is found to hold this record's slide and label."""
+        bag = load_bag(self.path)
+        if (bag.slide_id, bag.label) != (self.slide_id, self.label):
+            raise DataError(f"manifest {self.at} lists slide {self.slide_id} with label "
+                            f"{self.label}, but {self.path} holds slide {bag.slide_id} "
+                            f"with label {bag.label}")
+        return bag
 
 
 @dataclass
 class Dataset:
     """A generated or loaded dataset; only a generated one knows its
-    prototypes (n_classes, dim; the normal class carries the background)."""
+    prototypes (n_classes, dim; the normal class carries the background).
+    `slides` maps each slide id to its bag, or, in a loaded dataset, to
+    the `SlideFile` that `select` reads the first time it is asked for
+    that slide."""
 
     spec: GeneratorSpec
-    bags: list[SlideBag]
+    slides: dict[str, SlideBag | SlideFile]
     prompts: PromptSet
     prototypes: np.ndarray | None = None
     background: np.ndarray | None = None
 
+    @property
+    def bags(self) -> list[SlideBag]:
+        """Every slide's bag, reading those not read yet."""
+        return self.select(list(self.slides))
+
     def labels(self) -> dict[str, int]:
-        return {b.slide_id: b.label for b in self.bags}
+        return {sid: s.label for sid, s in self.slides.items()}
 
     def select(self, ids: list[str]) -> list[SlideBag]:
         """The bags named by `ids`, in that order."""
-        by_id = {b.slide_id: b for b in self.bags}
-        missing = [i for i in ids if i not in by_id]
+        missing = [i for i in ids if i not in self.slides]
         if missing:
             raise DataError(f"dataset has no slide {missing[0]}")
-        return [by_id[i] for i in ids]
+        for i in ids:
+            if isinstance(self.slides[i], SlideFile):
+                self.slides[i] = self.slides[i].load()
+        return [self.slides[i] for i in ids]
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -169,8 +215,8 @@ def build_dataset(spec: GeneratorSpec) -> Dataset:
         tumor_class = 1 - spec.normal_class
     prompts = PromptSet(classes=classes, tumor_class=tumor_class)
 
-    return Dataset(spec=spec, bags=[validate_bag(b) for b in bags], prompts=prompts,
-                   prototypes=protos, background=background)
+    return Dataset(spec=spec, slides={b.slide_id: validate_bag(b) for b in bags},
+                   prompts=prompts, prototypes=protos, background=background)
 
 
 # ---------------------------------------------------------------------------
@@ -195,25 +241,24 @@ def write_dataset(ds: Dataset, out_dir: str | Path) -> Path:
 
 
 def load_dataset(path: str | Path) -> Dataset:
-    """The dataset under `path`; the manifest's `generator` section is
-    read as a config section is (`errors.read`), and each slide record
-    must agree with its bag file."""
+    """The dataset under `path`: its manifest, whose `generator` section is
+    read as a config section is (`errors.read`), and its prompt file. A
+    bag file is read only when `Dataset.select` first asks for its slide,
+    and must then agree with its manifest record."""
     root = Path(path)
     with json_input(root / "manifest.json", "manifest") as manifest:
         manifest = read(manifest, dict, "the manifest")
         spec = get(manifest, "generator", GeneratorSpec)
         prompts = load_prompts(root / get(manifest, "prompts_file", str))
-        bags = []
+        slides = {}
         for i, s in enumerate(get(manifest, "slides", list)):
             at = f"slides[{i}]"
-            sid, label = get(read(s, dict, at), "id", ID, at), get(s, "label", int, at)
-            name = get(s, "file", str, at)
-            bag = load_bag(root / name)
-            if (bag.slide_id, bag.label) != (sid, label):
-                raise ValueError(f"{at} lists slide {sid} with label {label}, but {name} "
-                                 f"holds slide {bag.slide_id} with label {bag.label}")
-            bags.append(bag)
-    return Dataset(spec=spec, bags=bags, prompts=prompts)
+            sid = get(read(s, dict, at), "id", ID, at)
+            if sid in slides:
+                raise ValueError(f"{at}.id repeats slide {sid}")
+            slides[sid] = SlideFile(sid, get(s, "label", int, at), root / get(s, "file", str, at),
+                                    at)
+    return Dataset(spec=spec, slides=slides, prompts=prompts)
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,29 @@
-"""Exception types, and the one strict JSON reader and writer.
+"""Exception types, the one strict JSON reader and writer, and the one
+array codec.
 
 The CLI maps these onto its exit-code contract: config errors exit 2,
 data errors exit 3, numeric failures exit 4. Every JSON artifact is
-written through `strict_dumps`, and `hierpool.save_bag` checks the
-embeddings it stores as binary blocks itself, so a non-finite value is a
-numeric failure rather than a `NaN` in a file.
+written through `strict_dumps`, which stores each float64 array of its
+payload as one block, `{"dtype": "<f8", "shape": [...], "base64": ...}`:
+the raw little-endian bytes, bit-exact and read back without parsing a
+number per value (`Rows.encode`). Base64 hides the values from JSON's
+own NaN check, so the encoder checks them: a non-finite value anywhere
+in a payload is a numeric failure naming the file, and nothing is
+written.
 
 Every input file is opened by `json_input` and each of its values read
 by `read`, `get` or `column`, which check a value against a kind and
 never convert it. A bad value raises a ValueError naming its field path
-(such as `regions[3].instances[1].coord`, `ssf[2].gamma`, `train.seed`),
-which `json_input` turns into a ConfigError or DataError naming the
-file. Kinds: `int` (a JSON integer, not a bool), `float` (a finite
-number), `str`, `bool`, `dict`, `list`, `object` (anything), `T | None`;
-`ID`, a string or an integer read as its decimal string; `(float,
-*shape)` and `(int, *shape)`, nested arrays of such numbers (None
-matches any length) read into a new float64 or int64 array; `Rows(n)`,
-a bag region's n instance rows as one base64 block; and a dataclass, an
-object of its fields, each read by its annotation.
+(such as `regions[3].instances[1].coord`, `ssf[2].gamma.shape`,
+`train.seed`), which `json_input` turns into a ConfigError or DataError
+naming the file. Kinds: `int` (a JSON integer, not a bool), `float` (a
+finite number), `str`, `bool`, `dict`, `list`, `object` (anything),
+`T | None`; `ID`, a string or an integer read as its decimal string;
+`(float, *shape)` and `(int, *shape)`, arrays of such numbers (None
+matches any length) read into a new float64 or int64 array, from nested
+number lists or, for float arrays, from a block; `Rows(n)`, a bag
+region's n instance rows of any width, as a block only; and a
+dataclass, an object of its fields, each read by its annotation.
 """
 
 import base64
@@ -25,6 +31,7 @@ import contextlib
 import dataclasses
 import functools
 import json
+import math
 import types
 import typing
 from itertools import chain
@@ -32,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-ROW_DTYPE = "<f8"  # bag-file embedding rows: little-endian float64
+ROW_DTYPE = "<f8"  # a block's values: little-endian float64
 
 
 class ConfigError(Exception):
@@ -63,24 +70,30 @@ def json_input(path, what: str, error: type = DataError):
 
 
 def strict_dumps(payload, path, **kw) -> str:
-    """`payload` as strict JSON text for the file `path`; a NaN or infinity
-    raises a NumericError naming the file, before anything is written."""
+    """`payload` as strict JSON text for the file `path`, each numpy array
+    in it as a block (`Rows.encode`); a NaN or infinity raises a
+    NumericError naming the file, before anything is written."""
     try:
-        return json.dumps(payload, sort_keys=True, allow_nan=False, **kw)
+        return json.dumps(payload, sort_keys=True, allow_nan=False, default=Rows.encode, **kw)
     except ValueError as exc:
         raise NumericError(f"refusing to write {path}: {exc}") from exc
 
 
 @dataclasses.dataclass(frozen=True)
 class Rows:
-    """Kind of a bag region's `n` instance rows as one block, `{"dtype":
-    "<f8", "shape": [n, width], "base64": ...}`: the raw little-endian
-    float64 rows, as `encode` writes them."""
+    """Kind of a bag region's `n` instance rows, of any width, as one
+    block; `encode` writes any float array as the block that `Rows` and
+    the float array kinds read."""
 
     n: int
 
     @staticmethod
-    def encode(x: np.ndarray) -> dict:
+    def encode(x) -> dict:
+        """The block of a float array; a ValueError if a value is not finite."""
+        if not isinstance(x, np.ndarray) or x.dtype.kind != "f":
+            raise TypeError(f"cannot store {type(x).__name__} {getattr(x, 'dtype', '')} in JSON")
+        if not np.isfinite(x).all():
+            raise ValueError(f"non-finite value in a {x.shape} array")
         data = np.ascontiguousarray(x, dtype=ROW_DTYPE).tobytes()
         return {"dtype": ROW_DTYPE, "shape": list(x.shape), "base64": base64.b64encode(data).decode()}
 
@@ -106,7 +119,7 @@ def read(value, kind, field: str):
     if isinstance(kind, tuple):
         return _array(value, kind[0], kind[1:], field)
     if isinstance(kind, Rows):
-        return _rows(value, kind.n, field)
+        return _block(read(value, dict, field), (kind.n, None), field, f"{kind.n} instance rows")
     if isinstance(kind, types.UnionType):  # T | None
         return None if value is None else read(value, typing.get_args(kind)[0], field)
     if dataclasses.is_dataclass(kind):
@@ -155,6 +168,8 @@ def _got(value) -> str:
 
 
 def _array(value, dtype: type, shape: tuple, field: str) -> np.ndarray:
+    if type(value) is dict and dtype is float:
+        return _block(value, shape, field, f"an array of shape {_shape_text(shape)}")
     level, dims = [value], []
     for n in shape:  # the arrays at each depth share one length: `n` unless None
         lengths = set(map(len, level)) if set(map(type, level)) == {list} else set()
@@ -169,26 +184,33 @@ def _array(value, dtype: type, shape: tuple, field: str) -> np.ndarray:
                 if dtype is float and not np.isfinite(arr).all():
                     raise ValueError(f"non-finite value in {field}")
                 return arr.reshape(dims)
-    raise ValueError(f"{field} must be an array of shape {str(shape).replace('None', 'n')} "
+    raise ValueError(f"{field} must be an array of shape {_shape_text(shape)} "
                      f"of {'finite numbers' if dtype is float else 'integers'}, {_got(value)}")
 
 
-def _rows(value, n: int, field: str) -> np.ndarray:
-    value = read(value, dict, field)
+def _shape_text(shape: tuple) -> str:
+    return str(shape).replace("None", "n")
+
+
+def _block(value: dict, shape: tuple, field: str, what: str) -> np.ndarray:
     dtype = get(value, "dtype", str, field)
     if dtype != ROW_DTYPE:
         raise ValueError(f"{field}.dtype {dtype!r} is not {ROW_DTYPE!r}")
-    shape = get(value, "shape", list, field)
-    if list(map(type, shape)) != [int, int] or shape[0] != n:
-        raise ValueError(f"{field}.shape {shape} does not hold {n} instance rows")
+    dims = get(value, "shape", list, field)
+    if (list(map(type, dims)) != [int] * len(shape) or min(dims, default=0) < 0
+            or any(n not in (None, d) for n, d in zip(shape, dims))):
+        raise ValueError(f"{field}.shape {dims} does not hold {what}")
     text = get(value, "base64", str, field)
     try:
         data = base64.b64decode(text, validate=True)
     except ValueError as exc:  # binascii.Error
         raise ValueError(f"{field}.base64 is not base64: {exc}") from exc
-    if len(data) != n * shape[1] * 8:
-        raise ValueError(f"{field} holds {len(data)} bytes, not {n} x {shape[1]} x 8")
-    return np.frombuffer(data, dtype=ROW_DTYPE).reshape(shape).astype(np.float64)
+    if len(data) != 8 * math.prod(dims):
+        raise ValueError(f"{field} holds {len(data)} bytes, not {' x '.join(map(str, dims))} x 8")
+    arr = np.frombuffer(data, dtype=ROW_DTYPE).reshape(dims).astype(np.float64)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"non-finite value in {field}")
+    return arr
 
 
 def _record(value, cls: type, field: str):

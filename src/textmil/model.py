@@ -3,13 +3,22 @@
 The trainable state is exactly the adapter vectors of the model's sites
 (which sit on the trailing blocks only) plus the two attention-pooling
 parameter sets: one ordered map of named arrays (`TrainableLayout`),
-flattened into one vector in that order. Checkpoints are plain JSON and
-normally reference the backbone by seed; they list an identity record
-for every block without an adapter, which loading drops again. A merged
-checkpoint stores the folded backbone weights explicitly.
-`load_checkpoint` reads every field, its config section included,
-through `errors.read` and names a bad one (such as `ssf[2].gamma`); it
-keeps only the checks against the config and between records.
+flattened into one vector in that order.
+
+Checkpoints are JSON in format 2: every array (adapter vectors,
+attention weights, prompt tokens and a merged backbone) is one base64
+block (`errors.Rows.encode`), bit-exact and about half the size of
+decimal text. A checkpoint normally references the backbone by seed and
+lists one record per adapter site; a merged one stores the folded
+backbone weights explicitly and has no adapter records.
+`load_checkpoint` also reads format 1, which stores arrays as number
+lists and lists a frozen identity record for every block without an
+adapter (dropped on loading), so a round trip through it re-saves a
+format-1 file as format 2 with every array bit for bit the same. It
+reads every field, its config section and training history included,
+through `errors.read` and names a bad one (such as `ssf[2].gamma` or
+`history[0].epoch`); it keeps only the checks against the config and
+between records.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from . import tape as tp
 from .config import EncoderConfig, RunConfig, config_from_dict
 from .errors import ConfigError, DataError, get, json_input, read, strict_dumps
 from .hierpool import AttentionParams, BagBatch, BagScores, SlideBag, init_attention, wsi_encode
-from .ssf import SITE_KINDS, SsfParams, SsfSite, build_sites, identity_params
+from .ssf import SITE_KINDS, SsfParams, SsfSite, build_sites
 from .textenc import (EncoderBlock, PromptSet, TextEncoderStack, build_prompt, build_stack,
                       encode, encode_prefix, merge_reparam, prompts_from_dict,
                       prompts_to_dict, refinement_embedding)
@@ -193,37 +202,25 @@ class TrainableLayout:
 # checkpoints
 
 
-def _adapter_records(model: SlideClassifier) -> list[dict]:
-    """Format-1 adapter records by block then kind: every site of an
-    unmerged model's stack, those without an adapter as frozen identity
-    records, or a merged model's own sites (none after `merge_model`)."""
-    adapters = {(s.block, s.kind): s.params for s in model.sites}
-    keys = adapters if model.merged else [(b, k) for b in range(1, model.stack.n_blocks + 1)
-                                          for k in SITE_KINDS]
-    identity = identity_params(model.stack.dim)
-    return [{"block": b, "kind": k, "trainable": (b, k) in adapters,
-             "gamma": p.gamma.tolist(), "beta": p.beta.tolist()}
-            for b, k in keys for p in [adapters.get((b, k), identity)]]
+FORMAT = 2  # checkpoint format written; format 1 is still read (see the module docs)
 
 
 def save_checkpoint(model: SlideClassifier, path: str | Path, history: list | None = None,
                     split: dict | None = None) -> None:
     if model.merged or model.stack.seed is None:
         backbone = {"kind": "explicit",
-                    "blocks": [{"ln_gain": b.ln_gain.tolist(), "ln_bias": b.ln_bias.tolist(),
-                                "w1": b.w1.tolist(), "b1": b.b1.tolist(),
-                                "w2": b.w2.tolist(), "b2": b.b2.tolist()}
-                               for b in model.stack.blocks],
-                    "proj": model.stack.proj.tolist(), "dim": model.stack.dim}
+                    "blocks": [vars(b) for b in model.stack.blocks],
+                    "proj": model.stack.proj, "dim": model.stack.dim}
     else:
         backbone = {"kind": "seeded", "seed": model.stack.seed}
     payload = {
-        "format": 1,
+        "format": FORMAT,
         "merged": model.merged,
         "config": model.config.to_dict(),
         "backbone": backbone,
-        "ssf": _adapter_records(model),
-        "attention": {f: getattr(model.attention, f).tolist() for f in AttentionParams.FIELDS},
+        "ssf": [{"block": s.block, "kind": s.kind, "gamma": s.params.gamma,
+                 "beta": s.params.beta} for s in model.sites],
+        "attention": {f: getattr(model.attention, f) for f in AttentionParams.FIELDS},
         "prompts": prompts_to_dict(model.prompts),
         "history": history or [],
         "split": split,
@@ -233,7 +230,7 @@ def save_checkpoint(model: SlideClassifier, path: str | Path, history: list | No
 
 
 def _load_sites(records: list, n_blocks: int, dim: int) -> list[SsfSite]:
-    """The adapter sites of format-1 `records`, frozen identity records
+    """The adapter sites of `records`, frozen identity records (format 1)
     dropped; a bad record raises a ValueError that names its field."""
     sites, seen = [], set()
     for i, r in enumerate(records):
@@ -247,7 +244,7 @@ def _load_sites(records: list, n_blocks: int, dim: int) -> list[SsfSite]:
             raise ValueError(f"{at} repeats the {kind} site of block {block}")
         seen.add((block, kind))
         params = SsfParams(get(r, "gamma", (float, dim), at), get(r, "beta", (float, dim), at))
-        if get(r, "trainable", bool, at):
+        if read(r.get("trainable", True), bool, f"{at}.trainable"):
             sites.append(SsfSite(block, kind, params))
         elif (params.gamma != 1.0).any() or params.beta.any():
             raise ValueError(f"{at} is frozen but not an identity adapter")
@@ -277,10 +274,19 @@ def _load_backbone(bb: dict, enc: EncoderConfig) -> TextEncoderStack:
                             dim=d, seed=None)
 
 
+def _load_history(records: list) -> list[dict]:
+    """The epoch rows of a checkpoint's `history`, each read field by field."""
+    return [{"epoch": get(read(r, dict, at), "epoch", int, at),
+             "train_loss": get(r, "train_loss", float, at), "val_auc": get(r, "val_auc", float, at)}
+            for i, r in enumerate(records) for at in [f"history[{i}]"]]
+
+
 def load_checkpoint(path: str | Path):
     """Returns (model, history, split)."""
     with json_input(path, "checkpoint") as raw:
         raw = read(raw, dict, "the checkpoint")
+        if get(raw, "format", int) not in (1, FORMAT):
+            raise ValueError(f"format must be 1 or {FORMAT}, got {raw['format']}")
         config = config_from_dict(get(raw, "config", dict), "config")
         enc = config.encoder
         bb = get(raw, "backbone", dict)
@@ -305,6 +311,7 @@ def load_checkpoint(path: str | Path):
             raise ValueError(f"prompts.classes must hold at least 2 classes, "
                              f"got {prompts.n_classes}")
         merged = read(raw.get("merged", False), bool, "merged")
+        history = _load_history(read(raw.get("history", []), list, "history"))
         split = read(raw.get("split"), dict | None, "split")
         for name, ids in (split or {}).items():
             if name != "k":  # a split's slide ids
@@ -312,7 +319,7 @@ def load_checkpoint(path: str | Path):
                     read(sid, str, f"split.{name}[{j}]")
     model = SlideClassifier(stack=stack, sites=sites, attention=attention,
                             prompts=prompts, config=config, merged=merged)
-    return model, raw.get("history", []), split
+    return model, history, split
 
 
 def merge_model(model: SlideClassifier) -> SlideClassifier:

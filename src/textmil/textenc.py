@@ -8,9 +8,12 @@ the first adapter map a prompt to fixed activations that the model
 computes once (`encode_prefix`) and `encode` continues from. Class
 prompts come as precomputed token embeddings (region-level tokens
 followed by slide-level tokens) — there is no tokenizer here. A prompt
-file or a checkpoint's prompts are read field by field through
-`errors.read`: class i carries the JSON integer id i, a string name and
-finite token matrices, and `tumor_class` is an integer or null.
+file or a checkpoint's prompts are written with each token matrix as
+one base64 block (`errors.Rows.encode`), and read field by field
+through `errors.read`: class i carries the JSON integer id i, a string
+name and finite token matrices, each a block or nested number lists (the
+form of older files, and the easy one to write by hand), and
+`tumor_class` is an integer or null.
 
 The class embeddings become the rows of the class matrix that the
 batched head compares every slide of a batch against
@@ -121,12 +124,12 @@ def build_prompt(prompt: ClassPrompt) -> np.ndarray:
 
 
 def prompts_to_dict(prompts: PromptSet) -> dict:
-    """The JSON form of a prompt set, shared by the prompt file and checkpoints."""
+    """The JSON form of a prompt set, shared by the prompt file and
+    checkpoints; `strict_dumps` writes each token matrix as a block."""
     return {
         "tumor_class": prompts.tumor_class,
         "classes": [{"id": c.class_id, "name": c.name,
-                     "region_tokens": c.region_tokens.tolist(),
-                     "slide_tokens": c.slide_tokens.tolist()}
+                     "region_tokens": c.region_tokens, "slide_tokens": c.slide_tokens}
                     for c in prompts.classes],
     }
 

@@ -47,16 +47,27 @@ def read_json(path):
     return json.loads(Path(path).read_text())
 
 
+def decode(block):
+    """The array of a base64 block, as a writable copy."""
+    data = base64.b64decode(block["base64"])
+    return np.frombuffer(data, dtype=block["dtype"]).reshape(block["shape"]).copy()
+
+
+def encode(array):
+    """The base64 block of `array`, written by hand: it may hold any value."""
+    array = np.ascontiguousarray(array, dtype="<f8")
+    return {"dtype": "<f8", "shape": list(array.shape),
+            "base64": base64.b64encode(array.tobytes()).decode()}
+
+
 def edit_bag_rows(path, edit):
     """Rewrite a bag file by hand (bypassing save_bag's checks) after
     `edit(region_index, rows)` changed each region's embedding rows in place."""
     raw = read_json(path)
     for m, region in enumerate(raw["regions"]):
-        block = region["embeddings"]
-        rows = np.frombuffer(base64.b64decode(block["base64"]), dtype=block["dtype"])
-        rows = rows.reshape(block["shape"]).copy()
+        rows = decode(region["embeddings"])
         edit(m, rows)
-        block["base64"] = base64.b64encode(rows.astype(block["dtype"]).tobytes()).decode()
+        region["embeddings"] = encode(rows)
     Path(path).write_text(json.dumps(raw))
     return raw
 
@@ -157,13 +168,13 @@ def test_eval_rejects_non_finite_bag(tmp_path, config_path, dataset_dir, capsys)
         if m == last:
             rows[0, 0] = float("nan")
 
-    raw = edit_bag_rows(bag_path, poison)
+    edit_bag_rows(bag_path, poison)
     ev = tmp_path / "eval"
     assert main(["eval", "--data", str(dataset_dir), "--checkpoint", str(run / "checkpoint.json"),
                  "--split", "test", "--out", str(ev)]) == 3
     assert not (ev / "metrics.json").exists()
     err = capsys.readouterr().err
-    assert f"slide {slide_id} region {raw['regions'][-1]['id']}" in err
+    assert f"bag file {bag_path}: non-finite value in regions[{last}].embeddings" in err
 
 
 @pytest.fixture()
@@ -265,7 +276,9 @@ def test_eval_rejects_dataset_of_other_dim(tmp_path, config_path, checkpoint, ca
 
 def test_eval_rejects_non_finite_checkpoint(tmp_path, dataset_dir, checkpoint, capsys):
     raw = read_json(checkpoint)
-    raw["attention"]["w"][0] = float("nan")
+    w = decode(raw["attention"]["w"])
+    w[0] = float("nan")
+    raw["attention"]["w"] = encode(w)
     checkpoint.write_text(json.dumps(raw))
     out = tmp_path / "out"
     assert main(["eval", "--data", str(dataset_dir), "--checkpoint", str(checkpoint),
@@ -325,6 +338,20 @@ def _set(path, value):
     return edit
 
 
+def _set_array(path, value):
+    """An edit that replaces the block at `path` by the block of
+    `value(old array)`."""
+    return _set(path, lambda block: encode(value(decode(block))))
+
+
+def _nan_at(index):
+    """An array edit that puts a NaN at `index`."""
+    def edit(a):
+        a[index] = np.nan
+        return a
+    return edit
+
+
 def _drop(path):
     """An edit that deletes the value at `path` and returns the edited object."""
     def edit(raw):
@@ -334,17 +361,36 @@ def _drop(path):
     return edit
 
 
-# FAST_CONFIG: 3 blocks (records 0-1 are block 1's frozen identity
-# records, 2-5 the adapters of blocks 2 and 3), attn_hidden 4, dim 16
+# FAST_CONFIG: 3 blocks (records 0-1 are the adapters of block 2, 2-3
+# those of block 3), attn_hidden 4, dim 16
 CHECKPOINT_DEFECTS = {
-    "block-0": (_set(["ssf", 5, "block"], lambda v: 0), "ssf[5].block"),
-    "block-99": (_set(["ssf", 5, "block"], lambda v: 99), "ssf[5].block"),
-    "unknown-kind": (_set(["ssf", 5, "kind"], lambda v: "post_attention"), "ssf[5].kind"),
-    "duplicate-site": (lambda raw: raw["ssf"].append(dict(raw["ssf"][3])), "ssf[6]"),
-    "gamma-length-5": (_set(["ssf", 5, "gamma"], lambda v: v[:5]), "ssf[5].gamma"),
-    "gamma-2d": (_set(["ssf", 5, "gamma"], lambda v: [v]), "ssf[5].gamma"),
-    "frozen-not-identity": (_set(["ssf", 0, "beta"], lambda v: [0.5] + v[1:]), "ssf[0]"),
-    "attention-w-length-3": (_set(["attention", "w"], lambda v: v[:3]), "attention.w"),
+    "block-0": (_set(["ssf", 3, "block"], lambda v: 0), "ssf[3].block"),
+    "block-99": (_set(["ssf", 3, "block"], lambda v: 99), "ssf[3].block"),
+    "unknown-kind": (_set(["ssf", 3, "kind"], lambda v: "post_attention"), "ssf[3].kind"),
+    "duplicate-site": (lambda raw: raw["ssf"].append(dict(raw["ssf"][1])), "ssf[4]"),
+    "gamma-length-5": (_set_array(["ssf", 3, "gamma"], lambda a: a[:5]), "ssf[3].gamma"),
+    "gamma-2d": (_set_array(["ssf", 3, "gamma"], lambda a: a[None]), "ssf[3].gamma"),
+    "gamma-list-length-5": (_set(["ssf", 3, "gamma"], lambda v: decode(v)[:5].tolist()),
+                            "ssf[3].gamma"),
+    "gamma-dtype-f4": (_set(["ssf", 3, "gamma", "dtype"], lambda v: "<f4"), "ssf[3].gamma.dtype"),
+    "gamma-shape-8": (_set(["ssf", 3, "gamma", "shape"], lambda v: [8]), "ssf[3].gamma.shape"),
+    "gamma-shape-float": (_set(["ssf", 3, "gamma", "shape"], lambda v: [16.0]),
+                          "ssf[3].gamma.shape"),
+    "beta-base64-cut": (_set(["ssf", 2, "beta", "base64"], lambda v: v[:-4]), "ssf[2].beta"),
+    "beta-base64-garbled": (_set(["ssf", 2, "beta", "base64"], lambda v: "!" + v[1:]),
+                            "ssf[2].beta.base64"),
+    "beta-base64-missing": (_drop(["ssf", 2, "beta", "base64"]), "ssf[2].beta.base64"),
+    "beta-nan": (_set_array(["ssf", 2, "beta"], _nan_at(3)), "non-finite value in ssf[2].beta"),
+    "frozen-not-identity": (_set(["ssf", 0], lambda v: dict(v, trainable=False)), "ssf[0]"),
+    "attention-w-length-3": (_set_array(["attention", "w"], lambda a: a[:3]), "attention.w"),
+    "attention-u1-nan": (_set_array(["attention", "u1"], _nan_at((1, 2))),
+                         "non-finite value in attention.u1"),
+    "region-tokens-ragged": (_set(["prompts", "classes", 0, "region_tokens"],
+                                  lambda v: [decode(v)[0].tolist(), decode(v)[1, :-1].tolist()]),
+                             "prompts.classes[0].region_tokens"),
+    "slide-tokens-inf": (_set_array(["prompts", "classes", 1, "slide_tokens"],
+                                    lambda a: a * np.inf),
+                         "non-finite value in prompts.classes[1].slide_tokens"),
     "one-class": (_set(["prompts", "classes"], lambda v: v[:1]),
                   "prompts.classes must hold at least 2 classes"),
     "class-id-1-first": (_set(["prompts", "classes", 0, "id"], lambda v: 1),
@@ -352,6 +398,13 @@ CHECKPOINT_DEFECTS = {
     "split-not-a-list": (_set(["split", "test"], lambda v: 5), "split.test"),
     "split-id-not-a-string": (_set(["split", "test"], lambda v: [[1]] + v[1:]), "split.test[0]"),
     "config-seed-half": (_set(["config", "train", "seed"], lambda v: 1.5), "config.train.seed"),
+    "format-3": (_set(["format"], lambda v: 3), "format must be 1 or 2"),
+    "format-missing": (_drop(["format"]), "format is missing"),
+    "history-int": (_set(["history"], lambda v: 5), "history must be a JSON array"),
+    "history-epoch-string": (_set(["history", 0, "epoch"], lambda v: "1"), "history[0].epoch"),
+    "history-loss-missing": (_drop(["history", 1, "train_loss"]), "history[1].train_loss"),
+    "history-auc-nan": (_set(["history", 0, "val_auc"], lambda v: float("nan")),
+                        "history[0].val_auc"),
 }
 
 
@@ -369,20 +422,31 @@ def test_eval_rejects_malformed_adapter_or_attention_record(tmp_path, trained_ru
 
 # FAST_CONFIG's merged backbone: 3 blocks, dim 16, mlp_hidden 8
 MERGED_DEFECTS = {
-    "w1-3-rows": (_set(["backbone", "blocks", 0, "w1"], lambda v: v[:3]), "backbone.blocks[0].w1"),
-    "w2-transposed": (_set(["backbone", "blocks", 1, "w2"], lambda v: np.transpose(v).tolist()),
+    "w1-3-rows": (_set_array(["backbone", "blocks", 0, "w1"], lambda a: a[:3]),
+                  "backbone.blocks[0].w1"),
+    "w2-transposed": (_set_array(["backbone", "blocks", 1, "w2"], lambda a: a.T),
                       "backbone.blocks[1].w2"),
-    "b1-length-16": (_set(["backbone", "blocks", 2, "b1"], lambda v: v + v),
+    "b1-length-16": (_set_array(["backbone", "blocks", 2, "b1"], lambda a: np.r_[a, a]),
                      "backbone.blocks[2].b1"),
-    "b2-length-8": (_set(["backbone", "blocks", 0, "b2"], lambda v: v[:8]),
+    "b2-length-8": (_set_array(["backbone", "blocks", 0, "b2"], lambda a: a[:8]),
                     "backbone.blocks[0].b2"),
-    "ln-gain-2d": (_set(["backbone", "blocks", 1, "ln_gain"], lambda v: [v]),
+    "ln-gain-2d": (_set_array(["backbone", "blocks", 1, "ln_gain"], lambda a: a[None]),
                    "backbone.blocks[1].ln_gain"),
-    "ln-bias-length-15": (_set(["backbone", "blocks", 2, "ln_bias"], lambda v: v[:-1]),
+    "ln-bias-length-15": (_set_array(["backbone", "blocks", 2, "ln_bias"], lambda a: a[:-1]),
                           "backbone.blocks[2].ln_bias"),
+    "w1-nan": (_set_array(["backbone", "blocks", 0, "w1"], _nan_at((2, 5))),
+               "non-finite value in backbone.blocks[0].w1"),
+    "w1-list-ragged": (_set(["backbone", "blocks", 0, "w1"],
+                            lambda v: [row[:-1] if r == 0 else row
+                                       for r, row in enumerate(decode(v).tolist())]),
+                       "backbone.blocks[0].w1"),
+    "proj-dtype-big-endian": (_set(["backbone", "proj", "dtype"], lambda v: ">f8"),
+                              "backbone.proj.dtype"),
+    "proj-base64-cut": (_set(["backbone", "proj", "base64"], lambda v: v[:-1]),
+                        "backbone.proj.base64"),
     "unknown-weight": (_set(["backbone", "blocks", 0], lambda v: dict(v, w3=v["w1"])),
                        "backbone.blocks[0]"),
-    "proj-10-rows": (_set(["backbone", "proj"], lambda v: v[:10]), "backbone.proj"),
+    "proj-10-rows": (_set_array(["backbone", "proj"], lambda a: a[:10]), "backbone.proj"),
     "two-blocks": (_set(["backbone", "blocks"], lambda v: v[:2]), "backbone.blocks"),
     "four-blocks": (_set(["backbone", "blocks"], lambda v: v + v[:1]), "backbone.blocks"),
     "no-blocks": (_set(["backbone", "blocks"], lambda v: []), "backbone.blocks"),
@@ -400,6 +464,46 @@ def test_eval_rejects_malformed_merged_backbone(tmp_path, trained_run, merged_ra
     assert code == 3
     assert not wrote
     assert field in err
+
+
+@pytest.mark.parametrize("history,field", [(5, "history must be a JSON array"),
+                                           ("epoch", "history[0].epoch")])
+def test_merge_rejects_malformed_history(tmp_path, trained_run, history, field, capsys):
+    raw = json.loads(json.dumps(trained_run[1]))
+    if history == "epoch":
+        raw["history"][0]["epoch"] = "1"
+    else:
+        raw["history"] = history
+    (tmp_path / "checkpoint.json").write_text(json.dumps(raw))
+    out = tmp_path / "merged"
+    assert main(["merge", "--checkpoint", str(tmp_path / "checkpoint.json"),
+                 "--out", str(out)]) == 3
+    assert not out.exists()
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("inside", [False, True])
+def test_eval_reads_only_the_bags_of_its_split(tmp_path, trained_run, inside):
+    """A bag file that `eval` does not use is not read: corrupting one
+    outside the checkpoint's test split leaves metrics.json unchanged,
+    and the same corruption inside the split exits 3."""
+    data, raw = trained_run
+    (tmp_path / "checkpoint.json").write_text(json.dumps(raw))
+    argv = ["eval", "--checkpoint", str(tmp_path / "checkpoint.json")]
+    assert main(argv + ["--data", str(data), "--out", str(tmp_path / "clean")]) == 0
+    data = Path(shutil.copytree(data, tmp_path / "data"))
+    test = set(raw["split"]["test"])
+    slides = read_json(data / "manifest.json")["slides"]
+    name = next(s["file"] for s in slides if (s["id"] in test) == inside)
+    (data / name).write_text("{not json")
+    out = tmp_path / "out"
+    code = main(argv + ["--data", str(data), "--out", str(out)])
+    if inside:
+        assert code == 3 and not (out / "metrics.json").exists()
+    else:
+        assert code == 0
+        assert (out / "metrics.json").read_bytes() == \
+            (tmp_path / "clean" / "metrics.json").read_bytes()
 
 
 def test_eval_rejects_label_outside_the_model_classes(tmp_path, trained_run):
@@ -427,8 +531,9 @@ def _one_mask(raw):
     return raw
 
 
-# edits of the first label-0 slide with at least 3 regions, of the
-# prompt file or of the manifest; each must exit 3 naming its file and
+# edits of the first label-0 training or validation slide with at least
+# 3 regions (`train` reads no other bag file), of the prompt file or of
+# the manifest; each must exit 3 naming its file and
 # field, as no loader casts a value (a label or mask of 0.5 is not 0, a
 # coord [0, 1.7] not [0, 1], an id [1] not "[1]") and classes pair with
 # labels by position
@@ -468,8 +573,12 @@ INPUT_DEFECTS = {
     "class-name-list": ("prompts", _set(["classes", 0, "name"], lambda v: [1]),
                         "prompts.classes[0].name"),
     "region-tokens-ragged": ("prompts", _set(["classes", 0, "region_tokens"],
-                                             lambda v: [v[0], v[1][:-1]] + v[2:]),
+                                             lambda v: [decode(v)[0].tolist(),
+                                                        decode(v)[1, :-1].tolist()]),
                              "prompts.classes[0].region_tokens"),
+    "slide-tokens-dtype": ("prompts", _set(["classes", 1, "slide_tokens", "dtype"],
+                                           lambda v: "<f4"),
+                           "prompts.classes[1].slide_tokens.dtype"),
 }
 
 
@@ -479,8 +588,9 @@ def test_train_rejects_malformed_bag_or_prompt_file(tmp_path, trained_run, defec
     data = Path(shutil.copytree(trained_run[0], tmp_path / "data"))
     manifest = read_json(data / "manifest.json")
     if kind == "bag":
-        name = next(s["file"] for s in manifest["slides"]
-                    if s["label"] == 0 and len(read_json(data / s["file"])["regions"]) >= 3)
+        used = set(trained_run[1]["split"]["train"] + trained_run[1]["split"]["val"])
+        name = next(s["file"] for s in manifest["slides"] if s["id"] in used and s["label"] == 0
+                    and len(read_json(data / s["file"])["regions"]) >= 3)
     else:
         name = manifest["prompts_file"] if kind == "prompts" else "manifest.json"
     (data / name).write_text(json.dumps(edit(read_json(data / name))))
@@ -514,6 +624,17 @@ FIELD_DEFECTS = {
     "manifest-seed-half": ("train", "manifest", ["generator", "seed"], 0.5),
     "manifest-unknown-key": ("train", "manifest", ["generator", "bogus"], 1),
     "manifest-normal-class-string": ("train", "manifest", ["generator", "normal_class"], "0"),
+    "dim-one": ("generate", "config", ["generator", "dim"], 1),
+    "slides-per-class-zero": ("generate", "config", ["generator", "slides_per_class"], 0),
+    "region-tokens-zero": ("generate", "config", ["generator", "region_tokens"], 0),
+    "slide-tokens-zero": ("generate", "config", ["generator", "slide_tokens"], 0),
+    "test-per-class-negative": ("generate", "config", ["generator", "test_per_class"], -1),
+    "val-per-class-negative": ("generate", "config", ["generator", "val_per_class"], -1),
+    # FAST_CONFIG holds out 3 test and 3 validation slides per class
+    "slides-per-class-all-held-out": ("generate", "config", ["generator", "slides_per_class"], 6),
+    "manifest-slides-per-class-zero": ("train", "manifest", ["generator", "slides_per_class"], 0),
+    "manifest-region-tokens-zero": ("train", "manifest", ["generator", "region_tokens"], 0),
+    "manifest-dim-one": ("train", "manifest", ["generator", "dim"], 1),
 }
 
 
@@ -539,25 +660,64 @@ def test_config_and_generator_fields_are_read_as_declared(tmp_path, trained_run,
     assert value is None or f"{kind}.json" in err.getvalue()
 
 
-ARRAY_FIELDS = ([("ssf", i, v) for i in range(6) for v in ("gamma", "beta")]
-                + [("attention", f) for f in AttentionParams.FIELDS])
-SCALAR_FIELDS = ([("ssf", i, k) for i in range(6) for k in ("block", "kind", "trainable")]
-                 + [("backbone", "seed")])
-TOP_LEVEL = [(k,) for k in ("config", "backbone", "ssf", "attention", "prompts", "split")]
+ARRAY_FIELDS = ([("ssf", i, v) for i in range(4) for v in ("gamma", "beta")]
+                + [("attention", f) for f in AttentionParams.FIELDS]
+                + [("prompts", "classes", c, t) for c in range(2)
+                   for t in ("region_tokens", "slide_tokens")])
+SCALAR_FIELDS = ([("ssf", i, k) for i in range(4) for k in ("block", "kind")]
+                 + [("backbone", "seed")]
+                 + [("history", 0, k) for k in ("epoch", "train_loss", "val_auc")])
+TOP_LEVEL = [(k,) for k in ("format", "config", "backbone", "ssf", "attention", "prompts",
+                            "split")]
 MERGED_ARRAY_FIELDS = ([("backbone", "blocks", i, k) for i in range(3)
                         for k in ("ln_gain", "ln_bias", "w1", "b1", "w2", "b2")]
                        + [("backbone", "proj")] + [("attention", f) for f in AttentionParams.FIELDS])
 MERGED_SCALAR_FIELDS = [("backbone", k) for k in ("kind", "dim", "blocks")]
 SWAPS = [None, "x", {}, [], True, 2.5]
+# edits of an array's block: a consistent block of the wrong shape, a
+# non-finite value, a bad dtype or shape entry, cut or garbled base64,
+# or a number list of the wrong shape
+BLOCK_OPS = ["truncate", "reshape", "non-finite", "dtype", "shape", "cut", "garble", "list"]
 CLI_FUZZ = settings(settings.get_profile("cli-fuzz"))
+
+
+def fuzz_block(data, block):
+    """An invalid replacement for `block`, drawn from BLOCK_OPS."""
+    op, value = data.draw(st.sampled_from(BLOCK_OPS), label="op"), decode(block)
+    if op == "truncate":
+        return encode(value[:-1] if value.ndim == 1 or data.draw(st.booleans(), label="rows")
+                      else value[:, :-1])
+    if op == "reshape":
+        return encode(value[None] if value.ndim == 1 else value.ravel())
+    if op == "non-finite":
+        flat = value.ravel()
+        flat[data.draw(st.integers(0, flat.size - 1), label="index")] = data.draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]), label="non-finite")
+        return encode(flat.reshape(value.shape))
+    if op == "dtype":
+        return dict(block, dtype=data.draw(st.sampled_from(["<f4", ">f8", "float64", 8, None]),
+                                           label="dtype"))
+    if op == "shape":
+        shape = block["shape"]
+        return dict(block, shape=data.draw(st.sampled_from(
+            [shape + [1], shape[:-1], [n + 1 for n in shape], [-n for n in shape],
+             [float(n) for n in shape], [str(n) for n in shape]]), label="shape"))
+    text = block["base64"]
+    if op == "cut":
+        return dict(block, base64=text[:-data.draw(st.integers(1, 12), label="chars")])
+    if op == "garble":
+        i = data.draw(st.integers(0, len(text) - 1), label="at")
+        return dict(block, base64=text[:i] + data.draw(st.sampled_from("!*- é"), label="char")
+                    + text[i + 1:])
+    return value[:-1].tolist()
 
 
 @CLI_FUZZ
 @given(data=st.data())
 def test_eval_rejects_fuzzed_checkpoint(trained_run, merged_raw, data):
-    """Random key deletions, type swaps, truncated or reshaped arrays and
-    non-finite values in the trained or the merged checkpoint: `eval`
-    exits 2, 3 or 4, writing nothing."""
+    """Random key deletions and type swaps, and random edits of an array's
+    base64 block (see BLOCK_OPS), in the trained or the merged checkpoint:
+    `eval` exits 2, 3 or 4, writing nothing."""
     dataset, raw = trained_run
     merged = data.draw(st.booleans(), label="merged")
     raw = json.loads(json.dumps(merged_raw if merged else raw))
@@ -565,26 +725,15 @@ def test_eval_rejects_fuzzed_checkpoint(trained_run, merged_raw, data):
     scalars = MERGED_SCALAR_FIELDS if merged else SCALAR_FIELDS
     path = data.draw(st.sampled_from(TOP_LEVEL + scalars + arrays), label="path")
     node, last = _at(raw, path)
-    reshaping = ["truncate", "reshape", "non-finite"] if path in arrays else []
-    op = data.draw(st.sampled_from(["delete", "swap"] + reshaping), label="op")
-    value = np.asarray(node[last]) if path in arrays else None
+    op = data.draw(st.sampled_from(["delete", "swap"] + (["block"] if path in arrays else [])),
+                   label="edit")
     if op == "delete":
         del node[last]
     elif op == "swap":
         node[last] = data.draw(st.sampled_from(
             [v for v in SWAPS if type(v) is not type(node[last])]), label="value")
-    elif op == "truncate":
-        if value.ndim == 2 and data.draw(st.booleans(), label="ragged"):
-            node[last] = [row[:-1] if r == 0 else row for r, row in enumerate(node[last])]
-        else:
-            node[last] = node[last][:-1]
-    elif op == "reshape":
-        node[last] = [node[last]] if value.ndim == 1 else value.ravel().tolist()
     else:
-        flat = value.ravel()
-        flat[data.draw(st.integers(0, flat.size - 1), label="index")] = data.draw(
-            st.sampled_from([np.nan, np.inf, -np.inf]), label="non-finite")
-        node[last] = flat.reshape(value.shape).tolist()
+        node[last] = fuzz_block(data, node[last])
     with tempfile.TemporaryDirectory() as root:
         code, err, wrote = eval_edited_checkpoint(dataset, raw, root)
     assert code in (2, 3, 4), err

@@ -32,6 +32,17 @@ def test_spec_validation():
         small_spec(normal_class=7)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("dim", 1), ("slides_per_class", 0), ("region_tokens", 0), ("slide_tokens", 0),
+    ("test_per_class", -1), ("val_per_class", -1), ("slides_per_class", 5)])
+def test_spec_rejects_counts_out_of_range(field, value):
+    # small_spec holds out 3 test and 2 validation slides per class
+    with pytest.raises(ConfigError, match=f"generator.{field} must"):
+        small_spec(**{field: value})
+    small_spec(slides_per_class=6)
+    small_spec(slides_per_class=1, test_per_class=0, val_per_class=0)
+
+
 def test_generated_structure_and_mask_density():
     spec = small_spec(tumor_region_fraction=0.5, tumor_instance_fraction=0.5)
     ds = build_dataset(spec)
@@ -124,7 +135,34 @@ def test_load_dataset_rejects_manifest_label_mismatch(tmp_path):
     entry = manifest["slides"][-1]
     entry["label"] = 1 - entry["label"]
     manifest_path.write_text(json.dumps(manifest))
+    loaded = load_dataset(tmp_path / "d")  # bag files are read when a slide is selected
     with pytest.raises(DataError, match=f"slide {entry['id']} with label {entry['label']}"):
+        loaded.select([entry["id"]])
+
+
+def test_load_dataset_reads_each_selected_bag_once(tmp_path, monkeypatch):
+    from textmil import data
+    ds = build_dataset(small_spec())
+    write_dataset(ds, tmp_path / "d")
+    read = []
+    monkeypatch.setattr(data, "load_bag", lambda path: read.append(path.stem) or
+                        ds.select([path.stem])[0])
+    loaded = load_dataset(tmp_path / "d")
+    assert read == [] and loaded.labels() == ds.labels()
+    ids = sorted(ds.labels())
+    assert loaded.select(ids[3:5]) == ds.select(ids[3:5])
+    assert loaded.select(ids[4:6]) == ds.select(ids[4:6])
+    assert read == ids[3:6]
+    assert [b.slide_id for b in loaded.bags] == list(ds.labels()) and sorted(read) == ids
+
+
+def test_load_dataset_rejects_a_repeated_slide_id(tmp_path):
+    write_dataset(build_dataset(small_spec()), tmp_path / "d")
+    manifest_path = tmp_path / "d" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["slides"].append(manifest["slides"][0])
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(DataError, match=rf"slides\[{len(manifest['slides']) - 1}\]\.id repeats"):
         load_dataset(tmp_path / "d")
 
 

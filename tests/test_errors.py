@@ -1,10 +1,13 @@
 import base64
+import json
 from dataclasses import dataclass
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from textmil.errors import ID, Rows, column, get, read
+from textmil.errors import ID, NumericError, Rows, column, get, read, strict_dumps
 
 FIELD = "regions[3].instances[1].coord"
 ROWS = np.arange(8.0).reshape(2, 4)
@@ -134,3 +137,30 @@ def test_column_names_an_item_that_is_no_object_and_an_empty_column():
         column([[], []], "coord", (int, 2), "regions[{}].instances")
     with pytest.raises(ValueError, match=r"regions\[\*\]\.instances must be an array"):
         column([[{"e": [1.0, 2.0]}], [{"e": [1.0]}]], "e", (float, None), "regions[{}].instances")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(x=hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5),
+                    elements=st.floats(allow_nan=False, allow_infinity=False)),
+       data=st.data())
+def test_block_round_trip_is_bitwise_for_any_shape(x, data):
+    for array in (x, x.T):  # C- and Fortran-ordered
+        block = json.loads(strict_dumps({"x": array}, "x.json"))["x"]
+        assert block == Rows.encode(array) and block["shape"] == list(array.shape)
+        shape = tuple(data.draw(st.sampled_from([n, None]), label="dim") for n in array.shape)
+        got = read(block, (float, *shape), "x")
+        assert got.dtype == np.float64 and got.shape == array.shape
+        assert got.tobytes() == np.ascontiguousarray(array).tobytes()
+        if array.ndim:
+            with pytest.raises(ValueError, match=r"^x\.shape .* does not hold an array of shape"):
+                read(block, (float, *(n + 1 for n in array.shape)), "x")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_strict_dumps_refuses_a_non_finite_block_value(bad):
+    x = np.zeros((2, 3))
+    x[1, 2] = bad
+    with pytest.raises(NumericError, match=r"^refusing to write out\.json: non-finite value"):
+        strict_dumps({"a": [1, {"x": x}]}, "out.json")
+    with pytest.raises(TypeError, match="int64"):
+        strict_dumps({"x": np.arange(3)}, "out.json")

@@ -370,9 +370,10 @@ def test_checkpoint_round_trip(tmp_path):
     model, train_bags, val_bags, test_bags = make_problem(cfg)
     fit(model, train_bags, val_bags)
     path = tmp_path / "ckpt.json"
-    save_checkpoint(model, path, history=[{"epoch": 1}], split={"train": [], "val": [], "test": []})
+    row = {"epoch": 1, "train_loss": 0.5, "val_auc": 0.75}
+    save_checkpoint(model, path, history=[row], split={"train": [], "val": [], "test": []})
     loaded, history, split = load_checkpoint(path)
-    assert history == [{"epoch": 1}]
+    assert history == [row]
     a = evaluate(model, test_bags)
     b = evaluate(loaded, test_bags)
     assert a.auc == b.auc
@@ -380,20 +381,17 @@ def test_checkpoint_round_trip(tmp_path):
         assert ra == rb
 
 
-def test_checkpoint_lists_identity_records_for_bare_blocks(tmp_path):
+def test_checkpoint_lists_only_adapted_sites(tmp_path):
     model, *_ = make_problem(small_config())  # 4 blocks, the last 2 adapted
     path = tmp_path / "ckpt.json"
-    save_checkpoint(model, path, history=[{"epoch": 1}], split={"train": ["a"]})
-    records = json.loads(path.read_text())["ssf"]
-    assert [(r["block"], r["kind"]) for r in records] == \
-        [(b, k) for b in range(1, 5) for k in SITE_KINDS]
-    for r in records:
-        assert r["trainable"] == (r["block"] > 2)
-        if not r["trainable"]:
-            assert r["gamma"] == [1.0] * 16 and r["beta"] == [0.0] * 16
-    loaded, history, split = load_checkpoint(path)  # identity records are dropped again
+    save_checkpoint(model, path, split={"train": ["a"]})
+    raw = json.loads(path.read_text())
+    assert raw["format"] == 2
+    assert [(r["block"], r["kind"]) for r in raw["ssf"]] == \
+        [(b, k) for b in (3, 4) for k in SITE_KINDS]
+    assert all(set(r) == {"block", "kind", "gamma", "beta"} for r in raw["ssf"])
+    loaded, history, split = load_checkpoint(path)
     assert [(s.block, s.kind) for s in loaded.sites] == [(s.block, s.kind) for s in model.sites]
-    assert len(loaded.sites) == 2 * 2
     again = tmp_path / "again.json"
     save_checkpoint(loaded, again, history=history, split=split)
     assert again.read_bytes() == path.read_bytes()
