@@ -22,8 +22,10 @@ finite number), `str`, `bool`, `dict`, `list`, `object` (anything),
 `(float, *shape)` and `(int, *shape)`, arrays of such numbers (None
 matches any length) read into a new float64 or int64 array, from nested
 number lists or, for float arrays, from a block; `Rows(n)`, a bag
-region's n instance rows of any width, as a block only; and a
-dataclass, an object of its fields, each read by its annotation.
+region's n instance rows of any width, as a block only and unchecked
+for finiteness (`hierpool.validate_bag` names the slide and region of a
+non-finite value); and a dataclass, an object of its fields, each read
+by its annotation.
 """
 
 import base64
@@ -169,7 +171,10 @@ def _got(value) -> str:
 
 def _array(value, dtype: type, shape: tuple, field: str) -> np.ndarray:
     if type(value) is dict and dtype is float:
-        return _block(value, shape, field, f"an array of shape {_shape_text(shape)}")
+        arr = _block(value, shape, field, f"an array of shape {_shape_text(shape)}")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"non-finite value in {field}")
+        return arr
     level, dims = [value], []
     for n in shape:  # the arrays at each depth share one length: `n` unless None
         lengths = set(map(len, level)) if set(map(type, level)) == {list} else set()
@@ -207,10 +212,7 @@ def _block(value: dict, shape: tuple, field: str, what: str) -> np.ndarray:
         raise ValueError(f"{field}.base64 is not base64: {exc}") from exc
     if len(data) != 8 * math.prod(dims):
         raise ValueError(f"{field} holds {len(data)} bytes, not {' x '.join(map(str, dims))} x 8")
-    arr = np.frombuffer(data, dtype=ROW_DTYPE).reshape(dims).astype(np.float64)
-    if not np.isfinite(arr).all():
-        raise ValueError(f"non-finite value in {field}")
-    return arr
+    return np.frombuffer(data, dtype=ROW_DTYPE).reshape(dims).astype(np.float64)
 
 
 def _record(value, cls: type, field: str):

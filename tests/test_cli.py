@@ -168,13 +168,13 @@ def test_eval_rejects_non_finite_bag(tmp_path, config_path, dataset_dir, capsys)
         if m == last:
             rows[0, 0] = float("nan")
 
-    edit_bag_rows(bag_path, poison)
+    raw = edit_bag_rows(bag_path, poison)
     ev = tmp_path / "eval"
     assert main(["eval", "--data", str(dataset_dir), "--checkpoint", str(run / "checkpoint.json"),
                  "--split", "test", "--out", str(ev)]) == 3
     assert not (ev / "metrics.json").exists()
     err = capsys.readouterr().err
-    assert f"bag file {bag_path}: non-finite value in regions[{last}].embeddings" in err
+    assert f"slide {slide_id} region {raw['regions'][-1]['id']}" in err
 
 
 @pytest.fixture()
@@ -676,7 +676,7 @@ MERGED_SCALAR_FIELDS = [("backbone", k) for k in ("kind", "dim", "blocks")]
 SWAPS = [None, "x", {}, [], True, 2.5]
 # edits of an array's block: a consistent block of the wrong shape, a
 # non-finite value, a bad dtype or shape entry, cut or garbled base64,
-# or a number list of the wrong shape
+# or a number list of the wrong shape; each makes the checkpoint invalid
 BLOCK_OPS = ["truncate", "reshape", "non-finite", "dtype", "shape", "cut", "garble", "list"]
 CLI_FUZZ = settings(settings.get_profile("cli-fuzz"))
 
@@ -684,9 +684,8 @@ CLI_FUZZ = settings(settings.get_profile("cli-fuzz"))
 def fuzz_block(data, block):
     """An invalid replacement for `block`, drawn from BLOCK_OPS."""
     op, value = data.draw(st.sampled_from(BLOCK_OPS), label="op"), decode(block)
-    if op == "truncate":
-        return encode(value[:-1] if value.ndim == 1 or data.draw(st.booleans(), label="rows")
-                      else value[:, :-1])
+    if op == "truncate":  # the last axis: a prompt may hold any number of tokens
+        return encode(value[..., :-1])
     if op == "reshape":
         return encode(value[None] if value.ndim == 1 else value.ravel())
     if op == "non-finite":
@@ -709,7 +708,7 @@ def fuzz_block(data, block):
         i = data.draw(st.integers(0, len(text) - 1), label="at")
         return dict(block, base64=text[:i] + data.draw(st.sampled_from("!*- é"), label="char")
                     + text[i + 1:])
-    return value[:-1].tolist()
+    return value[..., :-1].tolist()
 
 
 @CLI_FUZZ
