@@ -256,8 +256,8 @@ def load_dataset(path: str | Path) -> Dataset:
             sid = get(read(s, dict, at), "id", ID, at)
             if sid in slides:
                 raise ValueError(f"{at}.id repeats slide {sid}")
-            slides[sid] = SlideFile(sid, get(s, "label", int, at), root / get(s, "file", str, at),
-                                    at)
+            label, name = get(s, "label", int, at), get(s, "file", str, at)
+            slides[sid] = SlideFile(sid, label, root / name, at)
     return Dataset(spec=spec, slides=slides, prompts=prompts)
 
 
