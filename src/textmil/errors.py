@@ -72,8 +72,8 @@ def json_input(path, what: str, error: type = DataError):
 
 
 def strict_dumps(payload, path, **kw) -> str:
-    """`payload` as strict JSON text for the file `path`, each numpy array
-    in it as a block (`Rows.encode`); a NaN or infinity raises a
+    """`payload` as strict JSON text for the file `path`, each numpy float
+    array in it as a block (`Rows.encode`); a NaN or infinity raises a
     NumericError naming the file, before anything is written."""
     try:
         return json.dumps(payload, sort_keys=True, allow_nan=False, default=Rows.encode, **kw)
