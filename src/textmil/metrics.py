@@ -15,17 +15,10 @@ class UndefinedMetricError(ValueError):
 
 
 def _average_ranks(scores: np.ndarray) -> np.ndarray:
-    """1-based ranks, ties sharing the average of their rank range."""
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(scores.shape[0])
-    i = 0
-    while i < scores.shape[0]:
-        j = i
-        while j + 1 < scores.shape[0] and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks, ties sharing the average of their rank range (an
+    exact half-integer: the group's last rank minus half its size less 1)."""
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - 0.5 * (counts - 1))[group]
 
 
 def auc(scores, labels) -> float:
@@ -122,8 +115,8 @@ def evaluate(model, bags: list[SlideBag], *, with_localization: bool = False,
         p, out = model.forward(batch, class_embs, guidance)
         probs.append(p)
         per_slide += [{"slide_id": bag.slide_id, "label": bag.label,
-                       "probabilities": row, "predicted": int(np.argmax(row))}
-                      for bag, row in zip(batch.bags, p.tolist())]
+                       "probabilities": row, "predicted": top}
+                      for bag, row, top in zip(batch.bags, p.tolist(), p.argmax(axis=1).tolist())]
         if attention:
             records += attention_records(out, saliency_mode)
         if with_localization:

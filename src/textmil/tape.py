@@ -28,6 +28,14 @@ so reordering inputs changes results only through float rounding.
 A tape only counts its nodes; each node holds its parents, not the
 other way round. The record graph is therefore acyclic and is freed by
 reference counting as soon as its root is dropped.
+
+Gradients are reproducible bit for bit because their float sums run in
+one fixed order. `Tape.backward` sweeps the nodes the root depends on in
+descending record order; each node runs its pulls in the order its op
+passed them to `record`, and each parent's gradient adds the incoming
+contributions in that arrival order. A change to the bookkeeping that
+keeps those two orders keeps every gradient, training history and
+checkpoint byte-identical.
 """
 
 from __future__ import annotations
@@ -96,24 +104,25 @@ class Tape:
         return self._count
 
     def backward(self, root: Node) -> Gradients:
-        """Reverse sweep from `root` (a scalar node): every node it depends
-        on is visited once, in descending record order."""
+        """Reverse sweep from `root` (a scalar node). Every recorded node it
+        depends on is visited once, in descending record order; leaves are
+        not visited, as they have no pulls. A node's pulls run in the order
+        it recorded them, and a parent's gradient is the sum of its
+        contributions in the order they arrive, so the sweep's floating-
+        point result is fixed by the record order alone."""
         if not isinstance(root, Node) or root.tape is not self:
             raise ValueError("backward root must be a Node on this tape")
-        seen = {root.index}
-        order = [root]
+        nodes = {root.index: root}
         todo = [root]
         while todo:
             for parent, _ in todo.pop().pulls:
-                if parent.index not in seen:
-                    seen.add(parent.index)
-                    order.append(parent)
+                if parent.pulls and parent.index not in nodes:
+                    nodes[parent.index] = parent
                     todo.append(parent)
-        order.sort(key=lambda n: n.index, reverse=True)
         grads = {root.index: 1.0}
-        for node in order:
-            g = grads[node.index]
-            for parent, pull in node.pulls:
+        for i in sorted(nodes, reverse=True):
+            g = grads[i]
+            for parent, pull in nodes[i].pulls:
                 contrib = pull(g)
                 prev = grads.get(parent.index)
                 grads[parent.index] = contrib if prev is None else prev + contrib
@@ -125,25 +134,18 @@ def value(x):
     return x.value if isinstance(x, Node) else x
 
 
-def _tape_of(*args) -> Tape | None:
-    t = None
-    for a in args:
-        if isinstance(a, Node):
-            if t is None:
-                t = a.tape
-            elif a.tape is not t:
-                raise ValueError("cannot mix nodes from different tapes")
-    return t
-
-
 def record(out_value, pulls: Sequence[tuple[Node, Callable]]):
     """Record a custom primitive. `pulls` maps the output cotangent to each
     Node parent; constants simply do not appear. Returns the plain value when
-    there is nothing to record."""
-    pulls = tuple(p for p in pulls if isinstance(p[0], Node))
+    there is nothing to record. The node keeps the pulls of its Node parents
+    in the order given, which is the order `Tape.backward` runs them in."""
+    pulls = [p for p in pulls if isinstance(p[0], Node)]
     if not pulls:
         return out_value
-    tape = _tape_of(*(n for n, _ in pulls))
+    tape = pulls[0][0].tape
+    for parent, _ in pulls:
+        if parent.tape is not tape:
+            raise ValueError("cannot mix nodes from different tapes")
     return Node(tape, out_value, pulls)
 
 
@@ -449,7 +451,8 @@ def layernorm(x, gain, bias):
     """Zero-mean/unit-variance normalization with affine gain and bias."""
     xv, gv, bv = value(x), value(gain), value(bias)
     _check_vector(xv, "x")
-    if xv.shape[0] < 2:
+    n = xv.shape[0]
+    if n < 2:
         raise ValueError("layernorm needs dim >= 2")
     _same_shape(x, gain)
     _same_shape(x, bias)
@@ -461,7 +464,9 @@ def layernorm(x, gain, bias):
 
     def pull_x(g):
         dxhat = g * gv
-        return inv * (dxhat - dxhat.mean() - xhat * (dxhat * xhat).mean())
+        # np.add.reduce(.) / n is bitwise ndarray.mean, minus its Python wrapper
+        mean_xhat = np.add.reduce(dxhat * xhat) / n
+        return inv * (dxhat - np.add.reduce(dxhat) / n - xhat * mean_xhat)
 
     return record(out, [(x, pull_x), (gain, lambda g: g * xhat), (bias, lambda g: g)])
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from textmil.errors import DataError
-from textmil.metrics import UndefinedMetricError, auc, dice, macro_auc
+from textmil.metrics import UndefinedMetricError, _average_ranks, auc, dice, macro_auc
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +61,40 @@ def test_auc_invariant_under_monotone_transform(rows):
     base = auc(scores, labels)
     assert auc(3.0 * scores + 7.0, labels) == pytest.approx(base, abs=1e-12)
     assert auc(np.tanh(scores / 50.0), labels) == pytest.approx(base, abs=1e-12)
+
+
+def loop_average_ranks(scores):
+    """Reference ranks: walk the stable sort and give each run of equal
+    scores the mean of its 1-based positions."""
+    order = np.argsort(scores, kind="mergesort")
+    ranks = np.empty(scores.shape[0])
+    i = 0
+    while i < scores.shape[0]:
+        j = i
+        while j + 1 < scores.shape[0] and scores[order[j + 1]] == scores[order[i]]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+# few distinct values, so most draws hold long runs of ties, and both zeros
+TIED_SCORES = [-0.0, 0.0, 0.25, -0.25, 1.0, 1e-300, 5e-324, 0.1, 0.7]
+
+
+@settings(max_examples=300, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.sampled_from(TIED_SCORES), st.integers(0, 1)),
+                min_size=2, max_size=60))
+def test_average_ranks_match_loop_reference(rows):
+    scores = np.array([s for s, _ in rows])
+    labels = np.array([l for _, l in rows])
+    labels[0], labels[-1] = 0, 1
+    ref = loop_average_ranks(scores)
+    assert _average_ranks(scores).tobytes() == ref.tobytes()
+    # so the AUC is the one the reference ranks give, to the last bit
+    n_pos = int(labels.sum())
+    u = float(ref[labels == 1].sum()) - 0.5 * n_pos * (n_pos + 1)
+    assert auc(scores, labels) == u / (n_pos * (labels.shape[0] - n_pos))
 
 
 def test_macro_auc_multiclass():

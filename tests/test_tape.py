@@ -473,8 +473,17 @@ def test_mixing_tapes_rejected():
     t1, t2 = tp.Tape(), tp.Tape()
     a = t1.param(np.ones(2))
     b = t2.param(np.ones(2))
+    c = t1.param(np.array([1.0, -1.0]))
     with pytest.raises(ValueError):
         tp.add(a, b)
+    # the foreign node in the second or the third argument, after a node
+    # of the first tape or a constant
+    for args in [(c, b, a), (c, a, b), (np.array([1.0, -1.0]), a, b)]:
+        with pytest.raises(ValueError, match="different tapes"):
+            tp.layernorm(*args)
+    with pytest.raises(ValueError, match="different tapes"):
+        tp.pool(a, tp.rows([b, b]))
+    assert len(t1) == 2 and len(t2) == 2
 
 
 def test_grad_check_quadratic():

@@ -610,6 +610,52 @@ def test_epoch_loss_is_the_same_for_any_batching(monkeypatch):
     assert np.abs(grad - cut_grad).max() <= 1e-12 * np.abs(grad).max()
 
 
+def search_then_sort_backward(root):
+    """The reverse sweep as first written, kept as the reference: collect
+    every node the root reaches, leaves included, sort them by descending
+    record index and run each node's pulls in order."""
+    seen, order, todo = {root.index}, [root], [root]
+    while todo:
+        for parent, _ in todo.pop().pulls:
+            if parent.index not in seen:
+                seen.add(parent.index)
+                order.append(parent)
+                todo.append(parent)
+    order.sort(key=lambda n: n.index, reverse=True)
+    grads = {root.index: 1.0}
+    for node in order:
+        g = grads[node.index]
+        for parent, pull in node.pulls:
+            contrib = pull(g)
+            prev = grads.get(parent.index)
+            grads[parent.index] = contrib if prev is None else prev + contrib
+    return tp.Gradients(grads)
+
+
+def test_default_epoch_gradient_matches_reference_sweep_bitwise():
+    """A default k=4 epoch's flattened gradient, at the initial parameters
+    and after one Adam step, is the reference sweep's to the last bit."""
+    cfg = RunConfig()
+    assert cfg.train.shots == 4
+    dataset = build_dataset(cfg.generator)
+    spec = dataset.spec
+    plan = kshot_split(dataset.labels(), 4, cfg.train.seed, dataset_seed=spec.seed,
+                       test_per_class=spec.test_per_class, val_per_class=spec.val_per_class)
+    model = build_model(cfg, dataset.prompts)
+    train_bags = sorted(model.check_bags(dataset.select(plan.train)), key=lambda b: b.slide_id)
+    batches = list(hierpool.batch_bags(train_bags))
+    layout = TrainableLayout(model)
+    theta = layout.pack()
+    for _ in range(2):
+        loss, tape, nodes, _ = epoch_loss(model, batches, layout, theta)
+        grad = layout.flatten_grads(tape.backward(loss), nodes)
+        ref = layout.flatten_grads(search_then_sort_backward(loss), nodes)
+        assert np.abs(grad).max() > 0.0
+        assert grad.tobytes() == ref.tobytes()
+        theta = adam_step(AdamState.zeros(layout.size), theta, grad, lr=cfg.train.lr)
+        layout.apply(theta)
+
+
 def test_default_kshot_grid_pinned():
     """The benchmark's fit-kshot grid with the shipped defaults: k in
     {1, 4, 8} x fold seeds {0, 1}. Epoch counts and the mean test NLL pin
