@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NumericError
 from .hierpool import BagBatch, SlideBag, attention_records, batch_bags, instance_saliency
 
 
@@ -30,6 +30,8 @@ def auc(scores, labels) -> float:
         raise DataError(f"scores {scores.shape} and labels {labels.shape} differ in length")
     if not np.isin(labels, (0, 1)).all():
         raise DataError("labels must be 0/1 indicators")
+    if not np.isfinite(scores).all():
+        raise NumericError(f"cannot rank a non-finite score {scores[~np.isfinite(scores)][0]}")
     n_pos = int(labels.sum())
     n_neg = labels.shape[0] - n_pos
     if n_pos == 0 or n_neg == 0:

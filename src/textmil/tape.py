@@ -465,8 +465,8 @@ def layernorm(x, gain, bias):
     def pull_x(g):
         dxhat = g * gv
         # np.add.reduce(.) / n is bitwise ndarray.mean, minus its Python wrapper
-        mean_xhat = np.add.reduce(dxhat * xhat) / n
-        return inv * (dxhat - np.add.reduce(dxhat) / n - xhat * mean_xhat)
+        mean_dxhat_xhat = np.add.reduce(dxhat * xhat) / n
+        return inv * (dxhat - np.add.reduce(dxhat) / n - xhat * mean_dxhat_xhat)
 
     return record(out, [(x, pull_x), (gain, lambda g: g * xhat), (bias, lambda g: g)])
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from textmil.errors import DataError
+from textmil.errors import DataError, NumericError
 from textmil.metrics import UndefinedMetricError, _average_ranks, auc, dice, macro_auc
 
 
@@ -35,6 +35,12 @@ def test_auc_single_class_undefined():
 def test_auc_rejects_non_binary_labels():
     with pytest.raises(DataError):
         auc([0.1, 0.2], [1, 2])
+
+
+def test_auc_rejects_non_finite_scores():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NumericError):
+            auc([bad, 0.5, 0.2], [1, 0, 1])
 
 
 def test_auc_matches_pair_counting_oracle():
