@@ -11,11 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, apply_overrides, load_config
+from .config import load_config
 from .data import build_dataset, load_dataset, write_dataset
 from .errors import ConfigError, DataError, NumericError, strict_dumps
 from .gradcheck import run_gradcheck
@@ -33,12 +34,6 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(text)
 
 
-def _load_run_config(args) -> RunConfig:
-    cfg = load_config(args.config)
-    return apply_overrides(cfg, seed=args.seed, shots=args.k, depth=args.d_s,
-                           factor=getattr(args, "lambda"), threshold=args.alpha)
-
-
 def _checkpoint_bags(args):
     """The checkpoint's model and the dataset's bags of its `args.split` split."""
     model, _, split = load_checkpoint(args.checkpoint)
@@ -53,11 +48,7 @@ def _checkpoint_bags(args):
 
 
 def cmd_generate(args) -> int:
-    cfg = load_config(args.config)
-    spec = cfg.generator
-    if args.seed is not None:
-        from dataclasses import replace
-        spec = replace(spec, seed=args.seed)
+    spec = load_config(args.config, args.set).generator
     ds = build_dataset(spec)
     out = write_dataset(ds, args.out)
     n_masked = sum(1 for b in ds.bags if b.flat_mask().sum() > 0)
@@ -67,7 +58,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _load_run_config(args)
+    cfg = load_config(args.config, args.set)
     dataset = load_dataset(args.data)
     model, result, plan = run_kshot(cfg, dataset)
     out = Path(args.out)
@@ -103,12 +94,12 @@ def _eval_sweep(args) -> int:
     for flag, count in (("--folds", args.folds), ("--seeds", args.seeds)):
         if count < 1:
             raise ConfigError(f"{flag} must be >= 1, got {count}")
-    cfg = _load_run_config(args)
+    cfg = load_config(args.config, args.set)
     dataset = load_dataset(args.data)
     results = []
     for fold in range(args.folds):
         for s in range(args.seeds):
-            run_cfg = apply_overrides(cfg, seed=cfg.train.seed + 1000 * s)
+            run_cfg = replace(cfg, train=replace(cfg.train, seed=cfg.train.seed + 1000 * s))
             model, fit_res, plan = run_kshot(run_cfg, dataset, fold_seed=cfg.train.seed + fold)
             res = evaluate(model, model.check_bags(dataset.select(plan.test)))
             results.append({"fold": fold, "seed": run_cfg.train.seed,
@@ -131,17 +122,21 @@ def _eval_sweep(args) -> int:
 
 def cmd_eval(args) -> int:
     if args.sweep:
+        if args.checkpoint is not None:
+            raise ConfigError("eval --sweep trains its own models and takes no --checkpoint")
         return _eval_sweep(args)
     if args.checkpoint is None:
-        raise ConfigError("eval needs --checkpoint (or --sweep with --config)")
+        raise ConfigError("eval needs --checkpoint (or --sweep)")
+    if args.config is not None or args.set:
+        raise ConfigError("eval --checkpoint reads its config from the checkpoint; "
+                          "--config and --set apply only with --sweep")
     return _eval_single(args)
 
 
 def cmd_localize(args) -> int:
     model, bags = _checkpoint_bags(args)
     loc = model.config.localization
-    result = evaluate(model, bags, with_localization=True, saliency_mode=loc.saliency,
-                      threshold=loc.threshold, attention=True)
+    result = evaluate(model, bags, with_localization=True, attention=True)
     out = Path(args.out)
     attn_dir = out / "attention"
     attn_dir.mkdir(parents=True, exist_ok=True)
@@ -164,7 +159,9 @@ def cmd_localize(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    report = run_gradcheck(seed=args.seed if args.seed is not None else 0)
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    report = run_gradcheck(seed=args.seed)
     out = Path(args.out)
     _write_json(out / "gradcheck.json", report)
     print(f"gradcheck max rel error {report['max_rel_error']:.3e} "
@@ -187,7 +184,7 @@ def cmd_merge(args) -> int:
 
 
 def cmd_params(args) -> int:
-    cfg = _load_run_config(args)
+    cfg = load_config(args.config, args.set)
     counts = [count_trainable(cfg.encoder.dim, cfg.train.depth, cfg.encoder.attn_hidden,
                               cfg.encoder.dim, sites_per_block=n) for n in (SITES_PER_BLOCK, 0)]
     payload = {"config": cfg.to_dict(), "trainable": counts[0],
@@ -210,27 +207,22 @@ def make_parser() -> argparse.ArgumentParser:
         description="Few-shot weakly-supervised slide classification on embedding bags")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", type=str, default=None, help="JSON config file")
-    common.add_argument("--seed", type=int, default=None, help="seed override")
-    common.add_argument("--k", type=int, default=None, help="shots per class override")
-    common.add_argument("--d-s", dest="d_s", type=int, default=None,
-                        help="adapter depth (trailing trainable blocks)")
-    common.add_argument("--lambda", type=float, default=None,
-                        help="refinement factor override")
-    common.add_argument("--alpha", type=float, default=None,
-                        help="refinement threshold override")
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", default=None, help="JSON config file")
+    config.add_argument("--set", action="append", default=[], metavar="SECTION.FIELD=VALUE",
+                        help="set one config field after --config (repeatable); "
+                             "VALUE is JSON text or a plain string")
 
-    p = sub.add_parser("generate", parents=[common], help="write a synthetic dataset")
+    p = sub.add_parser("generate", parents=[config], help="write a synthetic dataset")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("train", parents=[common], help="train a model on a dataset")
+    p = sub.add_parser("train", parents=[config], help="train a model on a dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", parents=[common], help="evaluate a checkpoint or sweep")
+    p = sub.add_parser("eval", parents=[config], help="evaluate a checkpoint or sweep")
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--split", choices=("train", "val", "test"), default="test")
@@ -241,27 +233,26 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("localize", parents=[common],
-                       help="dice + attention exports for a checkpoint")
+    p = sub.add_parser("localize", help="dice + attention exports for a checkpoint")
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", choices=("train", "val", "test"), default="test")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_localize)
 
-    p = sub.add_parser("gradcheck", parents=[common],
+    p = sub.add_parser("gradcheck",
                        help="verify tape gradients against finite differences on a "
                             "dedicated small problem (both refinement-gradient modes)")
+    p.add_argument("--seed", type=int, default=0, help="toy-problem seed")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gradcheck)
 
-    p = sub.add_parser("merge", parents=[common],
-                       help="fold adapters into the backbone")
+    p = sub.add_parser("merge", help="fold adapters into the backbone")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_merge)
 
-    p = sub.add_parser("params", parents=[common], help="trainable-parameter count")
+    p = sub.add_parser("params", parents=[config], help="trainable-parameter count")
     p.add_argument("--out", default=None)
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_params)

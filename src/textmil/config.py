@@ -6,11 +6,13 @@ file is read by `errors.read`, which takes each field's kind from its
 annotation: an `int` field takes only a JSON integer (not a bool, not
 8.0), a `float` field only a finite number, so `{"train": {"seed": 1.5}}`
 is a ConfigError naming `train.seed` rather than a crash or a silent
-cast. A dataset manifest's `generator` section is read the same way.
+cast. A dataset manifest's `generator` section is read the same way, and
+so is each command-line `--set section.field=VALUE`.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -103,20 +105,25 @@ def config_from_dict(data, at: str = "") -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def load_config(path: str | Path | None) -> RunConfig:
+def load_config(path: str | Path | None, settings=()) -> RunConfig:
+    """The config file at `path` (the defaults if None) with each
+    `section.field=VALUE` of `settings` set in turn. VALUE is JSON text,
+    or else a plain string, and is read as a config file's value is, so
+    `refinement.factor=nan` is a ConfigError naming the field too."""
     if path is None:
-        return RunConfig()
-    with json_input(path, "config file", ConfigError) as raw:
-        return config_from_dict(raw)
-
-
-def apply_overrides(cfg: RunConfig, *, seed: int | None = None, shots: int | None = None,
-                    depth: int | None = None, factor: float | None = None,
-                    threshold: float | None = None) -> RunConfig:
-    """Command-line overrides for the most commonly swept knobs, each read
-    as its config field is, so `--lambda nan` is a ConfigError too."""
+        cfg = RunConfig()
+    else:
+        with json_input(path, "config file", ConfigError) as raw:
+            cfg = config_from_dict(raw)
     data = cfg.to_dict()
-    for section, values in (("train", dict(seed=seed, shots=shots, depth=depth)),
-                            ("refinement", dict(factor=factor, threshold=threshold))):
-        data[section].update((k, v) for k, v in values.items() if v is not None)
-    return config_from_dict(data)
+    for setting in settings:
+        key, eq, text = setting.partition("=")
+        section, dot, name = key.partition(".")
+        if not (eq and dot and section in data):
+            raise ConfigError(f"--set {setting!r} is not section.field=VALUE "
+                              f"with a section of {', '.join(data)}")
+        try:
+            data[section][name] = json.loads(text)
+        except (ValueError, RecursionError):  # not JSON text: a plain string
+            data[section][name] = text
+    return config_from_dict(data) if settings else cfg

@@ -86,7 +86,6 @@ class EvalResult:
 
 
 def evaluate(model, bags: list[SlideBag], *, with_localization: bool = False,
-             saliency_mode: str = "multiplicative", threshold: float = 0.5,
              attention: bool = False, class_embeddings: list[np.ndarray] | None = None,
              batches: list[BagBatch] | None = None) -> EvalResult:
     """Deterministic metrics for a trained model on a bag set.
@@ -94,8 +93,9 @@ def evaluate(model, bags: list[SlideBag], *, with_localization: bool = False,
     AUC uses the positive-class probability for binary tasks and the
     macro one-vs-rest average otherwise. Dice (optional) compares
     thresholded saliency with the planted masks, over slides whose
-    ground truth marks at least one instance; saliency is predicted
-    positive strictly above the threshold, so an all-tied slide
+    ground truth marks at least one instance. The saliency mode and the
+    threshold are the model config's `localization` section; saliency
+    is predicted positive strictly above the threshold, so an all-tied slide
     (saliency 0.5 everywhere) predicts nothing. With `attention`, the
     result also carries each slide's attention record, taken from the
     same pooling pass. Slides pool in batches, in slide-id order, and a
@@ -112,6 +112,7 @@ def evaluate(model, bags: list[SlideBag], *, with_localization: bool = False,
         batches = batch_bags(sorted(bags, key=lambda b: b.slide_id))
     class_embs = model.class_embeddings() if class_embeddings is None else class_embeddings
     guidance = model.guidance(class_embs)
+    loc = model.config.localization
     probs, per_slide, dice_rows, records = [], [], [], []
     for batch in batches:
         p, out = model.forward(batch, class_embs, guidance)
@@ -120,14 +121,14 @@ def evaluate(model, bags: list[SlideBag], *, with_localization: bool = False,
                        "probabilities": row, "predicted": top}
                       for bag, row, top in zip(batch.bags, p.tolist(), p.argmax(axis=1).tolist())]
         if attention:
-            records += attention_records(out, saliency_mode)
+            records += attention_records(out, loc.saliency)
         if with_localization:
-            sal = instance_saliency(out, saliency_mode)
+            sal = instance_saliency(out, loc.saliency)
             starts = batch.slide_row_offsets()
             for s, bag in enumerate(batch.bags):
                 truth = bag.flat_mask() if bag.has_mask() else np.zeros(0)
                 if truth.sum() > 0:
-                    predicted = sal[starts[s]:starts[s + 1]] > threshold
+                    predicted = sal[starts[s]:starts[s + 1]] > loc.threshold
                     dice_rows.append({"slide_id": bag.slide_id, "dice": dice(predicted, truth),
                                       "n_truth": int(truth.sum()),
                                       "n_predicted": int(predicted.sum())})

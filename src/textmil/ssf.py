@@ -40,10 +40,6 @@ class SsfSite:
     params: SsfParams
 
 
-def identity_params(dim: int) -> SsfParams:
-    return SsfParams(np.ones(dim), np.zeros(dim))
-
-
 def ssf_forward(x, params: SsfParams):
     """y_i = gamma_i * x_i + beta_i. Accepts tape nodes or plain arrays."""
     return tp.add(tp.hadamard(params.gamma, x), params.beta)

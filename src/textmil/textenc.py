@@ -66,9 +66,6 @@ class TextEncoderStack:
         out.append(self.proj)
         return out
 
-    def checksum(self) -> float:
-        return float(sum(np.abs(a).sum() for a in self.weight_arrays()))
-
 
 def build_stack(seed: int, n_blocks: int, dim: int, mlp_hidden: int | None = None) -> TextEncoderStack:
     """Deterministic frozen backbone. Weight matrices are N(0, 1/sqrt(dim));

@@ -65,7 +65,6 @@ class TrainState:
 
     theta: np.ndarray
     adam: AdamState
-    epoch: int = 0
     best_metric: float = -np.inf
     best_theta: np.ndarray | None = None
     best_epoch: int = 0
@@ -150,7 +149,6 @@ def fit(model: SlideClassifier, train_bags, val_bags) -> FitResult:
 
     step = epoch_loss(model, batches, layout, state.theta)
     for epoch in range(1, cfg.max_epochs + 1):
-        state.epoch = epoch
         loss, tape, nodes, _ = step
         grad = layout.flatten_grads(tape.backward(loss), nodes)
         state.theta = adam_step(state.adam, state.theta, grad,

@@ -200,9 +200,7 @@ def test_criterion_07_localization_dice():
     dices = []
     for seed in SEEDS:
         model, test_bags = train_run(cfg, 8, seed, dataset=dataset)
-        res = evaluate(model, test_bags, with_localization=True,
-                       saliency_mode=cfg.localization.saliency,
-                       threshold=cfg.localization.threshold)
+        res = evaluate(model, test_bags, with_localization=True)
         assert res.dice_mean is not None
         dices.append(res.dice_mean)
     mean_dice = float(np.mean(dices))

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from textmil import cli
 from textmil.cli import main
+from textmil.config import RunConfig
 from textmil.errors import NumericError
 from textmil.hierpool import AttentionParams
 from textmil.metrics import EvalResult
@@ -605,7 +606,7 @@ def test_train_rejects_malformed_bag_or_prompt_file(tmp_path, trained_run, defec
 
 
 # (command, file, path, value): a bad config field under `train`,
-# `generate` or `params` (or a bad override) exits 2, and a bad field of
+# `generate` or `params` (or a bad `--set`) exits 2, and a bad field of
 # the manifest's `generator` section exits 3; each names its field
 FIELD_DEFECTS = {
     "train-seed-half": ("train", "config", ["train", "seed"], 1.5),
@@ -620,7 +621,14 @@ FIELD_DEFECTS = {
     "seed-negative": ("train", "config", ["train", "seed"], -1),
     "backbone-seed-negative": ("params", "config", ["encoder", "backbone_seed"], -3),
     "generator-seed-negative": ("generate", "config", ["generator", "seed"], -1),
-    "override-lambda-nan": ("train --lambda nan", "config", ["refinement", "factor"], None),
+    "override-lambda-nan": ("train --set refinement.factor=nan", "config",
+                            ["refinement", "factor"], None),
+    "set-unknown-key": ("train --set train.bogus=1", "config", ["train", "bogus"], None),
+    "set-seed-half": ("train --set train.seed=1.5", "config", ["train", "seed"], None),
+    "set-no-section": ("train --set depth=2", "config", ["depth"], None),
+    # too deep for the JSON parser: read as a plain string
+    "set-deep-nesting": ("train --set train.seed=" + "[" * 100_000, "config", ["train", "seed"],
+                         None),
     "manifest-seed-half": ("train", "manifest", ["generator", "seed"], 0.5),
     "manifest-unknown-key": ("train", "manifest", ["generator", "bogus"], 1),
     "manifest-normal-class-string": ("train", "manifest", ["generator", "normal_class"], "0"),
@@ -955,10 +963,55 @@ def test_params_depth_override_strictly_increasing(tmp_path, config_path):
     counts = []
     for d in (1, 2, 3):
         out = tmp_path / f"p{d}"
-        assert main(["params", "--config", config_path, "--d-s", str(d),
+        assert main(["params", "--config", config_path, "--set", f"train.depth={d}",
                      "--out", str(out)]) == 0
         counts.append(read_json(out / "params.json")["trainable"])
     assert counts[0] < counts[1] < counts[2]
+
+
+# flags a subcommand does not read, among them probes that exited 0 when
+# five knob flags sat on every subcommand, and a negative gradcheck seed:
+# each exits 2 before anything is read or written
+REJECTED_FLAGS = {
+    "localize-config": "localize --data D --checkpoint C --out O --config C",
+    "merge-set": "merge --checkpoint C --out O --set train.seed=1",
+    "gradcheck-config": "gradcheck --out O --config C",
+    "gradcheck-negative-seed": "gradcheck --out O --seed -1",
+    "eval-checkpoint-set": "eval --data D --checkpoint C --out O --set train.shots=8",
+    "eval-checkpoint-config": "eval --data D --checkpoint C --out O --config C",
+    "eval-sweep-checkpoint": "eval --data D --sweep --checkpoint C --out O",
+    "generate-knob-flags": "generate --out O --lambda nan --k 0 --d-s 99",
+    "train-seed-flag": "train --data D --out O --seed 3",
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED_FLAGS))
+def test_rejected_flags_exit_2(tmp_path, case):
+    paths = {"D": tmp_path / "data", "C": tmp_path / "missing.json", "O": tmp_path / "out"}
+    argv = [str(paths.get(word, word)) for word in REJECTED_FLAGS[case].split()]
+    with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects an unknown flag
+            code = exc.code
+    assert code == 2
+    assert not paths["O"].exists()
+
+
+CONFIG_KEYS = [f"{section}.{name}" for section, fields in RunConfig().to_dict().items()
+               for name in fields]
+JSON_VALUES = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+                           lambda inner: st.lists(inner, max_size=3)
+                           | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+                           max_leaves=6).map(json.dumps)
+
+
+@CLI_FUZZ
+@given(key=st.sampled_from(CONFIG_KEYS) | st.text(max_size=20),
+       value=JSON_VALUES | st.text(max_size=20))
+def test_params_set_fuzz_exits_0_or_2(key, value):
+    with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+        assert main(["params", f"--set={key}={value}"]) in (0, 2)
 
 
 def test_gradcheck_command(tmp_path):

@@ -1,12 +1,14 @@
-"""The README's library example runs against the current API, and the
-README states the current batch row limit."""
+"""The README's library example runs against the current API, its
+`textmil` commands parse under the current command line, and the README
+states the current batch row limit."""
 
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
 
-from textmil import hierpool
+from textmil import cli, hierpool
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -23,3 +25,16 @@ def test_library_example_runs():
 def test_readme_states_the_batch_row_limit():
     text = " ".join(README.read_text().split())
     assert f"up to {hierpool.MAX_BATCH_ROWS} instance rows" in text
+
+
+def test_readme_commands_parse():
+    """Every `textmil` command of the README's bash blocks, with its
+    continuation lines joined and the loop variables set to a number."""
+    blocks = re.findall(r"```bash\n(.*?)```", README.read_text(), re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").replace("$d", "2").replace("$k", "4")
+    commands = [shlex.split(line, comments=True) for line in lines.splitlines()
+                if line.strip().startswith("textmil ")]
+    assert len(commands) >= 12
+    for argv in commands:
+        args = cli.make_parser().parse_args(argv[1:])
+        assert args.func.__name__ == f"cmd_{argv[1]}"

@@ -4,12 +4,16 @@ from hypothesis import given, strategies as st
 
 from textmil import tape as tp
 from textmil.errors import ConfigError
-from textmil.ssf import (SsfParams, attach_depth, build_sites, count_trainable, identity_params,
+from textmil.ssf import (SsfParams, attach_depth, build_sites, count_trainable,
                          merge_into_layernorm, merge_into_linear, ssf_forward)
 
 
+def _identity(dim: int) -> SsfParams:
+    return SsfParams(np.ones(dim), np.zeros(dim))
+
+
 def test_forward_identity():
-    out = ssf_forward(np.array([2.0, -1.0]), identity_params(2))
+    out = ssf_forward(np.array([2.0, -1.0]), _identity(2))
     assert np.array_equal(out, np.array([2.0, -1.0]))
 
 
@@ -20,7 +24,7 @@ def test_forward_arithmetic():
 
 def test_forward_dim_mismatch():
     with pytest.raises(ValueError):
-        ssf_forward(np.ones(3), identity_params(2))
+        ssf_forward(np.ones(3), _identity(2))
 
 
 def test_vjp_wrt_scale_is_cotangent_times_input():
@@ -103,10 +107,10 @@ def test_build_sites_structure():
 def test_merge_identity_is_bitwise_noop():
     rng = np.random.default_rng(3)
     gain, bias = rng.standard_normal(6), rng.standard_normal(6)
-    g2, b2 = merge_into_layernorm(gain, bias, identity_params(6))
+    g2, b2 = merge_into_layernorm(gain, bias, _identity(6))
     assert np.array_equal(g2, gain) and np.array_equal(b2, bias)
     w, b = rng.standard_normal((6, 4)), rng.standard_normal(6)
-    w2, bb = merge_into_linear(w, b, identity_params(6))
+    w2, bb = merge_into_linear(w, b, _identity(6))
     assert np.array_equal(w2, w) and np.array_equal(bb, b)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from textmil import tape as tp
 from textmil.errors import DataError, NumericError
-from textmil.ssf import SsfParams, build_sites, identity_params
+from textmil.ssf import SsfParams, build_sites
 from textmil.textenc import (ClassPrompt, PromptSet, build_prompt, build_stack, encode,
                              encode_prefix, load_prompts, merge_reparam, refinement_embedding,
                              save_prompts)
@@ -145,7 +145,7 @@ def test_depth_sweep_agreement_with_identity_extras():
     # copy the shallow block-6 parameters into it
     for s in deep:
         if s.block < 6:
-            s.params = identity_params(8)
+            s.params = SsfParams(np.ones(8), np.zeros(8))
     by_key = {(s.block, s.kind): s for s in shallow}
     for s in deep:
         if s.block == 6:
