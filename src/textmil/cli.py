@@ -18,20 +18,13 @@ import numpy as np
 
 from .config import load_config
 from .data import build_dataset, load_dataset, write_dataset
-from .errors import ConfigError, DataError, NumericError, strict_dumps
+from .errors import ConfigError, DataError, NumericError, strict_dumps, write_json
 from .gradcheck import run_gradcheck
-from .hierpool import save_attention_record
 from .metrics import evaluate
 from .model import load_checkpoint, merge_model, save_checkpoint
 from .ssf import SITES_PER_BLOCK, count_trainable
 from .tape import DegenerateVectorError
 from .train import run_kshot
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    text = strict_dumps(payload, path, indent=1) + "\n"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
 
 
 def _checkpoint_bags(args):
@@ -63,7 +56,6 @@ def cmd_train(args) -> int:
     model, result, plan = run_kshot(cfg, dataset)
     out = Path(args.out)
     log = "".join(strict_dumps(row, out / "training_log.jsonl") + "\n" for row in result.history)
-    out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(model, out / "checkpoint.json", history=result.history,
                     split=plan.to_dict())
     (out / "training_log.jsonl").write_text(log)
@@ -74,6 +66,7 @@ def cmd_train(args) -> int:
 
 
 def _eval_single(args) -> int:
+    args.split = args.split or "test"
     model, bags = _checkpoint_bags(args)
     result = evaluate(model, bags)
     payload = {
@@ -84,21 +77,23 @@ def _eval_single(args) -> int:
         **result.to_dict(),
     }
     out = Path(args.out)
-    _write_json(out / "metrics.json", payload)
+    write_json(out / "metrics.json", payload, indent=1)
     print(f"eval[{args.split}] AUC {result.auc:.4f} over {len(bags)} slides "
           f"-> {out / 'metrics.json'}")
     return 0
 
 
 def _eval_sweep(args) -> int:
-    for flag, count in (("--folds", args.folds), ("--seeds", args.seeds)):
+    folds = 3 if args.folds is None else args.folds
+    seeds = 5 if args.seeds is None else args.seeds
+    for flag, count in (("--folds", folds), ("--seeds", seeds)):
         if count < 1:
             raise ConfigError(f"{flag} must be >= 1, got {count}")
     cfg = load_config(args.config, args.set)
     dataset = load_dataset(args.data)
     results = []
-    for fold in range(args.folds):
-        for s in range(args.seeds):
+    for fold in range(folds):
+        for s in range(seeds):
             run_cfg = replace(cfg, train=replace(cfg.train, seed=cfg.train.seed + 1000 * s))
             model, fit_res, plan = run_kshot(run_cfg, dataset, fold_seed=cfg.train.seed + fold)
             res = evaluate(model, model.check_bags(dataset.select(plan.test)))
@@ -107,30 +102,30 @@ def _eval_sweep(args) -> int:
     aucs = np.array([r["auc"] for r in results])
     payload = {
         "config": cfg.to_dict(),
-        "folds": args.folds,
-        "seeds_per_fold": args.seeds,
+        "folds": folds,
+        "seeds_per_fold": seeds,
         "results": results,
         "auc_mean": float(aucs.mean()),
         "auc_std": float(aucs.std()),
     }
     out = Path(args.out)
-    _write_json(out / "sweep.json", payload)
-    print(f"sweep over {args.folds} folds x {args.seeds} seeds: "
+    write_json(out / "sweep.json", payload, indent=1)
+    print(f"sweep over {folds} folds x {seeds} seeds: "
           f"AUC {aucs.mean():.4f} +/- {aucs.std():.4f} -> {out / 'sweep.json'}")
     return 0
 
 
 def cmd_eval(args) -> int:
-    if args.sweep:
-        if args.checkpoint is not None:
-            raise ConfigError("eval --sweep trains its own models and takes no --checkpoint")
-        return _eval_sweep(args)
-    if args.checkpoint is None:
+    if not args.sweep and args.checkpoint is None:
         raise ConfigError("eval needs --checkpoint (or --sweep)")
-    if args.config is not None or args.set:
-        raise ConfigError("eval --checkpoint reads its config from the checkpoint; "
-                          "--config and --set apply only with --sweep")
-    return _eval_single(args)
+    other = ({"--checkpoint": args.checkpoint, "--split": args.split} if args.sweep else
+             {"--config": args.config, "--set": args.set or None, "--folds": args.folds,
+              "--seeds": args.seeds})  # the flags of the mode not chosen
+    given = [flag for flag, value in other.items() if value is not None]
+    if given:
+        mode = "--sweep" if args.sweep else "--checkpoint"
+        raise ConfigError(f"eval {mode} takes no {' or '.join(given)}")
+    return _eval_sweep(args) if args.sweep else _eval_single(args)
 
 
 def cmd_localize(args) -> int:
@@ -138,10 +133,8 @@ def cmd_localize(args) -> int:
     loc = model.config.localization
     result = evaluate(model, bags, with_localization=True, attention=True)
     out = Path(args.out)
-    attn_dir = out / "attention"
-    attn_dir.mkdir(parents=True, exist_ok=True)
     for record in result.attention:
-        save_attention_record(record, attn_dir / f"{record['slide_id']}.json")
+        write_json(out / "attention" / f"{record['slide_id']}.json", record, indent=1)
     payload = {
         "config": model.config.to_dict(),
         "split": args.split,
@@ -151,7 +144,7 @@ def cmd_localize(args) -> int:
         "dice_mean": result.dice_mean,
         "dice_per_slide": result.dice_per_slide,
     }
-    _write_json(out / "localization.json", payload)
+    write_json(out / "localization.json", payload, indent=1)
     dice_str = "n/a" if result.dice_mean is None else f"{result.dice_mean:.4f}"
     print(f"localize[{args.split}] dice {dice_str} over "
           f"{len(result.dice_per_slide or [])} masked slides -> {out / 'localization.json'}")
@@ -163,7 +156,7 @@ def cmd_gradcheck(args) -> int:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     report = run_gradcheck(seed=args.seed)
     out = Path(args.out)
-    _write_json(out / "gradcheck.json", report)
+    write_json(out / "gradcheck.json", report, indent=1)
     print(f"gradcheck max rel error {report['max_rel_error']:.3e} "
           f"(through {report['through-score']:.3e}, detached {report['detached']:.3e}, "
           f"margin {report['branch_margin']:.3f}) -> {out / 'gradcheck.json'}")
@@ -176,7 +169,6 @@ def cmd_merge(args) -> int:
         raise DataError("checkpoint is already merged")
     merged = merge_model(model)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(merged, out / "checkpoint_merged.json", history=history, split=split)
     print(f"merged {len(model.sites)} trainable adapter sites "
           f"into the backbone -> {out / 'checkpoint_merged.json'}")
@@ -190,7 +182,7 @@ def cmd_params(args) -> int:
     payload = {"config": cfg.to_dict(), "trainable": counts[0],
                "adapters": counts[0] - counts[1], "attention": counts[1]}
     if args.out is not None:
-        _write_json(Path(args.out) / "params.json", payload)
+        write_json(Path(args.out) / "params.json", payload, indent=1)
     print(json.dumps(payload if args.verbose else
                      {k: payload[k] for k in ("trainable", "adapters", "attention")},
                      sort_keys=True))
@@ -225,11 +217,11 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", parents=[config], help="evaluate a checkpoint or sweep")
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", default=None)
-    p.add_argument("--split", choices=("train", "val", "test"), default="test")
+    p.add_argument("--split", choices=("train", "val", "test"), default=None)
     p.add_argument("--sweep", action="store_true",
                    help="train+eval over a fold x seed grid instead of a single checkpoint")
-    p.add_argument("--folds", type=int, default=3)
-    p.add_argument("--seeds", type=int, default=5)
+    p.add_argument("--folds", type=int, default=None)
+    p.add_argument("--seeds", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 

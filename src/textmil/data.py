@@ -19,14 +19,13 @@ command does not use is not reported by it.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ID, ConfigError, DataError, get, json_input, read
+from .errors import ID, ConfigError, DataError, get, json_input, read, write_json
 from .hierpool import Region, SlideBag, load_bag, save_bag, validate_bag
 from .textenc import ClassPrompt, PromptSet, save_prompts, load_prompts
 
@@ -225,7 +224,6 @@ def build_dataset(spec: GeneratorSpec) -> Dataset:
 
 def write_dataset(ds: Dataset, out_dir: str | Path) -> Path:
     out = Path(out_dir)
-    (out / "slides").mkdir(parents=True, exist_ok=True)
     for bag in ds.bags:
         save_bag(bag, out / "slides" / f"{bag.slide_id}.json")
     save_prompts(ds.prompts, out / "prompts.json")
@@ -236,7 +234,7 @@ def write_dataset(ds: Dataset, out_dir: str | Path) -> Path:
         "slides": [{"id": b.slide_id, "label": b.label, "file": f"slides/{b.slide_id}.json"}
                    for b in sorted(ds.bags, key=lambda b: b.slide_id)],
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
+    write_json(out / "manifest.json", manifest, indent=1)
     return out
 
 

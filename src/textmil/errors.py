@@ -2,14 +2,15 @@
 array codec.
 
 The CLI maps these onto its exit-code contract: config errors exit 2,
-data errors exit 3, numeric failures exit 4. Every JSON artifact is
-written through `strict_dumps`, which stores each float64 array of its
-payload as one block, `{"dtype": "<f8", "shape": [...], "base64": ...}`:
-the raw little-endian bytes, bit-exact and read back without parsing a
-number per value (`Rows.encode`). Base64 hides the values from JSON's
-own NaN check, so the encoder checks them: a non-finite value anywhere
-in a payload is a numeric failure naming the file, and nothing is
-written.
+data errors exit 3, numeric failures exit 4. Every file the library
+writes is written by `write_json` (only the rows of a training log are
+`strict_dumps` lines). Its text comes from `strict_dumps`, which stores
+each float64 array of its payload as one block, `{"dtype": "<f8",
+"shape": [...], "base64": ...}`: the raw little-endian bytes, bit-exact
+and read back without parsing a number per value (`Rows.encode`).
+Base64 hides the values from JSON's own NaN check, so the encoder
+checks them: a non-finite value anywhere in a payload is a numeric
+failure naming the file, and nothing is written.
 
 Every input file is opened by `json_input` and each of its values read
 by `read`, `get` or `column`, which check a value against a kind and
@@ -79,6 +80,19 @@ def strict_dumps(payload, path, **kw) -> str:
         return json.dumps(payload, sort_keys=True, allow_nan=False, default=Rows.encode, **kw)
     except ValueError as exc:
         raise NumericError(f"refusing to write {path}: {exc}") from exc
+
+
+def write_json(path, payload, indent: int | None = None) -> None:
+    """Write `payload` to the file `path` as `strict_dumps` text and a
+    newline, making its directory; a NaN or infinity raises before the
+    disk changes, so it leaves no file and no directory."""
+    text = strict_dumps(payload, path, indent=indent) + "\n"
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    # a fresh file rather than one truncated in place: some file systems
+    # flush a rewritten file on close and stall a later delete of it
+    path.unlink(missing_ok=True)
+    path.write_text(text)
 
 
 @dataclasses.dataclass(frozen=True)

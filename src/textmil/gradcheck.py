@@ -122,12 +122,9 @@ def loss_grad_check(model: SlideClassifier, bags, h: float = 1e-6) -> float:
                   for b in batches]
 
     def f(theta: np.ndarray) -> float:
-        layout.apply(theta)
-        try:
-            embs = model.class_embeddings()
-            return batch_loss(model, batches, embs, model.guidance(embs), model.attention, frozen)
-        finally:
-            layout.apply(theta0)
+        sites, attn = layout.assemble(layout.split(theta))
+        embs = model.class_embeddings(sites)
+        return batch_loss(model, batches, embs, model.guidance(embs), attn, frozen)
 
     return tp.grad_check(f, theta0, grad, h=h)
 

@@ -61,7 +61,7 @@ from typing import Iterator
 import numpy as np
 
 from . import tape as tp
-from .errors import ID, ConfigError, DataError, Rows, column, get, json_input, read, strict_dumps
+from .errors import ID, ConfigError, DataError, Rows, column, get, json_input, read, write_json
 
 MAX_BATCH_ROWS = 1024  # instance rows pooled in one pass (see module docs)
 
@@ -191,12 +191,7 @@ def save_bag(bag: SlideBag, path: str | Path) -> None:
             "embeddings": r.embeddings,
         } for r in bag.regions],
     }
-    text = strict_dumps(payload, path)
-    path = Path(path)
-    # a fresh file rather than one truncated in place: some file systems
-    # flush a rewritten file on close and stall a later delete of it
-    path.unlink(missing_ok=True)
-    path.write_text(text + "\n")
+    write_json(path, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +458,3 @@ def attention_records(output: BagOutput, mode: str = "multiplicative") -> list[d
             } for m, region in enumerate(bag.regions)],
         })
     return records
-
-
-def save_attention_record(record: dict, path: str | Path) -> None:
-    text = strict_dumps(record, path, indent=1)
-    Path(path).write_text(text + "\n")

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import tape as tp
 from .config import EncoderConfig, RunConfig, config_from_dict
-from .errors import ConfigError, DataError, get, json_input, read, strict_dumps
+from .errors import ConfigError, DataError, get, json_input, read, write_json
 from .hierpool import AttentionParams, BagBatch, BagScores, SlideBag, init_attention, wsi_encode
 from .ssf import SITE_KINDS, SsfParams, SsfSite, build_sites
 from .textenc import (EncoderBlock, PromptSet, TextEncoderStack, build_prompt, build_stack,
@@ -225,8 +225,7 @@ def save_checkpoint(model: SlideClassifier, path: str | Path, history: list | No
         "history": history or [],
         "split": split,
     }
-    text = strict_dumps(payload, path)
-    Path(path).write_text(text + "\n")
+    write_json(path, payload)
 
 
 def _load_sites(records: list, n_blocks: int, dim: int) -> list[SsfSite]:

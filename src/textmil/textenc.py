@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tape as tp
-from .errors import DataError, get, json_input, read, strict_dumps
+from .errors import DataError, get, json_input, read, write_json
 from .ssf import SITE_KINDS, SsfParams, SsfSite, merge_into_layernorm, merge_into_linear, ssf_forward
 
 
@@ -153,8 +153,7 @@ def load_prompts(path: str | Path) -> PromptSet:
 
 
 def save_prompts(prompts: PromptSet, path: str | Path) -> None:
-    text = strict_dumps(prompts_to_dict(prompts), path, indent=1)
-    Path(path).write_text(text + "\n")
+    write_json(path, prompts_to_dict(prompts), indent=1)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from textmil import cli
 from textmil.cli import main
 from textmil.config import RunConfig
-from textmil.errors import NumericError
 from textmil.hierpool import AttentionParams
 from textmil.metrics import EvalResult
 from textmil.ssf import count_trainable
@@ -860,13 +859,6 @@ def test_degenerate_vector_exits_numeric(tmp_path, dataset_dir, checkpoint, monk
     assert not (out / "metrics.json").exists()
 
 
-def test_write_json_rejects_non_finite(tmp_path):
-    path = tmp_path / "out" / "metrics.json"
-    with pytest.raises(NumericError, match="metrics.json"):
-        cli._write_json(path, {"auc": float("nan")})
-    assert not path.exists()
-
-
 def test_eval_with_nan_metric_exits_numeric(tmp_path, dataset_dir, checkpoint, monkeypatch, capsys):
     monkeypatch.setattr(cli, "evaluate", lambda model, bags: EvalResult(float("nan"), []))
     out = tmp_path / "out"
@@ -980,6 +972,8 @@ REJECTED_FLAGS = {
     "eval-checkpoint-set": "eval --data D --checkpoint C --out O --set train.shots=8",
     "eval-checkpoint-config": "eval --data D --checkpoint C --out O --config C",
     "eval-sweep-checkpoint": "eval --data D --sweep --checkpoint C --out O",
+    "eval-sweep-split": "eval --data D --sweep --split val --folds 1 --seeds 1 --out O",
+    "eval-checkpoint-grid": "eval --data D --checkpoint C --out O --folds 0 --seeds 9",
     "generate-knob-flags": "generate --out O --lambda nan --k 0 --d-s 99",
     "train-seed-flag": "train --data D --out O --seed 3",
 }

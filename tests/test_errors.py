@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from textmil.errors import ID, NumericError, Rows, column, get, read, strict_dumps
+from textmil.errors import ID, NumericError, Rows, column, get, read, strict_dumps, write_json
 
 FIELD = "regions[3].instances[1].coord"
 ROWS = np.arange(8.0).reshape(2, 4)
@@ -164,3 +164,14 @@ def test_strict_dumps_refuses_a_non_finite_block_value(bad):
         strict_dumps({"a": [1, {"x": x}]}, "out.json")
     with pytest.raises(TypeError, match="int64"):
         strict_dumps({"x": np.arange(3)}, "out.json")
+
+
+def test_write_json_writes_nothing_on_a_nan_and_otherwise_makes_or_replaces_the_file(tmp_path):
+    path = tmp_path / "new" / "metrics.json"
+    with pytest.raises(NumericError, match=r"^refusing to write .*metrics\.json"):
+        write_json(path, {"auc": float("nan")})
+    assert list(tmp_path.iterdir()) == []
+    write_json(path, {"auc": 0.5, "x": np.ones(2)})
+    assert path.read_text() == strict_dumps({"auc": 0.5, "x": np.ones(2)}, path) + "\n"
+    write_json(path, {"auc": 1}, indent=1)
+    assert path.read_text() == '{\n "auc": 1\n}\n'

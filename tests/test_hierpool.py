@@ -12,8 +12,7 @@ from textmil.errors import ConfigError, DataError
 from textmil.errors import NumericError
 from textmil.hierpool import (AttentionParams, BagBatch, RefinementConfig, Region, SlideBag,
                               attention_records, batch_bags, init_attention, instance_saliency,
-                              load_bag, refinement_score, region_encode, save_attention_record,
-                              save_bag, wsi_encode)
+                              load_bag, refinement_score, region_encode, save_bag, wsi_encode)
 from textmil.tape import refine_value
 
 CFG = RefinementConfig(factor=10.0, threshold=0.2)
@@ -570,18 +569,6 @@ def test_save_bag_rejects_non_finite_and_keeps_the_old_file(tmp_path, bad):
     with pytest.raises(NumericError, match="x4.json"):
         save_bag(bag, path)
     assert path.read_bytes() == before
-
-
-def test_save_attention_record_rejects_non_finite(tmp_path):
-    rng = np.random.default_rng(24)
-    out = wsi_encode(batch_of(make_bag([rng.standard_normal((3, 5))])), None,
-                     random_params(rng, 3, 5), CFG)
-    [record] = attention_records(out)
-    record["regions"][0]["instances"][1]["saliency"] = float("nan")
-    path = tmp_path / "attn.json"
-    with pytest.raises(NumericError, match="attn.json"):
-        save_attention_record(record, path)
-    assert not path.exists()
 
 
 # ---------------------------------------------------------------------------
