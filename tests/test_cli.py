@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from textmil import cli
 from textmil.cli import main
 from textmil.config import RunConfig
+from textmil.errors import NumericError
 from textmil.hierpool import AttentionParams
 from textmil.metrics import EvalResult
 from textmil.ssf import count_trainable
@@ -857,6 +858,13 @@ def test_degenerate_vector_exits_numeric(tmp_path, dataset_dir, checkpoint, monk
     assert main(["eval", "--data", str(dataset_dir), "--checkpoint", str(checkpoint),
                  "--out", str(out)]) == 4
     assert not (out / "metrics.json").exists()
+
+
+def test_write_json_rejects_non_finite(tmp_path):
+    path = tmp_path / "out" / "metrics.json"
+    with pytest.raises(NumericError, match="metrics.json"):
+        cli.write_json(path, {"auc": float("nan")}, indent=1)
+    assert not path.exists()
 
 
 def test_eval_with_nan_metric_exits_numeric(tmp_path, dataset_dir, checkpoint, monkeypatch, capsys):

@@ -571,6 +571,18 @@ def test_save_bag_rejects_non_finite_and_keeps_the_old_file(tmp_path, bad):
     assert path.read_bytes() == before
 
 
+def test_save_attention_record_rejects_non_finite(tmp_path):
+    rng = np.random.default_rng(24)
+    out = wsi_encode(batch_of(make_bag([rng.standard_normal((3, 5))])), None,
+                     random_params(rng, 3, 5), CFG)
+    [record] = attention_records(out)
+    record["regions"][0]["instances"][1]["saliency"] = float("nan")
+    path = tmp_path / "attn.json"
+    with pytest.raises(NumericError, match="attn.json"):
+        hierpool.write_json(path, record)
+    assert not path.exists()
+
+
 # ---------------------------------------------------------------------------
 # batches
 
