@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ID, ConfigError, DataError, get, json_input, read, write_json
-from .hierpool import Region, SlideBag, load_bag, save_bag, validate_bag
+from .hierpool import Region, SlideBag, check_slide_id, load_bag, save_bag, validate_bag
 from .textenc import ClassPrompt, PromptSet, save_prompts, load_prompts
 
 
@@ -251,7 +251,7 @@ def load_dataset(path: str | Path) -> Dataset:
         slides = {}
         for i, s in enumerate(get(manifest, "slides", list)):
             at = f"slides[{i}]"
-            sid = get(read(s, dict, at), "id", ID, at)
+            sid = check_slide_id(get(read(s, dict, at), "id", ID, at), f"{at}.id")
             if sid in slides:
                 raise ValueError(f"{at}.id repeats slide {sid}")
             label, name = get(s, "label", int, at), get(s, "file", str, at)

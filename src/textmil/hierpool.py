@@ -104,7 +104,18 @@ class SlideBag:
         return np.concatenate([r.mask for r in self.regions])
 
 
+def check_slide_id(sid: str, field: str, error: type = ValueError) -> str:
+    """`sid` if it is a single path component, as a slide id must be: it
+    names the slide's bag and attention files. Otherwise an `error`
+    naming `field`."""
+    if sid in ("", ".", "..") or any(c in sid for c in "/\\\0"):
+        raise error(f"{field} {sid!r} is not a single path component: it is empty, "
+                    f"'.' or '..', or holds '/', '\\' or NUL")
+    return sid
+
+
 def validate_bag(bag: SlideBag) -> SlideBag:
+    check_slide_id(bag.slide_id, "slide_id", DataError)
     if bag.n_regions < 1:
         raise DataError(f"slide {bag.slide_id} has no regions")
     dim = bag.regions[0].embeddings.shape[1]

@@ -4,9 +4,10 @@ Each adapter multiplies a feature vector elementwise by a learned scale
 and adds a learned shift. Adapters sit at two sites per encoder block
 (after the layernorm and after the MLP), on the trailing `depth` blocks
 only; the other blocks run bare. The blocks before the first site are
-encoded once per model (`SlideClassifier.frozen_prefix`); the adapters
-run once per token of each class prompt on the tape of an epoch, which
-also holds the batched pooling of every training slide. At inference
+encoded once per model (`SlideClassifier.frozen_prefix`); each adapter
+records one `tp.scale_shift` node per token of each class prompt on the
+tape of an epoch, which also holds the batched pooling of every training
+slide. At inference
 time an adapter can be folded exactly into the affine layer it follows.
 """
 
@@ -41,8 +42,9 @@ class SsfSite:
 
 
 def ssf_forward(x, params: SsfParams):
-    """y_i = gamma_i * x_i + beta_i. Accepts tape nodes or plain arrays."""
-    return tp.add(tp.hadamard(params.gamma, x), params.beta)
+    """y_i = gamma_i * x_i + beta_i, one `tp.scale_shift` node on a tape.
+    Accepts tape nodes or plain arrays."""
+    return tp.scale_shift(x, params.gamma, params.beta)
 
 
 def attach_depth(n_blocks: int, depth: int) -> list[int]:

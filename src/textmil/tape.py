@@ -12,6 +12,15 @@ values is just numpy and costs nothing at backward time. That rule is
 what keeps frozen weights structurally outside the gradient: they are
 never wrapped in a Node, so no backward rule ever touches them.
 
+Prefer few, large primitives: each recorded node costs bookkeeping at
+record and backward time, whatever its size. The text encoder runs
+token by token: each block applies `layernorm`, `scale_shift` at each
+adapter site (ssf.py), its two-layer tanh `mlp` and the residual `add`
+to a token's vector, so an adapted block records five nodes per token.
+A fused op's pulls take the steps of its
+arithmetic in reverse, in a fixed order, so its gradients are those of
+the chain of small ops it stands for, bit for bit.
+
 Attention pooling and the classification head work on whole batches of
 slides. A batch lays out its rows in CSR form: one (n_rows, dim) matrix
 plus integer `offsets` rising strictly from 0 to n_rows, so that
@@ -209,15 +218,44 @@ def scale(a, k: float):
     return record(out, [(a, lambda g: g * k)])
 
 
-def hadamard(a, b):
-    _same_shape(a, b)
-    av, bv = value(a), value(b)
-    return record(av * bv, [(a, lambda g: g * bv), (b, lambda g: g * av)])
+def scale_shift(x, gamma, beta):
+    """Elementwise gamma * x + beta, the scale-and-shift adapter of ssf.py."""
+    _same_shape(x, gamma)
+    _same_shape(x, beta)
+    xv, gv = value(x), value(gamma)
+    return record(gv * xv + value(beta),
+                  [(beta, lambda g: g), (gamma, lambda g: g * xv), (x, lambda g: g * gv)])
 
 
-def tanh(a):
-    y = np.tanh(value(a))
-    return record(y, [(a, lambda g: g * (1.0 - y * y))])
+def mlp(x, w1, b1, w2, b2):
+    """Two-layer MLP w2 tanh(w1 x + b1) + b2 of the vector x, with w1
+    (hidden, dim) and w2 (dim, hidden)."""
+    xv, w1v, b1v, w2v, b2v = value(x), value(w1), value(b1), value(w2), value(b2)
+    _check_matrix(w1v, "W1")
+    _check_vector(xv, "x")
+    if w1v.shape[1] != xv.shape[0]:
+        raise ValueError(f"inner dimensions disagree: {w1v.shape} x {xv.shape}")
+    z = w1v @ xv
+    _same_shape(z, b1v)
+    h = np.tanh(z + b1v)
+    _check_matrix(w2v, "W2")
+    _check_vector(h, "hidden")
+    if w2v.shape[1] != h.shape[0]:
+        raise ValueError(f"inner dimensions disagree: {w2v.shape} x {h.shape}")
+    y = w2v @ h
+    _same_shape(y, b2v)
+    memo = [None, None]
+
+    def pre(g):
+        """Cotangent of the pre-activation w1 x + b1."""
+        if memo[0] is not g:
+            memo[0] = g
+            memo[1] = (w2v.T @ g) * (1.0 - h * h)
+        return memo[1]
+
+    return record(y + b2v, [(b2, lambda g: g), (w2, lambda g: np.outer(g, h)),
+                            (b1, pre), (w1, lambda g: np.outer(pre(g), xv)),
+                            (x, lambda g: w1v.T @ pre(g))])
 
 
 def matvec(a, x):

@@ -19,7 +19,10 @@ The class embeddings become the rows of the class matrix that the
 batched head compares every slide of a batch against
 (`model.class_probabilities`). A training tape covers one epoch: it
 records each class prompt's adapted blocks once, token by token, however
-many slides the epoch pools.
+many slides the epoch pools. Per token, an adapted block records five
+nodes (`tp.layernorm`, two `tp.scale_shift` adapter sites, `tp.mlp` and
+the residual `tp.add`); the first adapted block records four, as its
+input, the cached frozen prefix, is a constant.
 """
 
 from __future__ import annotations
@@ -188,8 +191,7 @@ def _run_blocks(stack: TextEncoderStack, xs: list, sites: list[SsfSite] | None,
             u = tp.layernorm(x, block.ln_gain, block.ln_bias)
             if ln_site is not None:
                 u = ssf_forward(u, ln_site)
-            h = tp.tanh(tp.add(tp.matvec(block.w1, u), block.b1))
-            v = tp.add(tp.matvec(block.w2, h), block.b2)
+            v = tp.mlp(u, block.w1, block.b1, block.w2, block.b2)
             if mlp_site is not None:
                 v = ssf_forward(v, mlp_site)
             nxt.append(tp.add(x, v))

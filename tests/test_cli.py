@@ -200,6 +200,34 @@ def test_split_slide_missing_from_dataset(tmp_path, dataset_dir, checkpoint, cap
     assert "slide_c0_040" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad_id", ["../../../escaped", "", ".", "..", "a/b", "a\\b", "a\0b"])
+@pytest.mark.parametrize("in_manifest", [True, False])
+def test_slide_id_that_is_not_a_file_name_exits_3(tmp_path, dataset_dir, checkpoint, capsys,
+                                                 bad_id, in_manifest):
+    """A slide id names the slide's attention file, so localize must not
+    take one that leaves its directory. The manifest's id and the bag
+    file's `slide_id` are each checked where they are read."""
+    manifest = read_json(dataset_dir / "manifest.json")
+    raw = read_json(checkpoint)
+    record = next(s for s in manifest["slides"] if s["id"] == raw["split"]["test"][0])
+    bag_path = dataset_dir / record["file"]
+    bag = read_json(bag_path)
+    bag["slide_id"] = bad_id
+    bag_path.write_text(json.dumps(bag))
+    if in_manifest:
+        record["id"] = raw["split"]["test"][0] = bad_id
+        (dataset_dir / "manifest.json").write_text(json.dumps(manifest))
+        checkpoint.write_text(json.dumps(raw))
+    before = sorted(tmp_path.rglob("*"))
+    out = tmp_path / "x" / "y" / "loc"
+    assert main(["localize", "--data", str(dataset_dir), "--checkpoint", str(checkpoint),
+                 "--out", str(out)]) == 3
+    assert sorted(tmp_path.rglob("*")) == before
+    err = capsys.readouterr().err
+    assert ("manifest" if in_manifest else str(bag_path)) in err
+    assert ("slides[" if in_manifest else "slide_id") in err
+
+
 def test_localize_pools_each_slide_once(tmp_path, dataset_dir, checkpoint, monkeypatch):
     from textmil import hierpool
     from textmil.data import load_dataset

@@ -244,6 +244,14 @@ def test_wsi_matches_scalar_oracle_full_chain():
     assert np.abs(np.asarray(out.slide_embedding) - np.array(emb)).max() <= 1e-12
 
 
+@pytest.mark.parametrize("bad_id", ["", ".", "..", "../x", "a/b", "a\\b", "a\0b"])
+def test_validate_bag_rejects_slide_id_that_is_not_a_file_name(bad_id):
+    bag = make_bag([np.ones((2, 3))], slide_id=bad_id)
+    with pytest.raises(DataError, match="slide_id"):
+        hierpool.validate_bag(bag)
+    assert hierpool.validate_bag(make_bag([np.ones((2, 3))], slide_id="..a")).slide_id == "..a"
+
+
 def test_wsi_rejects_empty_bag():
     bag = make_bag([np.ones((1, 4))])
     bag.regions = []

@@ -32,23 +32,48 @@ def test_matvec_dimension_mismatch():
         tp.matvec(np.ones((2, 3)), np.ones(2))
 
 
+def tanh_mlp(x):
+    """tanh(x) as the MLP with identity weights and zero biases."""
+    eye, zero = np.eye(np.shape(tp.value(x))[0]), np.zeros(np.shape(tp.value(x))[0])
+    return tp.mlp(x, eye, zero, eye, zero)
+
+
 def test_elementwise_values():
-    assert tp.tanh(np.array([0.0]))[0] == 0.0
-    assert np.array_equal(tp.hadamard(np.array([1.0, 2.0]), np.array([3.0, 4.0])),
-                          np.array([3.0, 8.0]))
+    assert tanh_mlp(np.array([0.0]))[0] == 0.0
+    assert np.array_equal(tp.scale_shift(np.array([1.0, 2.0]), np.array([3.0, 4.0]),
+                                         np.array([0.5, -1.0])), np.array([3.5, 7.0]))
 
 
 def test_elementwise_shape_mismatch():
     with pytest.raises(ValueError):
         tp.add(np.ones(3), np.ones(4))
     with pytest.raises(ValueError):
-        tp.hadamard(np.ones(3), np.ones(2))
+        tp.scale_shift(np.ones(3), np.ones(2), np.ones(3))
+    with pytest.raises(ValueError):
+        tp.scale_shift(np.ones(3), np.ones(3), np.ones(2))
+
+
+def test_mlp_matches_composed_arithmetic_bitwise():
+    rng = np.random.default_rng(3)
+    x, w1, b1, w2, b2 = (rng.standard_normal(s) for s in (5, (7, 5), 7, (5, 7), 5))
+    assert np.array_equal(tp.mlp(x, w1, b1, w2, b2), w2 @ np.tanh(w1 @ x + b1) + b2)
+
+
+def test_mlp_shape_checks():
+    x, w1, b1, w2, b2 = np.ones(3), np.ones((4, 3)), np.ones(4), np.ones((3, 4)), np.ones(3)
+    for k, bad in [(0, np.ones(2)), (0, np.ones((1, 3))), (1, np.ones(4)), (1, np.ones((4, 2))),
+                   (2, np.ones(3)), (3, np.ones((3, 5))),
+                   (3, np.ones(4)), (4, np.ones(4))]:
+        args = [x, w1, b1, w2, b2]
+        args[k] = bad
+        with pytest.raises(ValueError):
+            tp.mlp(*args)
 
 
 def test_tanh_vjp_closed_form():
     t = tp.Tape()
     x = t.param(np.array([0.5]))
-    y = tp.tanh(x)
+    y = tanh_mlp(x)
     g = t.backward(tp.dot(np.ones(1), y))[x]
     assert g[0] == pytest.approx(0.7864477329659274, abs=1e-15)
 
@@ -130,11 +155,11 @@ for i in range(10):
     A = _rng.standard_normal((4, 6))
     p4 = _rng.standard_normal(4)
     CASES += [
-        (f"tanh-{i}", lambda x, w=w: tp.dot(w, tp.tanh(x)), v + 0.1),
+        (f"tanh-{i}", lambda x, w=w: tp.dot(w, tanh_mlp(x)), v + 0.1),
         # the sigmoid gate of gate_logits: unit instances, so row j's gate is sigmoid(x_j)
         (f"sigmoid-{i}", lambda x, w=w: tp.dot(w, tp.gate_logits(
             np.eye(6), np.ones(1), np.full((1, 6), 0.5), tp.rows([x]))), v - 0.2),
-        (f"hadamard-{i}", lambda x, w=w: tp.dot(w, tp.hadamard(x, w)), v),
+        (f"hadamard-{i}", lambda x, w=w: tp.dot(w, tp.scale_shift(x, w, 0.0 * w)), v),
         (f"matvec-{i}", lambda x, A=A, p=p4: tp.dot(p, tp.matvec(A, x)), v),
         (f"softmax-{i}", lambda x, w=w: tp.dot(w, tp.softmax(x)), v),
         (f"cosine-{i}", lambda x, w=w: tp.cosine(x, w), v + 0.5),
@@ -278,8 +303,11 @@ for i in range(3):
     PRIMITIVE_CASES += both(tp.add, tp.add, [v6, w6], "ab")
     PRIMITIVE_CASES += both(tp.add, tp.add, [M, draw(4, 6)], "ab", "rows-")
     PRIMITIVE_CASES += [(f"scale-a-{i}", lambda a: tp.scale(a, -1.7), [M], 0, tp.scale)]
-    PRIMITIVE_CASES += both(tp.hadamard, tp.hadamard, [v6, w6], "ab")
-    PRIMITIVE_CASES += [(f"tanh-a-{i}", tp.tanh, [M], 0, tp.tanh)]
+    # the elementwise product is scale_shift with a zero shift, and tanh the
+    # mlp with identity weights and zero biases
+    PRIMITIVE_CASES += [(f"hadamard-{n}-{i}", lambda x, gamma, z=0.0 * w6: tp.scale_shift(x, gamma, z),
+                         [v6, w6], j, tp.scale_shift) for j, n in enumerate("ab")]
+    PRIMITIVE_CASES += [(f"tanh-a-{i}", tanh_mlp, [v6], 0, tp.mlp)]
     PRIMITIVE_CASES += both(tp.matvec, tp.matvec, [M, v6], "ax")
     PRIMITIVE_CASES += both(tp.dot, tp.dot, [v6, w6], "uv")
     PRIMITIVE_CASES += [(f"softmax-x-{i}", tp.softmax, [v6], 0, tp.softmax),
@@ -296,6 +324,10 @@ for i in range(3):
                             [draw(7), draw(7, 5)], ("p", "H"))
     PRIMITIVE_CASES += [(f"mean_nll-p-{i}", lambda p: tp.mean_nll(p, LABELS),
                          [_prng.uniform(0.1, 1.0, (3, 4))], 0, tp.mean_nll)]
+    PRIMITIVE_CASES += both(tp.scale_shift, tp.scale_shift, [draw(6), 1.0 + 0.3 * draw(6), draw(6)],
+                            ("x", "gamma", "beta"))
+    PRIMITIVE_CASES += both(tp.mlp, tp.mlp, [draw(6), 0.5 * draw(5, 6), draw(5), 0.5 * draw(6, 5),
+                                             draw(6)], ("x", "w1", "b1", "w2", "b2"))
 
 
 @pytest.mark.parametrize("name,fn,args,k,op", PRIMITIVE_CASES,
@@ -433,7 +465,7 @@ def test_dropped_graph_freed_without_cycle_collection():
     try:
         t = tp.Tape()
         x = t.param(np.array([0.3, -0.2]))
-        root = tp.dot(tp.tanh(x), tp.hadamard(x, x))
+        root = tp.dot(tanh_mlp(x), tp.scale_shift(x, x, x))
         t.backward(root)
         assert len(t) == 4
         del t, x, root
@@ -446,7 +478,7 @@ def test_backward_ignores_nodes_off_the_root_path():
     t = tp.Tape()
     x = t.param(np.array([1.0, 2.0]))
     y = t.param(np.array([3.0, 4.0]))
-    unused = tp.hadamard(x, y)
+    unused = tp.scale_shift(x, y, y)
     root = tp.dot(x, np.array([1.0, -1.0]))
     g = t.backward(root)
     assert np.array_equal(g[x], [1.0, -1.0])

@@ -136,6 +136,22 @@ def test_frozen_weights_never_enter_tape():
             assert leaf.value is not arr
 
 
+def test_adapted_blocks_record_five_nodes_per_token():
+    """Per token, an adapted block records its layernorm, two scale_shift
+    sites, one mlp and the residual add. The first adapted block reads the
+    constant frozen prefix, so its layernorm records nothing."""
+    stack = build_stack(3, 4, 8, 8)
+    tokens = np.random.default_rng(0).standard_normal((5, 8))
+    t = tp.Tape()
+    bound = [type(s)(s.block, s.kind, SsfParams(t.param(s.params.gamma), t.param(s.params.beta)))
+             for s in build_sites(4, 4, 2, 8, 0.05)]
+    for x, start in [(tokens, 0), (encode_prefix(stack, tokens, 2), 2)]:
+        before = len(t)
+        encode(stack, x, sites=bound, start=start)
+        # then rows, pool, projection and l2_normalize, once per prompt
+        assert len(t) - before == 5 * (4 + 5) + 4
+
+
 def test_depth_sweep_agreement_with_identity_extras():
     stack = build_stack(7, 6, 8, 8)
     tokens = np.random.default_rng(1).standard_normal((4, 8))

@@ -655,6 +655,24 @@ def test_default_epoch_gradient_matches_reference_sweep_bitwise():
         layout.apply(theta)
 
 
+def test_default_epoch_tape_nodes_pinned():
+    """A default k=4 epoch records 182 tape nodes. 144 are the 16 prompt
+    tokens' 9 each: 4 in the first adapted block, whose layernorm reads the
+    constant frozen prefix, and 5 in the second (layernorm, two scale_shift
+    sites, mlp, residual add). The other 38 are the 14 parameter leaves, 4
+    per class embedding and the batched pooling and head."""
+    cfg = RunConfig()
+    dataset = build_dataset(cfg.generator)
+    spec = dataset.spec
+    plan = kshot_split(dataset.labels(), 4, cfg.train.seed, dataset_seed=spec.seed,
+                       test_per_class=spec.test_per_class, val_per_class=spec.val_per_class)
+    model = build_model(cfg, dataset.prompts)
+    train_bags = sorted(model.check_bags(dataset.select(plan.train)), key=lambda b: b.slide_id)
+    layout = TrainableLayout(model)
+    _, tape, _, _ = epoch_loss(model, list(hierpool.batch_bags(train_bags)), layout, layout.pack())
+    assert len(tape) == 182
+
+
 def test_default_kshot_grid_pinned():
     """The benchmark's fit-kshot grid with the shipped defaults: k in
     {1, 4, 8} x fold seeds {0, 1}. Epoch counts and the mean test NLL pin
