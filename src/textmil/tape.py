@@ -17,9 +17,9 @@ record and backward time, whatever its size. The text encoder runs
 token by token: each block applies `layernorm`, `scale_shift` at each
 adapter site (ssf.py), its two-layer tanh `mlp` and the residual `add`
 to a token's vector, so an adapted block records five nodes per token.
-A fused op's pulls take the steps of its
-arithmetic in reverse, in a fixed order, so its gradients are those of
-the chain of small ops it stands for, bit for bit.
+A fused op's pulls take the steps of its arithmetic in reverse, in a
+fixed order, so its gradients are those of the chain of small ops it
+stands for, bit for bit.
 
 Attention pooling and the classification head work on whole batches of
 slides. A batch lays out its rows in CSR form: one (n_rows, dim) matrix
@@ -172,6 +172,14 @@ def _check_matrix(x, name: str):
         raise ValueError(f"{name} must be a 2-d array, got {getattr(x, 'shape', type(x))}")
 
 
+def _check_matvec(a, x):
+    """`a` must be a matrix and `x` a nonempty vector of its row length."""
+    _check_matrix(a, "A")
+    _check_vector(x, "x")
+    if a.shape[1] != x.shape[0]:
+        raise ValueError(f"inner dimensions disagree: {a.shape} x {x.shape}")
+
+
 def _same_shape(a, b):
     av, bv = value(a), value(b)
     sa = av.shape if isinstance(av, np.ndarray) else ()
@@ -231,17 +239,11 @@ def mlp(x, w1, b1, w2, b2):
     """Two-layer MLP w2 tanh(w1 x + b1) + b2 of the vector x, with w1
     (hidden, dim) and w2 (dim, hidden)."""
     xv, w1v, b1v, w2v, b2v = value(x), value(w1), value(b1), value(w2), value(b2)
-    _check_matrix(w1v, "W1")
-    _check_vector(xv, "x")
-    if w1v.shape[1] != xv.shape[0]:
-        raise ValueError(f"inner dimensions disagree: {w1v.shape} x {xv.shape}")
+    _check_matvec(w1v, xv)
     z = w1v @ xv
     _same_shape(z, b1v)
     h = np.tanh(z + b1v)
-    _check_matrix(w2v, "W2")
-    _check_vector(h, "hidden")
-    if w2v.shape[1] != h.shape[0]:
-        raise ValueError(f"inner dimensions disagree: {w2v.shape} x {h.shape}")
+    _check_matvec(w2v, h)
     y = w2v @ h
     _same_shape(y, b2v)
     memo = [None, None]
@@ -260,10 +262,7 @@ def mlp(x, w1, b1, w2, b2):
 
 def matvec(a, x):
     av, xv = value(a), value(x)
-    _check_matrix(av, "A")
-    _check_vector(xv, "x")
-    if av.shape[1] != xv.shape[0]:
-        raise ValueError(f"inner dimensions disagree: {av.shape} x {xv.shape}")
+    _check_matvec(av, xv)
     return record(av @ xv, [(a, lambda g: np.outer(g, xv)), (x, lambda g: av.T @ g)])
 
 

@@ -224,6 +224,7 @@ def test_slide_id_that_is_not_a_file_name_exits_3(tmp_path, dataset_dir, checkpo
                  "--out", str(out)]) == 3
     assert sorted(tmp_path.rglob("*")) == before
     err = capsys.readouterr().err
+    assert "not a single path component" in err
     assert ("manifest" if in_manifest else str(bag_path)) in err
     assert ("slides[" if in_manifest else "slide_id") in err
 
