@@ -34,7 +34,8 @@ def test_matvec_dimension_mismatch():
 
 def tanh_mlp(x):
     """tanh(x) as the MLP with identity weights and zero biases."""
-    eye, zero = np.eye(np.shape(tp.value(x))[0]), np.zeros(np.shape(tp.value(x))[0])
+    n = np.shape(tp.value(x))[0]
+    eye, zero = np.eye(n), np.zeros(n)
     return tp.mlp(x, eye, zero, eye, zero)
 
 
@@ -62,8 +63,7 @@ def test_mlp_matches_composed_arithmetic_bitwise():
 def test_mlp_shape_checks():
     x, w1, b1, w2, b2 = np.ones(3), np.ones((4, 3)), np.ones(4), np.ones((3, 4)), np.ones(3)
     for k, bad in [(0, np.ones(2)), (0, np.ones((1, 3))), (1, np.ones(4)), (1, np.ones((4, 2))),
-                   (2, np.ones(3)), (3, np.ones((3, 5))),
-                   (3, np.ones(4)), (4, np.ones(4))]:
+                   (2, np.ones(3)), (3, np.ones(4)), (3, np.ones((3, 5))), (4, np.ones(4))]:
         args = [x, w1, b1, w2, b2]
         args[k] = bad
         with pytest.raises(ValueError):
@@ -305,7 +305,8 @@ for i in range(3):
     PRIMITIVE_CASES += [(f"scale-a-{i}", lambda a: tp.scale(a, -1.7), [M], 0, tp.scale)]
     # the elementwise product is scale_shift with a zero shift, and tanh the
     # mlp with identity weights and zero biases
-    PRIMITIVE_CASES += [(f"hadamard-{n}-{i}", lambda x, gamma, z=0.0 * w6: tp.scale_shift(x, gamma, z),
+    PRIMITIVE_CASES += [(f"hadamard-{n}-{i}",
+                         lambda x, gamma, z=0.0 * w6: tp.scale_shift(x, gamma, z),
                          [v6, w6], j, tp.scale_shift) for j, n in enumerate("ab")]
     PRIMITIVE_CASES += [(f"tanh-a-{i}", tanh_mlp, [v6], 0, tp.mlp)]
     PRIMITIVE_CASES += both(tp.matvec, tp.matvec, [M, v6], "ax")
