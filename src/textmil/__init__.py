@@ -2,12 +2,12 @@
 scale/shift adaptation of a frozen text encoder plus text-guided
 hierarchical attention pooling, trained contrastively."""
 
-from .config import EncoderConfig, LocalizationConfig, RunConfig, TrainConfig, load_config
-from .data import (Dataset, GeneratorSpec, SplitPlan, build_dataset, kshot_split, load_dataset,
-                   write_dataset)
+from .config import (EncoderConfig, GeneratorSpec, LocalizationConfig, RefinementConfig, RunConfig,
+                     TrainConfig, load_config)
+from .data import Dataset, SplitPlan, build_dataset, kshot_split, load_dataset, write_dataset
 from .errors import ConfigError, DataError, NumericError
-from .hierpool import (AttentionParams, BagBatch, RefinementConfig, Region, SlideBag, batch_bags,
-                       instance_saliency, refinement_score, region_encode, wsi_encode)
+from .hierpool import (AttentionParams, BagBatch, Region, SlideBag, batch_bags, instance_saliency,
+                       refinement_score, region_encode, wsi_encode)
 from .metrics import EvalResult, UndefinedMetricError, auc, dice, evaluate, macro_auc
 from .model import (SlideClassifier, build_model, class_probabilities, load_checkpoint,
                     merge_model, save_checkpoint)

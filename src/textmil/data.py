@@ -5,7 +5,8 @@ prototype-aligned instances (masked 1) into a subset of regions on top
 of background instances (masked 0). A designated normal class carries
 background only. Prompt token embeddings are a convex mix of the class
 prototype and per-token noise, so text guidance genuinely correlates
-with the planted signal without solving the task outright.
+with the planted signal without solving the task outright. Its settings
+are the config's `generator` section, `config.GeneratorSpec`.
 
 On disk a dataset is a manifest (the generator spec and one record per
 slide: id, label, bag file), a prompt file and one bag file per slide
@@ -25,59 +26,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import GeneratorSpec
 from .errors import ID, ConfigError, DataError, get, json_input, read, write_json
 from .hierpool import Region, SlideBag, check_slide_id, load_bag, save_bag, validate_bag
 from .textenc import ClassPrompt, PromptSet, save_prompts, load_prompts
-
-
-@dataclass
-class GeneratorSpec:
-    seed: int = 0
-    n_classes: int = 2
-    dim: int = 64
-    noise_std: float = 0.05
-    slides_per_class: int = 48
-    regions_min: int = 3
-    regions_max: int = 5
-    instances_min: int = 3
-    instances_max: int = 4
-    tumor_region_fraction: float = 0.75
-    tumor_instance_fraction: float = 0.85
-    prompt_alignment: float = 0.7
-    region_tokens: int = 4
-    slide_tokens: int = 4
-    normal_class: int | None = 0
-    test_per_class: int = 20
-    val_per_class: int = 12
-
-    def __post_init__(self):
-        for name in ("tumor_region_fraction", "tumor_instance_fraction"):
-            v = getattr(self, name)
-            if not 0 < v <= 1:
-                raise ConfigError(f"{name} must be in (0, 1], got {v}")
-        if self.noise_std <= 0:
-            raise ConfigError(f"noise_std must be > 0, got {self.noise_std}")
-        if not 0 <= self.prompt_alignment <= 1:
-            raise ConfigError(f"prompt_alignment must be in [0, 1], got {self.prompt_alignment}")
-        if self.n_classes < 2:
-            raise ConfigError(f"need at least 2 classes, got {self.n_classes}")
-        if self.normal_class is not None and not 0 <= self.normal_class < self.n_classes:
-            raise ConfigError(f"normal_class {self.normal_class} out of range")
-        for name in ("regions_min", "instances_min"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        if self.regions_max < self.regions_min or self.instances_max < self.instances_min:
-            raise ConfigError("count ranges must satisfy min <= max")
-        if self.seed < 0:
-            raise ConfigError(f"generator.seed must be >= 0, got {self.seed}")
-        for name, least in (("dim", 2), ("slides_per_class", 1), ("region_tokens", 1),
-                            ("slide_tokens", 1), ("test_per_class", 0), ("val_per_class", 0)):
-            if getattr(self, name) < least:
-                raise ConfigError(f"generator.{name} must be >= {least}, got {getattr(self, name)}")
-        held_out = self.test_per_class + self.val_per_class
-        if self.slides_per_class <= held_out:
-            raise ConfigError(f"generator.slides_per_class must exceed test_per_class + "
-                              f"val_per_class = {held_out}, got {self.slides_per_class}")
 
 
 @dataclass(frozen=True)

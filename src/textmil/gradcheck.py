@@ -24,9 +24,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import tape as tp
-from .config import EncoderConfig, RunConfig, TrainConfig
+from .config import EncoderConfig, RefinementConfig, RunConfig, TrainConfig
 from .errors import NumericError
-from .hierpool import AttentionParams, RefinementConfig, Region, SlideBag, batch_bags, wsi_encode
+from .hierpool import AttentionParams, Region, SlideBag, batch_bags, wsi_encode
 from .model import SlideClassifier, TrainableLayout, build_model
 from .ssf import build_sites
 from .textenc import ClassPrompt, PromptSet

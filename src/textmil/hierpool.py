@@ -6,7 +6,8 @@ with an additive refinement score derived from the cosine similarity
 between the pooled item and a guidance text embedding: similarities
 above a threshold are amplified by a fixed factor, small positive ones
 pass through unchanged, non-positive ones contribute nothing. Passing
-no guidance reduces both levels to plain gated attention pooling.
+no guidance reduces both levels to plain gated attention pooling. Its
+settings are the config's `refinement` section, `config.RefinementConfig`.
 
 Pooling works on a `BagBatch`: the instance rows of all its slides form
 one (n_instances, dim) matrix, and CSR offsets mark each region's rows
@@ -21,9 +22,10 @@ MAX_BATCH_ROWS instance rows and builds each batch only when it is
 asked for, and `metrics.evaluate` releases each batch before it asks for
 the next. The limit trades the fixed cost of a pass against memory: a
 batch copies its rows into one matrix and the pooling temporaries grow
-with it. On the benchmark's eval-bigbag inputs (40 test slides of ~284
-instance rows of width 64; one round of evaluate, evaluate with
-localization and a merged evaluate; 2-vCPU Xeon VM, NumPy 2.4):
+with it. Measured at commit 1d2010b on the benchmark's eval-bigbag
+inputs (40 test slides of ~284 instance rows of width 64; one round of
+evaluate, evaluate with localization and a merged evaluate; 2-vCPU Xeon
+VM, NumPy 2.4):
 
     limit        batches   round time   tracemalloc peak of one evaluate
     512 rows     37        1.00x        0.65 MB
@@ -32,11 +34,13 @@ localization and a merged evaluate; 2-vCPU Xeon VM, NumPy 2.4):
     one batch    1         0.85x        14.0 MB
 
 1024 takes most of the gain of 2048 at under half its memory: with 2048
-rows the benchmark's peak RSS rose 4-5%, against a 5% bound. Every
-default k-shot training set and the 24-slide validation set fit in one
-batch either way. Training, evaluation, localization, the gradient check
-and the merge check all run this one path: plain arrays simply record
-nothing.
+rows the benchmark's peak RSS rose 4-5%, against a 5% bound. Measured
+again at 73c0686, 2048 rows were slower end to end as well: eval-bigbag
+op_ref 71.5-75.7 against 68.1-72.0 over 6 process pairs (seeds 1-6,
+8 s each), at 2.4-3.3 MB more peak RSS. Every default k-shot training
+set and the 24-slide validation set fit in one batch either way.
+Training, evaluation, localization, the gradient check and the merge
+check all run this one path: plain arrays simply record nothing.
 
 Bag files are JSON. `save_bag` stores each region's embeddings as one
 block (`errors.Rows.encode`), `{"dtype": "<f8", "shape": [n, dim],
@@ -61,6 +65,7 @@ from typing import Iterator
 import numpy as np
 
 from . import tape as tp
+from .config import GRADIENT_MODES, SALIENCY_MODES, RefinementConfig  # noqa: F401 (re-exported)
 from .errors import ID, ConfigError, DataError, Rows, column, get, json_input, read, write_json
 
 MAX_BATCH_ROWS = 1024  # instance rows pooled in one pass (see module docs)
@@ -240,27 +245,6 @@ def init_attention(seed: int, hidden: int, dim: int) -> AttentionParams:
     )
 
 
-GRADIENT_MODES = ("through-score", "detached")
-
-
-@dataclass
-class RefinementConfig:
-    """Refinement factor, threshold and how its gradient is treated."""
-
-    factor: float = 10.0
-    threshold: float = 0.2
-    gradient: str = "through-score"
-    enabled: bool = True
-
-    def __post_init__(self):
-        if self.factor <= 0:
-            raise ConfigError(f"refinement factor must be > 0, got {self.factor}")
-        if not 0 < self.threshold < 1:
-            raise ConfigError(f"refinement threshold must be in (0, 1), got {self.threshold}")
-        if self.gradient not in GRADIENT_MODES:
-            raise ConfigError(f"gradient mode must be one of {GRADIENT_MODES}, got {self.gradient!r}")
-
-
 # ---------------------------------------------------------------------------
 # refinement score
 
@@ -417,8 +401,6 @@ def wsi_encode(batch: BagBatch, guidance, params: AttentionParams, cfg: Refineme
 
 # ---------------------------------------------------------------------------
 # saliency and export
-
-SALIENCY_MODES = ("multiplicative", "instance-only")
 
 
 def instance_saliency(output: BagOutput, mode: str = "multiplicative") -> np.ndarray:

@@ -1,14 +1,19 @@
 """The README's library example runs against the current API, its
 `textmil` commands parse under the current command line, and the README
-states the current batch row limit."""
+states the current batch row limit and each config field's default and
+range."""
 
 import contextlib
 import io
+import json
 import re
 import shlex
+from dataclasses import asdict
 from pathlib import Path
 
+from test_config import RANGES, phrase
 from textmil import cli, hierpool
+from textmil.config import RunConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -25,6 +30,16 @@ def test_library_example_runs():
 def test_readme_states_the_batch_row_limit():
     text = " ".join(README.read_text().split())
     assert f"up to {hierpool.MAX_BATCH_ROWS} instance rows" in text
+
+
+def test_readme_states_each_config_default_and_range():
+    text = README.read_text()
+    for section, values in asdict(RunConfig()).items():
+        for name, default in values.items():
+            key = f"{section}.{name}"
+            rule = phrase(RANGES[key]) if key in RANGES else ""
+            row = f"| `{key}` | {json.dumps(default)} | {rule}"
+            assert row in text, row
 
 
 def test_readme_commands_parse():
