@@ -169,6 +169,8 @@ def config_from_dict(data, at: str = "") -> RunConfig:
         return read(data, RunConfig, at)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    except ConfigError as exc:  # a section's rule, which names the field from its section on
+        raise ConfigError(f"{at}.{exc}" if at else str(exc)) from exc
 
 
 def load_config(path: str | Path | None, settings=()) -> RunConfig:

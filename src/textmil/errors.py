@@ -59,12 +59,13 @@ class NumericError(Exception):
 
 @contextlib.contextmanager
 def json_input(path, what: str, error: type = DataError):
-    """The parsed JSON file `path` (a `what`), for a `with` block that
-    reads it: an unreadable file, bad JSON, or a ValueError or ConfigError
-    raised in the block becomes an `error` that names the file."""
+    """The parsed UTF-8 JSON file `path` (a `what`), for a `with` block that
+    reads it: a file unreadable, not UTF-8, not JSON or nested too deep, or
+    a ValueError or ConfigError raised in the block becomes an `error` that
+    names the file. RFC 8259 fixes the encoding, whatever the locale."""
     try:
-        raw = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: not UTF-8 or not JSON
         raise error(f"cannot read {what} {path}: {exc}") from exc
     try:
         yield raw

@@ -21,6 +21,8 @@ the smallest gradient coordinate clears the trust floor.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import tape as tp
@@ -43,17 +45,12 @@ def _away_from_zero(rng: np.random.Generator, shape, lo=0.3, hi=1.2) -> np.ndarr
     return mag * sign
 
 
-def toy_config(gradient: str = "through-score") -> RunConfig:
-    return RunConfig(
+def toy_problem(seed: int):
+    """2 bags x 2 regions x 3 instances with well-conditioned random values."""
+    cfg = RunConfig(
         encoder=EncoderConfig(dim=8, blocks=3, mlp_hidden=8, attn_hidden=4, backbone_seed=11),
         train=TrainConfig(depth=2, ssf_init_std=0.1, seed=0, shots=1, temperature=0.5),
-        refinement=RefinementConfig(factor=3.0, gradient=gradient),
-    )
-
-
-def toy_problem(seed: int, gradient: str = "through-score"):
-    """2 bags x 2 regions x 3 instances with well-conditioned random values."""
-    cfg = toy_config(gradient)
+        refinement=RefinementConfig(factor=3.0))
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC4EC]))
     dim = cfg.encoder.dim
 
@@ -109,9 +106,9 @@ def tape_gradient(model: SlideClassifier, bags):
     return layout, theta0, layout.flatten_grads(tape_.backward(loss), nodes)
 
 
-def loss_grad_check(model: SlideClassifier, bags, h: float = 1e-6) -> float:
-    """Max relative error of the tape gradient vs central differences."""
-    layout, theta0, grad = tape_gradient(model, bags)
+def loss_grad_check(model: SlideClassifier, bags, h: float = 1e-6, tape_grad=None) -> float:
+    """Max relative error of the tape gradient (`tape_grad`, if held) vs central differences."""
+    layout, theta0, grad = tape_grad or tape_gradient(model, bags)
     batches = list(batch_bags(bags))
 
     frozen = None
@@ -138,20 +135,18 @@ def run_gradcheck(seed: int = 0, h: float = 1e-6, min_margin: float = BRANCH_MAR
         margin = branch_margin(model, bags)
         if margin < min_margin:
             continue
-        _, _, grad = tape_gradient(model, bags)
-        gmin = float(np.abs(grad).min())
+        through = tape_gradient(model, bags)
+        gmin = float(np.abs(through[2]).min())
         if gmin < grad_floor:
             continue
-        errors = {}
-        for mode in ("through-score", "detached"):
-            m, b = toy_problem(s, gradient=mode)
-            errors[mode] = loss_grad_check(m, b, h=h)
+        cfg = model.config
+        detached = replace(model, config=replace(
+            cfg, refinement=replace(cfg.refinement, gradient="detached")))
+        errors = {"through-score": loss_grad_check(model, bags, h=h, tape_grad=through),
+                  "detached": loss_grad_check(detached, bags, h=h)}
         return {"seed": s, "branch_margin": float(margin), "min_grad": gmin, "step": h,
-                "n_params": int(grad.shape[0]),
-                "through-score": errors["through-score"],
-                "detached": errors["detached"],
-                "max_rel_error": max(errors.values()),
-                "config": toy_config().to_dict()}
+                "n_params": int(through[2].shape[0]), **errors,
+                "max_rel_error": max(errors.values()), "config": cfg.to_dict()}
     raise NumericError(
         f"no sample with branch margin >= {min_margin} and gradient floor "
         f">= {grad_floor} in {max_attempts} attempts")

@@ -250,14 +250,16 @@ def init_attention(seed: int, hidden: int, dim: int) -> AttentionParams:
 
 
 def refinement_score(h, guidance, cfg: RefinementConfig):
-    """Piecewise score (`tape.refine_value`) of cos(h, guidance): a float
-    for a vector h, one score per row for a matrix h. `guidance=None`
-    (degenerate or disabled guidance) scores zero, as does a near-zero-norm
-    item. Within a branch the gradient is linear in the cosine; in
-    "detached" mode the score is a constant with respect to everything."""
+    """Piecewise score (`tape.refine_value`) of cos(h_i, guidance) for
+    each row h_i of the matrix h. `guidance=None` (degenerate or disabled
+    guidance) scores zero, as does a near-zero-norm row. Within a branch
+    the gradient is linear in the cosine; in "detached" mode the score is
+    a constant with respect to everything."""
     if guidance is None:
         hv = tp.value(h)
-        return 0.0 if hv.ndim == 1 else np.zeros(hv.shape[0])
+        if np.ndim(hv) != 2:
+            raise ValueError(f"h must be a 2-d array of rows, got shape {np.shape(hv)}")
+        return np.zeros(hv.shape[0])
     if cfg.gradient == "detached":
         h, guidance = tp.value(h), tp.value(guidance)
     return tp.refine_scores(h, guidance, cfg.factor, cfg.threshold)

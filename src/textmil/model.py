@@ -40,9 +40,8 @@ from .textenc import (EncoderBlock, PromptSet, TextEncoderStack, build_prompt, b
 
 def class_probabilities(slide_embeddings, class_embeddings, temperature: float):
     """Softmax over the cosine similarities between each slide embedding (a
-    row of `slide_embeddings`, or the one vector) and each class text
-    embedding, scaled by the temperature: one row of class probabilities
-    per slide."""
+    row of `slide_embeddings`) and each class text embedding, scaled by the
+    temperature: one row of class probabilities per slide."""
     if temperature <= 0:
         raise ConfigError(f"temperature must be > 0, got {temperature}")
     cosines = tp.cosine(slide_embeddings, tp.rows(class_embeddings))

@@ -2,8 +2,13 @@
 
 The op set is closed on purpose: every primitive used by the slide
 classifier lives here with its backward rule next to it, so the whole
-reverse pass can be audited function by function. Values are either
-python floats (scalars) or float64 numpy arrays (vectors / matrices).
+reverse pass can be audited function by function. Values are python
+floats (scalars) or float64 numpy arrays, and each op takes one shape.
+The encoder ops (`layernorm`, `scale_shift`, `mlp`, `matvec`,
+`l2_normalize`) take vectors. The pooling, head and refinement ops
+(`gate_logits`, `segment_pool`, `cosine`, `softmax`, `refine_scores`,
+`mean_nll`) take their items (instances, regions, slides or classes) as
+the rows of a matrix, and a vector in its place is a ValueError.
 
 Ops are module-level functions. Arguments may be plain arrays/floats
 (constants) or `Node`s created via `Tape.param`. An op records itself
@@ -59,8 +64,6 @@ from .errors import DataError, NumericError
 EPS_LN = 1e-5    # layernorm variance stabilizer
 EPS_NORM = 1e-8  # minimum norm for cosine / l2_normalize
 REL_GUARD = 1e-12  # denominator guard for relative errors
-
-Value = "float | np.ndarray"
 
 
 class DegenerateVectorError(ValueError):
@@ -167,17 +170,18 @@ def _check_vector(x, name: str):
         raise ValueError(f"{name} must be a nonempty 1-d array, got {getattr(x, 'shape', type(x))}")
 
 
-def _check_matrix(x, name: str):
-    if not (isinstance(x, np.ndarray) and x.ndim == 2):
-        raise ValueError(f"{name} must be a 2-d array, got {getattr(x, 'shape', type(x))}")
+def _check_matrix(x, name: str, width: int | None = None):
+    """`x` must be a 2-d array of nonempty rows, of `width` entries each if given."""
+    if not (isinstance(x, np.ndarray) and x.ndim == 2 and x.shape[1] > 0):
+        raise ValueError(f"{name} must be a 2-d array of nonempty rows, got {getattr(x, 'shape', type(x))}")
+    if width is not None and x.shape[1] != width:
+        raise ValueError(f"{name} has rows of length {x.shape[1]}, expected {width}")
 
 
 def _check_matvec(a, x):
     """`a` must be a matrix and `x` a nonempty vector of its row length."""
-    _check_matrix(a, "A")
     _check_vector(x, "x")
-    if a.shape[1] != x.shape[0]:
-        raise ValueError(f"inner dimensions disagree: {a.shape} x {x.shape}")
+    _check_matrix(a, "A", x.shape[0])
 
 
 def _same_shape(a, b):
@@ -190,14 +194,6 @@ def _same_shape(a, b):
 
 # ---------------------------------------------------------------------------
 # primitives
-
-
-def _check_rows(x, name: str, width: int | None = None):
-    """`x` must be a vector or a matrix, with `width` entries per row if given."""
-    if not (isinstance(x, np.ndarray) and x.ndim in (1, 2) and x.shape[-1] > 0):
-        raise ValueError(f"{name} must be a nonempty vector or matrix, got {getattr(x, 'shape', type(x))}")
-    if width is not None and x.shape[-1] != width:
-        raise ValueError(f"{name} has rows of length {x.shape[-1]}, expected {width}")
 
 
 def _check_offsets(offsets, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
@@ -266,22 +262,13 @@ def matvec(a, x):
     return record(av @ xv, [(a, lambda g: np.outer(g, xv)), (x, lambda g: av.T @ g)])
 
 
-def dot(u, v):
-    uv, vv = value(u), value(v)
-    _check_vector(uv, "u")
-    _check_vector(vv, "v")
-    _same_shape(u, v)
-    out = float(uv @ vv)
-    return record(out, [(u, lambda g: g * vv), (v, lambda g: g * uv)])
-
-
 def softmax(x):
-    """Stable softmax of a nonempty vector of logits, or of each row of a matrix."""
+    """Stable softmax of each row of a matrix of logits."""
     xv = value(x)
-    _check_rows(xv, "logits")
-    e = np.exp(xv - xv.max(axis=-1, keepdims=True))
-    y = e / e.sum(axis=-1, keepdims=True)
-    return record(y, [(x, lambda g: y * (g - (g * y).sum(axis=-1, keepdims=True)))])
+    _check_matrix(xv, "logits")
+    e = np.exp(xv - xv.max(axis=1, keepdims=True))
+    y = e / e.sum(axis=1, keepdims=True)
+    return record(y, [(x, lambda g: y * (g - (g * y).sum(axis=1, keepdims=True)))])
 
 
 def rows(vectors: Sequence):
@@ -386,66 +373,56 @@ def refine_value(c, factor: float, threshold: float):
 
 
 def refine_scores(x, t, factor: float, threshold: float):
-    """`refine_value` of the cosine between `t` and each row of the matrix
-    `x` (one score per row) or the vector `x` (a float). A row with norm
-    below EPS_NORM scores 0. The gradient is the branch slope times the
-    cosine's gradient, so a zero score gets none."""
+    """`refine_value` of the cosine between the vector `t` and each row of
+    the matrix `x`, one score per row. A row with norm below EPS_NORM
+    scores 0. The gradient is the branch slope times the cosine's
+    gradient, so a zero score gets none."""
     xv, tv = value(x), value(t)
     _check_vector(tv, "t")
-    vector = np.ndim(xv) == 1
-    xm = xv[None, :] if vector else xv
-    _check_matrix(xm, "x")
-    if xm.shape[1] != tv.shape[0]:
-        raise ValueError(f"rows of length {xm.shape[1]} for a guidance of length {tv.shape[0]}")
+    _check_matrix(xv, "x", tv.shape[0])
     nt = float(np.linalg.norm(tv))
     if nt < EPS_NORM:
         raise DegenerateVectorError(f"cannot score against a guidance with norm {nt:g}")
-    nx = np.linalg.norm(xm, axis=1)
+    nx = np.linalg.norm(xv, axis=1)
     live = nx >= EPS_NORM
     nx = np.where(live, nx, 1.0)
-    c = (xm @ tv) / (nx * nt)
+    c = (xv @ tv) / (nx * nt)
     s, slope = refine_value(c, factor, threshold)
     slope = np.where(live, slope, 0.0)
     s = np.where(live, s, 0.0)
 
     def pull_x(g):
-        k = np.reshape(g, -1) * slope / (nx * nt)
-        return (k[:, None] * (tv - (c * nt / nx)[:, None] * xm)).reshape(xv.shape)
+        k = g * slope / (nx * nt)
+        return k[:, None] * (tv - (c * nt / nx)[:, None] * xv)
 
     def pull_t(g):
-        gs = np.reshape(g, -1) * slope
-        return (gs / (nx * nt)) @ xm - float(gs @ c) / (nt * nt) * tv
+        gs = g * slope
+        return (gs / (nx * nt)) @ xv - float(gs @ c) / (nt * nt) * tv
 
     pulls = [(x, pull_x), (t, pull_t)] if slope.any() else []
-    return record(float(s[0]) if vector else s, pulls)
+    return record(s, pulls)
 
 
 def cosine(u, v):
-    """Cosine similarity of the vectors u and v (a float), or of every row
-    of u with every row of v (a matrix; a vector argument counts as one row
-    and contributes no axis). Every row needs norm >= EPS_NORM."""
+    """Cosine similarity of every row of the matrix u with every row of the
+    matrix v, as a (rows of u, rows of v) matrix. Every row needs norm >=
+    EPS_NORM."""
     uv, vv = value(u), value(v)
-    _check_rows(uv, "u")
-    _check_rows(vv, "v", uv.shape[-1])
-    um, vm = np.atleast_2d(uv), np.atleast_2d(vv)
-    nu = np.linalg.norm(um, axis=1)
-    nv = np.linalg.norm(vm, axis=1)
+    _check_matrix(uv, "u")
+    _check_matrix(vv, "v", uv.shape[1])
+    nu = np.linalg.norm(uv, axis=1)
+    nv = np.linalg.norm(vv, axis=1)
     if nu.min() < EPS_NORM or nv.min() < EPS_NORM:
         raise DegenerateVectorError(f"cosine of near-zero vector (norms {nu.min():g}, {nv.min():g})")
-    c = (um @ vm.T) / np.outer(nu, nv)
-    shape = uv.shape[:-1] + vv.shape[:-1]
+    c = (uv @ vv.T) / np.outer(nu, nv)
 
     def pull_u(g):
-        gm = np.reshape(g, c.shape)
-        d = (gm / nv) @ vm / nu[:, None] - ((gm * c).sum(axis=1) / (nu * nu))[:, None] * um
-        return d.reshape(uv.shape)
+        return (g / nv) @ vv / nu[:, None] - ((g * c).sum(axis=1) / (nu * nu))[:, None] * uv
 
     def pull_v(g):
-        gm = np.reshape(g, c.shape)
-        d = (gm / nu[:, None]).T @ um / nv[:, None] - ((gm * c).sum(axis=0) / (nv * nv))[:, None] * vm
-        return d.reshape(vv.shape)
+        return (g / nu[:, None]).T @ uv / nv[:, None] - ((g * c).sum(axis=0) / (nv * nv))[:, None] * vv
 
-    return record(c.reshape(shape) if shape else float(c[0, 0]), [(u, pull_u), (v, pull_v)])
+    return record(c, [(u, pull_u), (v, pull_v)])
 
 
 def mean_nll(p, labels):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from textmil import cli
 from textmil.cli import main
@@ -864,6 +864,46 @@ def test_params_survives_fuzzed_config(data):
         code = run_strict(["params", "--config", str(config), "--out", f"{root}/out"],
                           f"{root}/out")
     assert code in (0, 2, 3, 4)
+
+
+@pytest.mark.parametrize("kind,what", [("config", "config file"), ("checkpoint", "checkpoint"),
+                                       ("manifest", "manifest"), ("prompts", "prompt file"),
+                                       ("bag", "bag file")])
+def test_file_not_utf8_or_nested_too_deep_exits_naming_it(tmp_path, trained_run, kind, what):
+    """Every input file is read as UTF-8 JSON: a file that starts with a
+    UTF-16 byte order mark, or nests 100,000 arrays, exits 2 (a config)
+    or 3 (any other file) naming the file, with no traceback."""
+    dataset, raw = trained_run
+    data = Path(shutil.copytree(dataset, tmp_path / "data"))
+    checkpoint = tmp_path / "checkpoint.json"
+    checkpoint.write_text(json.dumps(raw))
+    manifest = read_json(data / "manifest.json")
+    test_slide = raw["split"]["test"][0]
+    path = {"config": tmp_path / "config.json", "checkpoint": checkpoint,
+            "manifest": data / "manifest.json", "prompts": data / manifest["prompts_file"],
+            "bag": data / next(s["file"] for s in manifest["slides"] if s["id"] == test_slide)}[kind]
+    argv = {"config": ["params", "--config", path],
+            "checkpoint": ["merge", "--checkpoint", path, "--out", tmp_path / "out"]}.get(
+        kind, ["eval", "--data", data, "--checkpoint", checkpoint, "--out", tmp_path / "out"])
+    for content in (b"\xff\xfe{}", b"[" * 100_000):
+        path.write_bytes(content)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([str(a) for a in argv])
+        assert code == (2 if kind == "config" else 3)
+        assert f"cannot read {what} {path}: " in err.getvalue()
+
+
+@CLI_FUZZ
+@given(blob=st.binary(max_size=64))
+def test_random_bytes_as_config_or_checkpoint_exit_2_or_3(blob):
+    """Random bytes as a config file exit 2, and as a checkpoint exit 3."""
+    assume(blob.strip(b" \t\n\r") != b"{}")  # the one config that bytes this short can hold
+    with tempfile.TemporaryDirectory() as root:
+        path, out = Path(root) / "input.json", Path(root) / "out"
+        path.write_bytes(blob)
+        assert run_strict(["params", "--config", str(path), "--out", str(out)], out) == 2
+        assert run_strict(["merge", "--checkpoint", str(path), "--out", str(out)], out) == 3
 
 
 def test_eval_rejects_all_zero_slide(tmp_path, dataset_dir, checkpoint, capsys):

@@ -118,21 +118,22 @@ def test_value_just_outside_a_range_is_named(tmp_path, key, bad, good):
     files = {"config.json": {section: {name: bad}},
              "checkpoint.json": {"format": 2, "config": {section: {name: bad}}}}
     out = tmp_path / "out"
-    runs = [(["params", "--config", tmp_path / "config.json"], 2, "config.json"),
+    # a checkpoint's field is named under its `config` section
+    runs = [(["params", "--config", tmp_path / "config.json"], 2, "config.json", ""),
             (["merge", "--checkpoint", tmp_path / "checkpoint.json", "--out", out], 3,
-             "checkpoint.json")]
+             "checkpoint.json", "config.")]
     if section == "generator":
         files["data/manifest.json"] = {"format": 1, "generator": {name: bad},
                                        "prompts_file": "prompts.json", "slides": []}
         runs.append((["train", "--data", tmp_path / "data", "--out", out], 3,
-                     "data/manifest.json"))
+                     "data/manifest.json", ""))
     for file, payload in files.items():
         (tmp_path / file).parent.mkdir(exist_ok=True)
         (tmp_path / file).write_text(json.dumps(payload))
-    for argv, want, file in runs:
+    for argv, want, file, at in runs:
         code, err = _run(argv)
         assert code == want
-        assert f"{tmp_path / file}: {_message(key, bad)}\n" in err
+        assert f"{tmp_path / file}: {at}{_message(key, bad)}\n" in err
     assert not out.exists()
 
 
@@ -171,6 +172,17 @@ def test_rule_between_two_fields_names_both(setting):
     with pytest.raises(ConfigError) as info:
         load_config(None, [setting])
     assert str(info.value) == CROSS_FIELD[setting]
+
+
+@pytest.mark.parametrize("setting", sorted(CROSS_FIELD))
+def test_checkpoint_names_a_broken_rule_under_its_config_section(tmp_path, setting):
+    key, _, value = setting.partition("=")
+    section, name = key.split(".")
+    path = tmp_path / "checkpoint.json"
+    path.write_text(json.dumps({"format": 2, "config": {section: {name: json.loads(value)}}}))
+    code, err = _run(["merge", "--checkpoint", path, "--out", tmp_path / "out"])
+    assert code == 3
+    assert f"{path}: config.{CROSS_FIELD[setting]}\n" in err
 
 
 @pytest.mark.parametrize("setting", [

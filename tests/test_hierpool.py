@@ -133,19 +133,19 @@ def test_refine_value_slopes():
 def test_refinement_score_through_cosine():
     t = np.array([1.0, 0.0, 0.0, 0.0])
     h = np.array([0.5, math.sqrt(0.75), 0.0, 0.0])
-    assert float(refinement_score(h, t, CFG)) == pytest.approx(5.0, abs=1e-9)
+    assert refinement_score(h[None], t, CFG)[0] == pytest.approx(5.0, abs=1e-9)
     h_mid = np.array([0.1, math.sqrt(0.99), 0.0, 0.0])
-    assert float(refinement_score(h_mid, t, CFG)) == pytest.approx(0.1, abs=1e-9)
+    assert refinement_score(h_mid[None], t, CFG)[0] == pytest.approx(0.1, abs=1e-9)
     h_neg = np.array([-0.4, math.sqrt(1 - 0.16), 0.0, 0.0])
-    assert float(refinement_score(h_neg, t, CFG)) == 0.0
+    assert refinement_score(h_neg[None], t, CFG)[0] == 0.0
 
 
 def test_refinement_degenerate_guidance_scores_zero():
-    assert refinement_score(np.ones(3), None, CFG) == 0.0
+    assert np.array_equal(refinement_score(np.ones(3)[None], None, CFG), [0.0])
 
 
 def test_refinement_degenerate_instance_scores_zero():
-    assert refinement_score(np.zeros(3), np.array([1.0, 0, 0]), CFG) == 0.0
+    assert np.array_equal(refinement_score(np.zeros(3)[None], np.array([1.0, 0, 0]), CFG), [0.0])
 
 
 def test_refinement_monotone_in_cosine():
@@ -154,7 +154,7 @@ def test_refinement_monotone_in_cosine():
     vals = []
     for c in cs:
         h = np.array([c, math.sqrt(1 - c * c)])
-        vals.append(float(refinement_score(h, t, CFG)))
+        vals.append(refinement_score(h[None], t, CFG)[0])
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
@@ -322,7 +322,7 @@ def test_refinement_increases_aligned_attention():
     others = rng.standard_normal((3, 6))
     embs = np.vstack([aligned, others])
     params = random_params(rng, 4, 6)
-    assert tp.cosine(aligned, t) > CFG.threshold
+    assert tp.cosine(aligned[None], t[None])[0, 0] > CFG.threshold
     lo = region_encode(region_batch(embs), t, params, CFG)
     hi_cfg = RefinementConfig(factor=3 * CFG.factor, threshold=CFG.threshold)
     hi = region_encode(region_batch(embs), t, params, hi_cfg)
@@ -551,7 +551,7 @@ def test_refinement_score_matrix_matches_rows():
     scores = refinement_score(H, t, CFG)
     assert scores.shape == (5,)
     for j in range(5):
-        assert scores[j] == pytest.approx(float(refinement_score(H[j], t, CFG)), abs=1e-12)
+        assert scores[j] == pytest.approx(refinement_score(H[j][None], t, CFG)[0], abs=1e-12)
     assert scores[0] > CFG.threshold and scores[4] == 0.0
     assert not refinement_score(H, None, CFG).any()
 

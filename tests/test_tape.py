@@ -9,13 +9,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from textmil import tape as tp
+from textmil.config import RefinementConfig
 from textmil.errors import NumericError
+from textmil.hierpool import refinement_score
 from textmil.tape import DegenerateVectorError
 
 
 def finite_vectors(min_size=2, max_size=8):
     return st.lists(st.floats(-50, 50, allow_nan=False, allow_infinity=False),
                     min_size=min_size, max_size=max_size).map(lambda v: np.array(v, dtype=np.float64))
+
+
+def dot(u, v):
+    """The tests' scalar reducer: the sum of the elementwise product of two
+    values of one shape, recorded through the public `tp.record`."""
+    uv, vv = tp.value(u), tp.value(v)
+    assert np.shape(uv) == np.shape(vv)
+    return tp.record(float(np.sum(uv * vv)), [(u, lambda g: g * vv), (v, lambda g: g * uv)])
 
 
 # ---------------------------------------------------------------------------
@@ -74,19 +84,19 @@ def test_tanh_vjp_closed_form():
     t = tp.Tape()
     x = t.param(np.array([0.5]))
     y = tanh_mlp(x)
-    g = t.backward(tp.dot(np.ones(1), y))[x]
+    g = t.backward(dot(np.ones(1), y))[x]
     assert g[0] == pytest.approx(0.7864477329659274, abs=1e-15)
 
 
 def test_softmax_constant_vector():
     for c in (0.0, -3.5, 41.0):
-        out = tp.softmax(np.full(3, c))
+        out = tp.softmax(np.full((1, 3), c))
         assert np.abs(out - 1.0 / 3).max() <= 1e-12
 
 
 def test_softmax_shift_invariance_concrete():
     rng = np.random.default_rng(11)
-    x = rng.standard_normal(6)
+    x = rng.standard_normal(6)[None]
     assert np.abs(tp.softmax(x) - tp.softmax(x + 10.0)).max() <= 1e-12
 
 
@@ -94,26 +104,26 @@ def test_softmax_matches_naive_oracle():
     rng = np.random.default_rng(5)
     x = rng.standard_normal(5)
     naive = np.exp(x) / np.exp(x).sum()
-    assert np.abs(tp.softmax(x) - naive).max() <= 1e-12
+    assert np.abs(tp.softmax(x[None])[0] - naive).max() <= 1e-12
 
 
 def test_softmax_empty_rejected():
     with pytest.raises(ValueError):
-        tp.softmax(np.array([]))
+        tp.softmax(np.empty((2, 0)))
 
 
 def test_cosine_identities():
     rng = np.random.default_rng(7)
-    u = rng.standard_normal(6)
-    assert tp.cosine(u, u) == pytest.approx(1.0, abs=1e-12)
-    assert tp.cosine(u, -u) == pytest.approx(-1.0, abs=1e-12)
-    assert tp.cosine(np.array([1.0, 0.0]), np.array([1.0, 1.0])) == pytest.approx(
+    u = rng.standard_normal(6)[None]
+    assert tp.cosine(u, u)[0, 0] == pytest.approx(1.0, abs=1e-12)
+    assert tp.cosine(u, -u)[0, 0] == pytest.approx(-1.0, abs=1e-12)
+    assert tp.cosine(np.array([[1.0, 0.0]]), np.array([[1.0, 1.0]]))[0, 0] == pytest.approx(
         0.7071067811865475, abs=1e-12)
 
 
 def test_cosine_near_zero_norm_degenerate():
     with pytest.raises(DegenerateVectorError):
-        tp.cosine(np.zeros(3), np.ones(3))
+        tp.cosine(np.zeros((1, 3)), np.ones((1, 3)))
     with pytest.raises(DegenerateVectorError):
         tp.l2_normalize(np.full(4, 1e-12))
 
@@ -155,19 +165,20 @@ for i in range(10):
     A = _rng.standard_normal((4, 6))
     p4 = _rng.standard_normal(4)
     CASES += [
-        (f"tanh-{i}", lambda x, w=w: tp.dot(w, tanh_mlp(x)), v + 0.1),
+        (f"tanh-{i}", lambda x, w=w: dot(w, tanh_mlp(x)), v + 0.1),
         # the sigmoid gate of gate_logits: unit instances, so row j's gate is sigmoid(x_j)
-        (f"sigmoid-{i}", lambda x, w=w: tp.dot(w, tp.gate_logits(
+        (f"sigmoid-{i}", lambda x, w=w: dot(w, tp.gate_logits(
             np.eye(6), np.ones(1), np.full((1, 6), 0.5), tp.rows([x]))), v - 0.2),
-        (f"hadamard-{i}", lambda x, w=w: tp.dot(w, tp.scale_shift(x, w, 0.0 * w)), v),
-        (f"matvec-{i}", lambda x, A=A, p=p4: tp.dot(p, tp.matvec(A, x)), v),
-        (f"softmax-{i}", lambda x, w=w: tp.dot(w, tp.softmax(x)), v),
-        (f"cosine-{i}", lambda x, w=w: tp.cosine(x, w), v + 0.5),
-        (f"l2norm-{i}", lambda x, w=w: tp.dot(w, tp.l2_normalize(x)), v + 0.3),
-        (f"layernorm-{i}", lambda x, w=w: tp.dot(w, tp.layernorm(x, w, w)), v),
-        (f"add-scale-{i}", lambda x, w=w: tp.scale(tp.dot(w, tp.add(x, w)), 1.7), v),
-        (f"wsum-{i}", lambda x, w=w, v=v: tp.dot(w, tp.pool(
-            tp.softmax(x), np.stack([w, v, w + 1, v - 1, w * 2, v * 0.5]))), v),
+        (f"hadamard-{i}", lambda x, w=w: dot(w, tp.scale_shift(x, w, 0.0 * w)), v),
+        (f"matvec-{i}", lambda x, A=A, p=p4: dot(p, tp.matvec(A, x)), v),
+        (f"softmax-{i}", lambda x, w=w: dot(w[None], tp.softmax(x)), v[None]),
+        (f"cosine-{i}", lambda x, w=w: dot(np.ones((1, 1)), tp.cosine(x, w[None])),
+         (v + 0.5)[None]),
+        (f"l2norm-{i}", lambda x, w=w: dot(w, tp.l2_normalize(x)), v + 0.3),
+        (f"layernorm-{i}", lambda x, w=w: dot(w, tp.layernorm(x, w, w)), v),
+        (f"add-scale-{i}", lambda x, w=w: tp.scale(dot(w, tp.add(x, w)), 1.7), v),
+        (f"wsum-{i}", lambda x, w=w, v=v: dot(w, tp.pool(
+            tp.segment_softmax(x, [0, 6]), np.stack([w, v, w + 1, v - 1, w * 2, v * 0.5]))), v),
     ]
 
 
@@ -180,7 +191,7 @@ def test_vjp_matches_central_differences(name, build, x0):
     node = t.param(x0)
     out = build(node)
     g = t.backward(out)[node]
-    err = tp.grad_check(f, x0.copy(), np.asarray(g).ravel(), h=1e-6)
+    err = tp.grad_check(f, x0.ravel(), np.asarray(g).ravel(), h=1e-6)
     assert err <= 1e-4, f"{name}: rel err {err}"
 
 
@@ -191,11 +202,11 @@ def test_matrix_param_vjp():
     p = rng.standard_normal(3)
 
     def f(flat):
-        return float(tp.value(tp.dot(p, tp.matvec(flat.reshape(3, 4), x))))
+        return float(tp.value(dot(p, tp.matvec(flat.reshape(3, 4), x))))
 
     t = tp.Tape()
     node = t.param(A0)
-    g = t.backward(tp.dot(p, tp.matvec(node, x)))[node]
+    g = t.backward(dot(p, tp.matvec(node, x)))[node]
     assert tp.grad_check(f, A0.ravel(), g.ravel(), h=1e-6) <= 1e-4
 
 
@@ -255,7 +266,7 @@ def reduce_scalar(out, u, v):
     if np.ndim(val) == 2:
         out = tp.pool(v[:val.shape[0]], out)
         val = tp.value(out)
-    return tp.dot(u[:val.shape[0]], out)
+    return dot(u[:val.shape[0]], out)
 
 
 def refine(x, t):
@@ -266,7 +277,7 @@ def refine(x, t):
 # argument, random draw), as (id, fn, args, k, op). `fn(*args)` calls the
 # primitive `op` with its constant arguments bound, and args[k] is the
 # argument checked; `test_table_covers_every_public_op` keeps the table
-# complete.
+# complete. The `vector` cases of the row ops take one row, a (1, dim) matrix.
 PRIMITIVE_CASES = []
 OFFSETS = np.array([0, 1, 4, 7])  # a one-row segment and two of three rows
 LABELS = np.array([2, 0, 3])
@@ -287,10 +298,11 @@ for i in range(3):
                         (f"pool-H-{i}", tp.pool, [p, H], 1, tp.pool)]
     PRIMITIVE_CASES += [(f"refine_scores-rows-{i}", refine, [X, t], 0, tp.refine_scores),
                         (f"refine_scores-guidance-{i}", refine, [X, t], 1, tp.refine_scores),
-                        (f"refine_scores-amplified-vector-{i}", refine, [X[0], t], 0,
+                        (f"refine_scores-amplified-vector-{i}", refine, [X[:1], t], 0,
                          tp.refine_scores),
-                        (f"refine_scores-pass-vector-{i}", refine, [X[1], t], 0, tp.refine_scores),
-                        (f"refine_scores-vector-guidance-{i}", refine, [X[3], t], 1,
+                        (f"refine_scores-pass-vector-{i}", refine, [X[1:2], t], 0,
+                         tp.refine_scores),
+                        (f"refine_scores-vector-guidance-{i}", refine, [X[3:4], t], 1,
                          tp.refine_scores)]
 
     def draw(*shape):
@@ -310,15 +322,14 @@ for i in range(3):
                          [v6, w6], j, tp.scale_shift) for j, n in enumerate("ab")]
     PRIMITIVE_CASES += [(f"tanh-a-{i}", tanh_mlp, [v6], 0, tp.mlp)]
     PRIMITIVE_CASES += both(tp.matvec, tp.matvec, [M, v6], "ax")
-    PRIMITIVE_CASES += both(tp.dot, tp.dot, [v6, w6], "uv")
-    PRIMITIVE_CASES += [(f"softmax-x-{i}", tp.softmax, [v6], 0, tp.softmax),
+    PRIMITIVE_CASES += [(f"softmax-x-{i}", tp.softmax, [v6[None]], 0, tp.softmax),
                         (f"softmax-rows-x-{i}", tp.softmax, [M], 0, tp.softmax)]
     PRIMITIVE_CASES += [(f"l2_normalize-u-{i}", tp.l2_normalize, [v6], 0, tp.l2_normalize)]
     PRIMITIVE_CASES += both(tp.layernorm, tp.layernorm, [v6, 1.0 + 0.3 * draw(6), draw(6)],
                             ("x", "gain", "bias"))
-    PRIMITIVE_CASES += both(tp.cosine, tp.cosine, [v6, w6], "uv")
+    PRIMITIVE_CASES += both(tp.cosine, tp.cosine, [v6[None], w6[None]], "uv")
     PRIMITIVE_CASES += both(tp.cosine, tp.cosine, [draw(3, 6), M], "uv", "rows-")
-    PRIMITIVE_CASES += both(tp.cosine, tp.cosine, [v6, M], "uv", "vector-rows-")
+    PRIMITIVE_CASES += both(tp.cosine, tp.cosine, [v6[None], M], "uv", "vector-rows-")
     PRIMITIVE_CASES += [(f"segment_softmax-z-{i}", lambda z: tp.segment_softmax(z, OFFSETS),
                          [draw(7)], 0, tp.segment_softmax)]
     PRIMITIVE_CASES += both(tp.segment_pool, lambda p, h: tp.segment_pool(p, h, OFFSETS),
@@ -353,22 +364,47 @@ def test_primitive_argument_vjp(name, fn, args, k, op):
 # of ops that are constants by contract
 NOT_OPS = {"value", "record", "central_difference", "grad_check", "refine_value"}
 CONSTANT_ARGS = {"k", "offsets", "labels", "factor", "threshold"}
+PUBLIC_OPS = {name: f for name, f in vars(tp).items()
+              if inspect.isfunction(f) and f.__module__ == tp.__name__
+              and not name.startswith("_") and name not in NOT_OPS}
 
 
 def test_table_covers_every_public_op():
     """Every public op of tape.py has a table case for each argument it
     differentiates; an op added without cases fails here."""
-    public = {name: f for name, f in vars(tp).items()
-              if inspect.isfunction(f) and f.__module__ == tp.__name__
-              and not name.startswith("_") and name not in NOT_OPS}
     covered = {}
     for _, _, _, k, op in PRIMITIVE_CASES:
         params = list(inspect.signature(op).parameters)
         covered.setdefault(op.__name__, set()).add(params[0] if op is tp.rows else params[k])
-    assert set(covered) == set(public)
-    for name, f in public.items():
+    assert set(covered) == set(PUBLIC_OPS)
+    for name, f in PUBLIC_OPS.items():
         wanted = set(inspect.signature(f).parameters) - CONSTANT_ARGS
         assert wanted <= covered[name], f"{name}: no table case for {wanted - covered[name]}"
+
+
+def test_ops_used_outside_tape():
+    """Every public op of tape.py is used as `tp.<name>` (called, or passed
+    as `reduce(tp.add, ...)` is) by some other module of the package, each
+    of which imports tape as `tp`: an op only the tests call fails here."""
+    used = set()
+    for path in Path(tp.__file__).parent.glob("*.py"):
+        if path.name != "tape.py":
+            used |= {node.attr for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                     and node.value.id == "tp"}
+    assert set(PUBLIC_OPS) - used == set()
+
+
+def test_row_ops_reject_a_vector():
+    """The pooling, head and refinement ops take row matrices only."""
+    u, t = np.array([0.6, 0.8]), np.array([1.0, 0.0])
+    calls = [lambda: tp.softmax(u), lambda: tp.cosine(u, t[None]),
+             lambda: tp.cosine(u[None], t), lambda: tp.refine_scores(u, t, FACTOR, THRESHOLD),
+             lambda: refinement_score(u, t, RefinementConfig()),
+             lambda: refinement_score(u, None, RefinementConfig())]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_refine_scores_branch_values():
@@ -379,7 +415,7 @@ def test_refine_scores_branch_values():
     assert np.abs(s - [FACTOR * 0.6, 0.15, 0.0]).max() <= 1e-12
     assert s[2] == 0.0 and math.copysign(1.0, s[2]) == 1.0
     for j in range(3):
-        assert tp.refine_scores(X[j], t, FACTOR, THRESHOLD) == pytest.approx(s[j], abs=1e-12)
+        assert tp.refine_scores(X[j][None], t, FACTOR, THRESHOLD)[0] == pytest.approx(s[j], abs=1e-12)
 
 
 def test_refine_scores_near_zero_row_scores_zero_without_gradient():
@@ -390,7 +426,7 @@ def test_refine_scores_near_zero_row_scores_zero_without_gradient():
     node = tape.param(X)
     s = tp.refine_scores(node, t, FACTOR, THRESHOLD)
     assert tp.value(s)[1] == 0.0
-    g = tape.backward(tp.dot(np.ones(2), s))[node]
+    g = tape.backward(dot(np.ones(2), s))[node]
     assert not g[1].any() and g[0].any()
 
 
@@ -408,12 +444,12 @@ def test_refine_scores_all_zero_records_nothing():
 
 @given(finite_vectors())
 def test_softmax_sums_to_one(v):
-    assert abs(float(tp.softmax(v).sum()) - 1.0) <= 1e-12
+    assert abs(float(tp.softmax(v[None]).sum()) - 1.0) <= 1e-12
 
 
 @given(finite_vectors(), st.floats(-30, 30, allow_nan=False))
 def test_softmax_shift_invariance(v, c):
-    assert np.abs(tp.softmax(v) - tp.softmax(v + c)).max() <= 1e-12
+    assert np.abs(tp.softmax(v[None]) - tp.softmax(v[None] + c)).max() <= 1e-12
 
 
 @given(finite_vectors(3, 6).filter(lambda v: np.linalg.norm(v) > 1e-3),
@@ -424,9 +460,10 @@ def test_cosine_symmetry_and_rescale_invariance(u, v, s):
         v = np.resize(v, u.shape)
         if np.linalg.norm(v) <= 1e-3:
             return
-    c1 = tp.cosine(u, v)
-    assert c1 == pytest.approx(tp.cosine(v, u), abs=1e-12)
-    assert c1 == pytest.approx(tp.cosine(u * s, v), abs=1e-12)
+    u, v = u[None], v[None]
+    c1 = tp.cosine(u, v)[0, 0]
+    assert c1 == pytest.approx(tp.cosine(v, u)[0, 0], abs=1e-12)
+    assert c1 == pytest.approx(tp.cosine(u * s, v)[0, 0], abs=1e-12)
     assert -1.0 - 1e-12 <= c1 <= 1.0 + 1e-12
 
 
@@ -447,7 +484,7 @@ def test_backward_visits_reverse_order_once():
     t = tp.Tape()
     x = t.param(np.array([1.0, 2.0]))
     y = tp.add(x, x)          # fan-in of the same node twice
-    z = tp.dot(y, np.array([1.0, 1.0]))
+    z = dot(y, np.array([1.0, 1.0]))
     g = t.backward(z)[x]
     assert np.array_equal(g, np.array([2.0, 2.0]))
 
@@ -466,7 +503,7 @@ def test_dropped_graph_freed_without_cycle_collection():
     try:
         t = tp.Tape()
         x = t.param(np.array([0.3, -0.2]))
-        root = tp.dot(tanh_mlp(x), tp.scale_shift(x, x, x))
+        root = dot(tanh_mlp(x), tp.scale_shift(x, x, x))
         t.backward(root)
         assert len(t) == 4
         del t, x, root
@@ -480,7 +517,7 @@ def test_backward_ignores_nodes_off_the_root_path():
     x = t.param(np.array([1.0, 2.0]))
     y = t.param(np.array([3.0, 4.0]))
     unused = tp.scale_shift(x, y, y)
-    root = tp.dot(x, np.array([1.0, -1.0]))
+    root = dot(x, np.array([1.0, -1.0]))
     g = t.backward(root)
     assert np.array_equal(g[x], [1.0, -1.0])
     assert np.array_equal(g[y], [0.0, 0.0])
