@@ -11,7 +11,7 @@ from .hierpool import (AttentionParams, BagBatch, Region, SlideBag, batch_bags, 
 from .metrics import EvalResult, UndefinedMetricError, auc, dice, evaluate, macro_auc
 from .model import (SlideClassifier, build_model, class_probabilities, load_checkpoint,
                     merge_model, save_checkpoint)
-from .ssf import SsfParams, SsfSite, attach_depth, count_trainable, ssf_forward
+from .ssf import SsfParams, attach_depth, count_trainable, ssf_forward
 from .textenc import (PromptSet, TextEncoderStack, build_prompt, build_stack, encode,
                       load_prompts, refinement_embedding, save_prompts)
 from .train import AdamState, FitResult, adam_step, fit, run_kshot

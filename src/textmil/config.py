@@ -30,8 +30,12 @@ def checked(default, rule):
     return field(default=default, metadata={"rule": rule})
 
 
-def _broken(name: str, rule: str, value) -> ConfigError:
-    return ConfigError(f"{name} must be {rule}, got {value!r}")
+def _broken(name: str, rule: str, value, *others: str) -> ConfigError:
+    """The error of field `name`, whose `value` breaks `rule`; `others` are
+    the fields `rule` names. All are named from their section on."""
+    exc = ConfigError(f"{name} must be {rule}, got {value!r}")
+    exc.fields = (name, *others)
+    return exc
 
 
 def _within(value, rule: str) -> bool:
@@ -84,7 +88,7 @@ class TrainConfig:
         check_fields(self, "train")
         if self.patience > self.max_epochs:
             raise _broken("train.patience", f"<= train.max_epochs = {self.max_epochs}",
-                          self.patience)
+                          self.patience, "train.max_epochs")
 
 
 @dataclass
@@ -125,14 +129,15 @@ class GeneratorSpec:
         for low, high in (("regions_min", "regions_max"), ("instances_min", "instances_max")):
             if getattr(self, high) < getattr(self, low):
                 raise _broken(f"generator.{high}", f">= generator.{low} = {getattr(self, low)}",
-                              getattr(self, high))
+                              getattr(self, high), f"generator.{low}")
         if self.normal_class is not None and not 0 <= self.normal_class < self.n_classes:
             raise _broken("generator.normal_class", f"None or in [0, generator.n_classes) = "
-                          f"[0, {self.n_classes})", self.normal_class)
+                          f"[0, {self.n_classes})", self.normal_class, "generator.n_classes")
         held_out = self.test_per_class + self.val_per_class
         if self.slides_per_class <= held_out:
             raise _broken("generator.slides_per_class", "> generator.test_per_class + "
-                          f"generator.val_per_class = {held_out}", self.slides_per_class)
+                          f"generator.val_per_class = {held_out}", self.slides_per_class,
+                          "generator.test_per_class", "generator.val_per_class")
 
 
 @dataclass
@@ -155,7 +160,7 @@ class RunConfig:
     def __post_init__(self):
         if self.train.depth > self.encoder.blocks:
             raise _broken("train.depth", f"<= encoder.blocks = {self.encoder.blocks}",
-                          self.train.depth)
+                          self.train.depth, "encoder.blocks")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -164,13 +169,16 @@ class RunConfig:
 def config_from_dict(data, at: str = "") -> RunConfig:
     """The RunConfig of a parsed JSON object; each field is read as its
     annotation says (`errors.read`), and a bad one raises a ConfigError
-    naming it under `at`."""
+    naming it, and each field its rule names, under `at`."""
     try:
         return read(data, RunConfig, at)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    except ConfigError as exc:  # a section's rule, which names the field from its section on
-        raise ConfigError(f"{at}.{exc}" if at else str(exc)) from exc
+    except ConfigError as exc:  # a rule, which names its fields from their section on
+        text = str(exc)
+        for name in exc.fields if at else ():
+            text = text.replace(name, f"{at}.{name}", 1)
+        raise ConfigError(text) from exc
 
 
 def load_config(path: str | Path | None, settings=()) -> RunConfig:

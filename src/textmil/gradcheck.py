@@ -34,8 +34,10 @@ from .ssf import build_sites
 from .textenc import ClassPrompt, PromptSet
 from .train import batch_loss, epoch_loss
 
+STEP = 1e-6                # central-difference step h
 BRANCH_MARGIN_MIN = 1e-3   # distance of every cosine from {0, threshold}
-GRAD_FLOOR = 3e-6          # smallest resolvable gradient at h=1e-6
+GRAD_FLOOR = 3e-6          # smallest resolvable gradient at STEP
+MAX_ATTEMPTS = 50          # toy problems drawn before giving up
 
 
 def _away_from_zero(rng: np.random.Generator, shape, lo=0.3, hi=1.2) -> np.ndarray:
@@ -106,16 +108,15 @@ def tape_gradient(model: SlideClassifier, bags):
     return layout, theta0, layout.flatten_grads(tape_.backward(loss), nodes)
 
 
-def loss_grad_check(model: SlideClassifier, bags, h: float = 1e-6, tape_grad=None) -> float:
+def loss_grad_check(model: SlideClassifier, bags, tape_grad=None) -> float:
     """Max relative error of the tape gradient (`tape_grad`, if held) vs central differences."""
     layout, theta0, grad = tape_grad or tape_gradient(model, bags)
     batches = list(batch_bags(bags))
 
     frozen = None
     if model.config.refinement.gradient == "detached":
-        embs = model.class_embeddings()
-        guidance = model.guidance(embs)
-        frozen = [wsi_encode(b, guidance, model.attention, model.config.refinement).frozen_scores()
+        guidance = model.guidance(model.class_embeddings())
+        frozen = [wsi_encode(b, guidance, model.attention, model.config.refinement)
                   for b in batches]
 
     def f(theta: np.ndarray) -> float:
@@ -123,30 +124,29 @@ def loss_grad_check(model: SlideClassifier, bags, h: float = 1e-6, tape_grad=Non
         embs = model.class_embeddings(sites)
         return batch_loss(model, batches, embs, model.guidance(embs), attn, frozen)
 
-    return tp.grad_check(f, theta0, grad, h=h)
+    return tp.grad_check(f, theta0, grad, h=STEP)
 
 
-def run_gradcheck(seed: int = 0, h: float = 1e-6, min_margin: float = BRANCH_MARGIN_MIN,
-                  grad_floor: float = GRAD_FLOOR, max_attempts: int = 50) -> dict:
+def run_gradcheck(seed: int = 0) -> dict:
     """Gradient check for both refinement modes on a fresh toy problem."""
-    for attempt in range(max_attempts):
+    for attempt in range(MAX_ATTEMPTS):
         s = seed + attempt
         model, bags = toy_problem(s)
         margin = branch_margin(model, bags)
-        if margin < min_margin:
+        if margin < BRANCH_MARGIN_MIN:
             continue
         through = tape_gradient(model, bags)
         gmin = float(np.abs(through[2]).min())
-        if gmin < grad_floor:
+        if gmin < GRAD_FLOOR:
             continue
         cfg = model.config
         detached = replace(model, config=replace(
             cfg, refinement=replace(cfg.refinement, gradient="detached")))
-        errors = {"through-score": loss_grad_check(model, bags, h=h, tape_grad=through),
-                  "detached": loss_grad_check(detached, bags, h=h)}
-        return {"seed": s, "branch_margin": float(margin), "min_grad": gmin, "step": h,
+        errors = {"through-score": loss_grad_check(model, bags, tape_grad=through),
+                  "detached": loss_grad_check(detached, bags)}
+        return {"seed": s, "branch_margin": float(margin), "min_grad": gmin, "step": STEP,
                 "n_params": int(through[2].shape[0]), **errors,
                 "max_rel_error": max(errors.values()), "config": cfg.to_dict()}
     raise NumericError(
-        f"no sample with branch margin >= {min_margin} and gradient floor "
-        f">= {grad_floor} in {max_attempts} attempts")
+        f"no sample with branch margin >= {BRANCH_MARGIN_MIN} and gradient floor "
+        f">= {GRAD_FLOOR} in {MAX_ATTEMPTS} attempts")

@@ -346,16 +346,6 @@ class RegionOutput:
 
 
 @dataclass
-class BagScores:
-    """Refinement scores captured from one forward pass over a batch,
-    reusable as constants (the finite-difference oracle for
-    detached-gradient mode)."""
-
-    instances: np.ndarray  # (n_instances,)
-    regions: np.ndarray    # (n_regions,)
-
-
-@dataclass
 class BagOutput:
     batch: BagBatch
     slide_embedding: object  # (n_slides, dim) value or node
@@ -365,9 +355,6 @@ class BagOutput:
 
     def region_weight_values(self) -> np.ndarray:
         return np.asarray(tp.value(self.region_weights))
-
-    def frozen_scores(self) -> BagScores:
-        return BagScores(instances=self.region.scores, regions=self.region_scores)
 
 
 def _attend(items, scores, offsets, w, m1, m2):
@@ -389,13 +376,16 @@ def region_encode(batch: BagBatch, guidance, params: AttentionParams, cfg: Refin
 
 
 def wsi_encode(batch: BagBatch, guidance, params: AttentionParams, cfg: RefinementConfig,
-               frozen: BagScores | None = None) -> BagOutput:
+               frozen: BagOutput | None = None) -> BagOutput:
     """Pool instances into region embeddings, then those into one embedding
-    per slide, refining both attention levels with the same guidance."""
+    per slide, refining both attention levels with the same guidance.
+    `frozen`, an earlier pass over the same batch, supplies both levels'
+    refinement scores as constants instead (the finite-difference oracle
+    of detached-gradient mode)."""
     region = region_encode(batch, guidance, params, cfg,
-                           frozen_scores=None if frozen is None else frozen.instances)
+                           frozen_scores=None if frozen is None else frozen.region.scores)
     h = region.embedding
-    s = refinement_score(h, guidance, cfg) if frozen is None else frozen.regions
+    s = refinement_score(h, guidance, cfg) if frozen is None else frozen.region_scores
     emb, weights = _attend(h, s, batch.slide_offsets, params.w, params.u1, params.u2)
     return BagOutput(batch=batch, slide_embedding=emb, region_weights=weights,
                      region=region, region_scores=np.asarray(tp.value(s)))

@@ -1,9 +1,9 @@
 """Classifier bundle: frozen encoder + adapters + attention + prompts.
 
 The trainable state is exactly the adapter vectors of the model's sites
-(which sit on the trailing blocks only) plus the two attention-pooling
-parameter sets: one ordered map of named arrays (`TrainableLayout`),
-flattened into one vector in that order.
+(`SsfParams` by (block, kind), on the trailing blocks only) plus the two
+attention-pooling parameter sets: one ordered map of named arrays
+(`TrainableLayout`), flattened into one vector in that order.
 
 Checkpoints are JSON in format 2: every array (adapter vectors,
 attention weights, prompt tokens and a merged backbone) is one base64
@@ -31,8 +31,8 @@ import numpy as np
 from . import tape as tp
 from .config import EncoderConfig, RunConfig, config_from_dict
 from .errors import ConfigError, DataError, get, json_input, read, write_json
-from .hierpool import AttentionParams, BagBatch, BagScores, SlideBag, init_attention, wsi_encode
-from .ssf import SITE_KINDS, SsfParams, SsfSite, build_sites
+from .hierpool import AttentionParams, BagBatch, BagOutput, SlideBag, init_attention, wsi_encode
+from .ssf import SITE_KINDS, SsfParams, build_sites
 from .textenc import (EncoderBlock, PromptSet, TextEncoderStack, build_prompt, build_stack,
                       encode, encode_prefix, merge_reparam, prompts_from_dict,
                       prompts_to_dict, refinement_embedding)
@@ -51,7 +51,7 @@ def class_probabilities(slide_embeddings, class_embeddings, temperature: float):
 @dataclass
 class SlideClassifier:
     stack: TextEncoderStack
-    sites: list[SsfSite]
+    sites: dict[tuple[int, str], SsfParams]  # by (block, kind), in block then kind order
     attention: AttentionParams
     prompts: PromptSet
     config: RunConfig
@@ -81,7 +81,7 @@ class SlideClassifier:
         reused while the stack and the prompt tokens stay the same objects
         and the boundary does not move; new adapter or attention arrays
         (`TrainableLayout.apply`) do not invalidate it."""
-        boundary = min((s.block for s in sites), default=self.stack.n_blocks + 1) - 1
+        boundary = min((block for block, _ in sites), default=self.stack.n_blocks + 1) - 1
         objs = (self.stack,
                 *(t for c in self.prompts.classes for t in (c.region_tokens, c.slide_tokens)))
         key = (boundary, tuple(map(id, objs)))
@@ -97,12 +97,12 @@ class SlideClassifier:
         return refinement_embedding(class_embeddings, self.tumor_index)
 
     def forward(self, batch: BagBatch, class_embs=None, guidance=None, attention=None,
-                frozen: BagScores | None = None):
+                frozen: BagOutput | None = None):
         """(class probabilities, one row per slide, and the pooling trace)
         of a batch under the given class embeddings and guidance (by
         default the model's own), with the model's attention parameters
-        unless `attention` holds tape nodes; `frozen` holds refinement
-        scores to use as constants."""
+        unless `attention` holds tape nodes; the refinement scores of an
+        earlier pass `frozen` over the batch are used as constants."""
         if class_embs is None:
             class_embs = self.class_embeddings()
             guidance = self.guidance(class_embs)
@@ -151,8 +151,8 @@ def build_model(config: RunConfig, prompts: PromptSet) -> SlideClassifier:
 class TrainableLayout:
     """The model's trainable arrays as one ordered map of named arrays,
     flattened into one vector in that order: `ssf.<block>.<kind>.gamma`
-    and `.beta` for each adapter site in the model's order, then
-    `attn.<field>` for w_r, v1, v2, w, u1, u2 (C order)."""
+    and `.beta` for each (block, kind) key of the model's sites, in the
+    map's order, then `attn.<field>` for w_r, v1, v2, w, u1, u2 (C order)."""
 
     def __init__(self, model: SlideClassifier):
         self._model = model
@@ -163,20 +163,20 @@ class TrainableLayout:
     def arrays(self) -> dict[str, np.ndarray]:
         """The model's current trainable arrays by name."""
         attn = {f"attn.{f}": getattr(self._model.attention, f) for f in AttentionParams.FIELDS}
-        return {f"ssf.{s.block}.{s.kind}.{v}": getattr(s.params, v)
-                for s in self._model.sites for v in ("gamma", "beta")} | attn
+        return {f"ssf.{block}.{kind}.{v}": getattr(p, v)
+                for (block, kind), p in self._model.sites.items() for v in ("gamma", "beta")} | attn
 
     def split(self, theta: np.ndarray) -> dict[str, np.ndarray]:
         """`theta` cut into the named arrays (views into it)."""
         return {name: theta[lo:hi].reshape(shape) for (name, shape), lo, hi
                 in zip(self.shapes.items(), self._offsets, self._offsets[1:])}
 
-    def assemble(self, named: dict) -> tuple[list[SsfSite], AttentionParams]:
+    def assemble(self, named: dict) -> tuple[dict, AttentionParams]:
         """(sites, attention) of the model's structure holding the named
         values, which may be arrays or tape nodes."""
-        sites = [SsfSite(s.block, s.kind, SsfParams(*(named[f"ssf.{s.block}.{s.kind}.{v}"]
-                                                      for v in ("gamma", "beta"))))
-                 for s in self._model.sites]
+        sites = {(block, kind): SsfParams(named[f"ssf.{block}.{kind}.gamma"],
+                                          named[f"ssf.{block}.{kind}.beta"])
+                 for block, kind in self._model.sites}
         return sites, AttentionParams(*(named[f"attn.{f}"] for f in AttentionParams.FIELDS))
 
     def pack(self) -> np.ndarray:
@@ -217,8 +217,8 @@ def save_checkpoint(model: SlideClassifier, path: str | Path, history: list | No
         "merged": model.merged,
         "config": model.config.to_dict(),
         "backbone": backbone,
-        "ssf": [{"block": s.block, "kind": s.kind, "gamma": s.params.gamma,
-                 "beta": s.params.beta} for s in model.sites],
+        "ssf": [{"block": block, "kind": kind, "gamma": p.gamma, "beta": p.beta}
+                for (block, kind), p in model.sites.items()],
         "attention": {f: getattr(model.attention, f) for f in AttentionParams.FIELDS},
         "prompts": prompts_to_dict(model.prompts),
         "history": history or [],
@@ -227,10 +227,11 @@ def save_checkpoint(model: SlideClassifier, path: str | Path, history: list | No
     write_json(path, payload)
 
 
-def _load_sites(records: list, n_blocks: int, dim: int) -> list[SsfSite]:
-    """The adapter sites of `records`, frozen identity records (format 1)
-    dropped; a bad record raises a ValueError that names its field."""
-    sites, seen = [], set()
+def _load_sites(records: list, n_blocks: int, dim: int) -> dict[tuple[int, str], SsfParams]:
+    """The adapter sites of `records` by (block, kind), in the records'
+    order, frozen identity records (format 1) dropped; a bad record raises
+    a ValueError that names its field."""
+    sites, seen = {}, set()
     for i, r in enumerate(records):
         at = f"ssf[{i}]"
         block, kind = get(read(r, dict, at), "block", int, at), get(r, "kind", str, at)
@@ -243,7 +244,7 @@ def _load_sites(records: list, n_blocks: int, dim: int) -> list[SsfSite]:
         seen.add((block, kind))
         params = SsfParams(get(r, "gamma", (float, dim), at), get(r, "beta", (float, dim), at))
         if read(r.get("trainable", True), bool, f"{at}.trainable"):
-            sites.append(SsfSite(block, kind, params))
+            sites[block, kind] = params
         elif (params.gamma != 1.0).any() or params.beta.any():
             raise ValueError(f"{at} is frozen but not an identity adapter")
     return sites
@@ -324,5 +325,5 @@ def merge_model(model: SlideClassifier) -> SlideClassifier:
     """Fold all adapters into the backbone; the result has no adapter
     parameters and computes the same slide probabilities."""
     merged_stack = merge_reparam(model.stack, model.sites)
-    return SlideClassifier(stack=merged_stack, sites=[], attention=model.attention.copy(),
+    return SlideClassifier(stack=merged_stack, sites={}, attention=model.attention.copy(),
                            prompts=model.prompts, config=model.config, merged=True)

@@ -3,12 +3,14 @@
 Each adapter multiplies a feature vector elementwise by a learned scale
 and adds a learned shift. Adapters sit at two sites per encoder block
 (after the layernorm and after the MLP), on the trailing `depth` blocks
-only; the other blocks run bare. The blocks before the first site are
-encoded once per model (`SlideClassifier.frozen_prefix`); each adapter
-records one `tp.scale_shift` node per token of each class prompt on the
-tape of an epoch, which also holds the batched pooling of every training
-slide. At inference
-time an adapter can be folded exactly into the affine layer it follows.
+only; the other blocks run bare. A model's adapters are one map from
+(block, site kind) to `SsfParams`, by block then site kind. The blocks
+before the first site are encoded once per model
+(`SlideClassifier.frozen_prefix`); each adapter records one
+`tp.scale_shift` node per token of each class prompt on the tape of an
+epoch, which also holds the batched pooling of every training slide. At
+inference time an adapter can be folded exactly into the affine layer it
+follows.
 """
 
 from __future__ import annotations
@@ -32,15 +34,6 @@ class SsfParams:
     beta: np.ndarray
 
 
-@dataclass
-class SsfSite:
-    """An adapter attached to one site of one encoder block (1-based index)."""
-
-    block: int
-    kind: str
-    params: SsfParams
-
-
 def ssf_forward(x, params: SsfParams):
     """y_i = gamma_i * x_i + beta_i, one `tp.scale_shift` node on a tape.
     Accepts tape nodes or plain arrays."""
@@ -54,21 +47,23 @@ def attach_depth(n_blocks: int, depth: int) -> list[int]:
     return list(range(n_blocks - depth + 1, n_blocks + 1))
 
 
-def build_sites(seed: int, n_blocks: int, depth: int, dim: int, init_std: float) -> list[SsfSite]:
-    """Adapters on the trailing `depth` blocks, by block then site kind,
-    with gamma ~ N(1, std^2) and beta ~ N(0, std^2). The site of kind k
-    on block b draws from child (b - 1) * SITES_PER_BLOCK + k of the
-    seed's spawn, so its values do not depend on `depth`."""
+def build_sites(seed: int, n_blocks: int, depth: int, dim: int,
+                init_std: float) -> dict[tuple[int, str], SsfParams]:
+    """Adapters on the trailing `depth` blocks by (block, kind), block
+    1-based, in block then site kind order, with gamma ~ N(1, std^2) and
+    beta ~ N(0, std^2). The site of kind k on block b draws from child
+    (b - 1) * SITES_PER_BLOCK + k of the seed's spawn, so its values do
+    not depend on `depth`."""
     if init_std < 0:
         raise ConfigError(f"init_std must be >= 0, got {init_std}")
     seeds = np.random.SeedSequence(seed).spawn(n_blocks * SITES_PER_BLOCK)
-    sites = []
+    sites = {}
     for block in attach_depth(n_blocks, depth):
         for k, kind in enumerate(SITE_KINDS):
             rng = np.random.default_rng(seeds[(block - 1) * SITES_PER_BLOCK + k])
             gamma = 1.0 + init_std * rng.standard_normal(dim)
             beta = init_std * rng.standard_normal(dim)
-            sites.append(SsfSite(block, kind, SsfParams(gamma, beta)))
+            sites[block, kind] = SsfParams(gamma, beta)
     return sites
 
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import tape as tp
 from .errors import DataError, get, json_input, read, write_json
-from .ssf import SITE_KINDS, SsfParams, SsfSite, merge_into_layernorm, merge_into_linear, ssf_forward
+from .ssf import SITE_KINDS, SsfParams, merge_into_layernorm, merge_into_linear, ssf_forward
 
 
 @dataclass
@@ -62,18 +62,10 @@ class TextEncoderStack:
     def n_blocks(self) -> int:
         return len(self.blocks)
 
-    def weight_arrays(self) -> list[np.ndarray]:
-        out = []
-        for b in self.blocks:
-            out.extend([b.ln_gain, b.ln_bias, b.w1, b.b1, b.w2, b.b2])
-        out.append(self.proj)
-        return out
 
-
-def build_stack(seed: int, n_blocks: int, dim: int, mlp_hidden: int | None = None) -> TextEncoderStack:
+def build_stack(seed: int, n_blocks: int, dim: int, mlp_hidden: int) -> TextEncoderStack:
     """Deterministic frozen backbone. Weight matrices are N(0, 1/sqrt(dim));
     layernorm gains sit near one so the untuned stack is well-conditioned."""
-    hidden = mlp_hidden or dim
     std = 1.0 / np.sqrt(dim)
     seeds = np.random.SeedSequence(seed).spawn(n_blocks + 1)
     blocks = []
@@ -82,9 +74,9 @@ def build_stack(seed: int, n_blocks: int, dim: int, mlp_hidden: int | None = Non
         blocks.append(EncoderBlock(
             ln_gain=1.0 + std * rng.standard_normal(dim),
             ln_bias=std * rng.standard_normal(dim),
-            w1=std * rng.standard_normal((hidden, dim)),
-            b1=std * rng.standard_normal(hidden),
-            w2=std * rng.standard_normal((dim, hidden)),
+            w1=std * rng.standard_normal((mlp_hidden, dim)),
+            b1=std * rng.standard_normal(mlp_hidden),
+            w2=std * rng.standard_normal((dim, mlp_hidden)),
             b2=std * rng.standard_normal(dim),
         ))
     proj = std * np.random.default_rng(seeds[n_blocks]).standard_normal((dim, dim))
@@ -163,12 +155,6 @@ def save_prompts(prompts: PromptSet, path: str | Path) -> None:
 # forward
 
 
-def _site_map(sites: list[SsfSite] | None) -> dict:
-    if sites is None:
-        return {}
-    return {(s.block, s.kind): s.params for s in sites}
-
-
 def _token_rows(stack: TextEncoderStack, tokens) -> list:
     tokens = np.asarray(tokens, dtype=np.float64) if not isinstance(tokens, np.ndarray) else tokens
     if tokens.ndim != 2 or tokens.shape[0] == 0:
@@ -178,14 +164,13 @@ def _token_rows(stack: TextEncoderStack, tokens) -> list:
     return [tokens[t] for t in range(tokens.shape[0])]
 
 
-def _run_blocks(stack: TextEncoderStack, xs: list, sites: list[SsfSite] | None,
+def _run_blocks(stack: TextEncoderStack, xs: list, sites: dict,
                 first: int, last: int) -> list:
     """Token activations after blocks `first..last` (1-based, inclusive)."""
-    site_params = _site_map(sites)
     for b_idx in range(first, last + 1):
         block = stack.blocks[b_idx - 1]
-        ln_site = site_params.get((b_idx, "post_layernorm"))
-        mlp_site = site_params.get((b_idx, "post_mlp"))
+        ln_site = sites.get((b_idx, "post_layernorm"))
+        mlp_site = sites.get((b_idx, "post_mlp"))
         nxt = []
         for x in xs:
             u = tp.layernorm(x, block.ln_gain, block.ln_bias)
@@ -206,13 +191,14 @@ def encode_prefix(stack: TextEncoderStack, tokens: np.ndarray, boundary: int) ->
     pass bit for bit as `encode(stack, tokens, sites)`."""
     if not 0 <= boundary <= stack.n_blocks:
         raise ValueError(f"boundary must be in [0, {stack.n_blocks}], got {boundary}")
-    return np.stack(_run_blocks(stack, _token_rows(stack, tokens), None, 1, boundary))
+    return np.stack(_run_blocks(stack, _token_rows(stack, tokens), {}, 1, boundary))
 
 
-def encode(stack: TextEncoderStack, tokens: np.ndarray, sites: list[SsfSite] | None = None,
+def encode(stack: TextEncoderStack, tokens: np.ndarray, sites: dict | None = None,
            start: int = 0):
     """Map token embeddings (n_tokens, dim) to a unit-norm text embedding.
 
+    `sites` maps (block, kind) to the `SsfParams` of that adapter site.
     Adapter parameters may be tape nodes, in which case the result is a
     node differentiable with respect to them; the backbone itself never
     enters the tape. `sites=None` runs the bare frozen stack. With
@@ -222,7 +208,7 @@ def encode(stack: TextEncoderStack, tokens: np.ndarray, sites: list[SsfSite] | N
     """
     if not 0 <= start <= stack.n_blocks:
         raise ValueError(f"start must be in [0, {stack.n_blocks}], got {start}")
-    xs = _run_blocks(stack, _token_rows(stack, tokens), sites, start + 1, stack.n_blocks)
+    xs = _run_blocks(stack, _token_rows(stack, tokens), sites or {}, start + 1, stack.n_blocks)
     pooled = tp.pool(np.full(len(xs), 1.0 / len(xs)), tp.rows(xs))
     return tp.l2_normalize(tp.matvec(stack.proj, pooled))
 
@@ -253,28 +239,26 @@ def refinement_embedding(class_embeddings: list, tumor_index: int | None = None)
 # re-parameterization merge
 
 
-def merge_reparam(stack: TextEncoderStack, sites: list[SsfSite]) -> TextEncoderStack:
-    """Fold every adapter into the affine layer it follows.
+def merge_reparam(stack: TextEncoderStack,
+                  sites: dict[tuple[int, str], SsfParams]) -> TextEncoderStack:
+    """Fold every adapter of `sites`, keyed by (block, kind), into the
+    affine layer it follows.
 
     Post-layernorm adapters land in the layernorm gain/bias; post-MLP
     adapters land in the MLP output linear. The merged stack carries no
     adapters and computes the same function as the adapted one.
     """
-    per_block: dict[int, dict[str, SsfParams]] = {}
-    for s in sites:
-        per_block.setdefault(s.block, {})[s.kind] = s.params
+    unknown = {kind for _, kind in sites} - set(SITE_KINDS)
+    if unknown:
+        raise DataError(f"no affine merge target for site kind(s) {sorted(unknown)}")
     merged = []
     for b_idx, block in enumerate(stack.blocks, start=1):
-        kinds = per_block.get(b_idx, {})
-        unknown = set(kinds) - set(SITE_KINDS)
-        if unknown:
-            raise DataError(f"no affine merge target for site kind(s) {sorted(unknown)}")
         ln_gain, ln_bias = block.ln_gain, block.ln_bias
         w2, b2 = block.w2, block.b2
-        if "post_layernorm" in kinds:
-            ln_gain, ln_bias = merge_into_layernorm(ln_gain, ln_bias, kinds["post_layernorm"])
-        if "post_mlp" in kinds:
-            w2, b2 = merge_into_linear(w2, b2, kinds["post_mlp"])
+        if (ln := sites.get((b_idx, "post_layernorm"))) is not None:
+            ln_gain, ln_bias = merge_into_layernorm(ln_gain, ln_bias, ln)
+        if (mlp := sites.get((b_idx, "post_mlp"))) is not None:
+            w2, b2 = merge_into_linear(w2, b2, mlp)
         merged.append(EncoderBlock(
             ln_gain=np.array(ln_gain, copy=True), ln_bias=np.array(ln_bias, copy=True),
             w1=np.array(block.w1, copy=True), b1=np.array(block.b1, copy=True),

@@ -25,7 +25,7 @@ from . import tape as tp
 from .config import RunConfig
 from .data import Dataset, kshot_split
 from .errors import DataError, NumericError
-from .hierpool import BagBatch, BagScores, batch_bags
+from .hierpool import BagBatch, BagOutput, batch_bags
 from .metrics import evaluate
 from .model import SlideClassifier, TrainableLayout, build_model
 
@@ -60,22 +60,10 @@ def adam_step(state: AdamState, theta: np.ndarray, grad: np.ndarray, *,
 
 
 @dataclass
-class TrainState:
-    """Bookkeeping across epochs: parameters, moments, best-so-far."""
-
-    theta: np.ndarray
-    adam: AdamState
-    best_metric: float = -np.inf
-    best_theta: np.ndarray | None = None
-    best_epoch: int = 0
-    since_best: int = 0
-
-
-@dataclass
 class FitResult:
     history: list[dict] = field(default_factory=list)
-    best_epoch: int = 0
-    best_val_auc: float = float("nan")
+    best_epoch: int = 0  # 0, with best_val_auc -inf, until an epoch scores an AUC
+    best_val_auc: float = -np.inf
 
 
 def _check_split(model: SlideClassifier, train_bags, val_bags):
@@ -98,11 +86,11 @@ def _check_split(model: SlideClassifier, train_bags, val_bags):
 
 
 def batch_loss(model: SlideClassifier, batches: list[BagBatch], embs, guidance, attn,
-               frozen: list[BagScores] | None = None):
+               frozen: list[BagOutput] | None = None):
     """Mean cross-entropy over every slide of `batches` under the given
     class embeddings, guidance and attention parameters (tape nodes or
-    plain arrays); `frozen` holds each batch's refinement scores to hold
-    fixed."""
+    plain arrays); `frozen` holds an earlier pass over each batch, whose
+    refinement scores are held fixed."""
     n = sum(b.n_slides for b in batches)
     terms = []
     for i, batch in enumerate(batches):
@@ -135,7 +123,8 @@ def fit(model: SlideClassifier, train_bags, val_bags) -> FitResult:
     taped forward pass, which runs at the same parameters, so each epoch
     encodes the class prompts once. A fit of E epochs runs E + 1 forward
     passes; the last one only scores validation, yet a non-finite loss
-    there raises NumericError as at any other step."""
+    there raises NumericError as at any other step. Only the returned
+    FitResult keeps the best epoch and its AUC beyond the call."""
     cfg = model.config.train
     train_bags = sorted(train_bags, key=lambda b: b.slide_id)
     val_bags = sorted(val_bags, key=lambda b: b.slide_id)
@@ -143,42 +132,34 @@ def fit(model: SlideClassifier, train_bags, val_bags) -> FitResult:
     batches, val_batches = list(batch_bags(train_bags)), list(batch_bags(val_bags))
 
     layout = TrainableLayout(model)
-    state = TrainState(theta=layout.pack(), adam=AdamState.zeros(layout.size))
-    state.best_theta = state.theta.copy()
+    theta = layout.pack()
+    adam = AdamState.zeros(layout.size)
+    best_theta, since_best = theta.copy(), 0
     result = FitResult()
 
-    step = epoch_loss(model, batches, layout, state.theta)
+    step = epoch_loss(model, batches, layout, theta)
     for epoch in range(1, cfg.max_epochs + 1):
         loss, tape, nodes, _ = step
         grad = layout.flatten_grads(tape.backward(loss), nodes)
-        state.theta = adam_step(state.adam, state.theta, grad,
-                                lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
-                                eps=cfg.adam_eps)
-        layout.apply(state.theta)
-        step = epoch_loss(model, batches, layout, state.theta)
+        theta = adam_step(adam, theta, grad, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
+                          eps=cfg.adam_eps)
+        layout.apply(theta)
+        step = epoch_loss(model, batches, layout, theta)
         val_auc = evaluate(model, val_bags, batches=val_batches,
                            class_embeddings=[tp.value(e) for e in step[3]]).auc
         result.history.append({"epoch": epoch,
                                "train_loss": float(tp.value(loss)),
                                "val_auc": float(val_auc)})
-        if val_auc > state.best_metric:
-            state.best_metric = val_auc
-            state.best_theta = state.theta.copy()
-            state.best_epoch = epoch
-            state.since_best = 0
-        else:
-            if val_auc == state.best_metric:
-                # equal-metric epochs keep the later, more converged
-                # parameters; a tie still counts against the patience
-                state.best_theta = state.theta.copy()
-                state.best_epoch = epoch
-            state.since_best += 1
-            if state.since_best > cfg.patience:
-                break
+        # equal-metric epochs keep the later, more converged parameters;
+        # a tie still counts against the patience
+        since_best = 0 if val_auc > result.best_val_auc else since_best + 1
+        if val_auc >= result.best_val_auc:
+            best_theta = theta.copy()
+            result.best_epoch, result.best_val_auc = epoch, float(val_auc)
+        if since_best > cfg.patience:
+            break
 
-    layout.apply(state.best_theta)
-    result.best_epoch = state.best_epoch
-    result.best_val_auc = float(state.best_metric)
+    layout.apply(best_theta)
     return result
 
 

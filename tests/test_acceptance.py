@@ -222,7 +222,7 @@ def test_criterion_08_parameter_accounting():
                                test_per_class=0, val_per_class=0))
     model = build_model(cfg, ds.prompts)
     assert len(model.sites) == 2 * d_s
-    by_hand = sum(s.params.gamma.size + s.params.beta.size for s in model.sites)
+    by_hand = sum(p.gamma.size + p.beta.size for p in model.sites.values())
     from textmil.hierpool import AttentionParams
     by_hand += sum(getattr(model.attention, f).size for f in AttentionParams.FIELDS)
     assert by_hand == closed_form

@@ -412,6 +412,11 @@ CHECKPOINT_DEFECTS = {
     "beta-base64-missing": (_drop(["ssf", 2, "beta", "base64"]), "ssf[2].beta.base64"),
     "beta-nan": (_set_array(["ssf", 2, "beta"], _nan_at(3)), "non-finite value in ssf[2].beta"),
     "frozen-not-identity": (_set(["ssf", 0], lambda v: dict(v, trainable=False)), "ssf[0]"),
+    # format 1 lists a frozen identity record; one that a trainable record
+    # repeats is still a repeat, though loading drops the frozen one
+    "frozen-then-trainable": (lambda raw: raw.update(format=1, ssf=[
+        {"block": 3, "kind": "post_mlp", "gamma": [1.0] * 16, "beta": [0.0] * 16,
+         "trainable": False}, *raw["ssf"]]), "ssf[4] repeats the post_mlp site of block 3"),
     "attention-w-length-3": (_set_array(["attention", "w"], lambda a: a[:3]), "attention.w"),
     "attention-u1-nan": (_set_array(["attention", "u1"], _nan_at((1, 2))),
                          "non-finite value in attention.u1"),

@@ -31,6 +31,8 @@ from textmil.metrics import evaluate
 from textmil.model import load_checkpoint, merge_model, save_checkpoint
 from textmil.textenc import load_prompts, save_prompts
 
+from test_textenc import weight_arrays
+
 FORMAT1 = Path(__file__).parent / "data" / "format1"
 CHECKPOINTS = {"checkpoint.json": "metrics.json",
                "checkpoint_merged.json": "metrics_merged.json"}
@@ -46,9 +48,9 @@ def dataset(tmp_path_factory):
 
 def model_arrays(model) -> dict:
     """Every array of a model by name: backbone, adapters, attention and prompts."""
-    arrays = {f"stack.{i}": a for i, a in enumerate(model.stack.weight_arrays())}
-    arrays |= {f"ssf.{s.block}.{s.kind}.{v}": getattr(s.params, v)
-               for s in model.sites for v in ("gamma", "beta")}
+    arrays = {f"stack.{i}": a for i, a in enumerate(weight_arrays(model.stack))}
+    arrays |= {f"ssf.{block}.{kind}.{v}": getattr(p, v)
+               for (block, kind), p in model.sites.items() for v in ("gamma", "beta")}
     arrays |= {f"attn.{f}": getattr(model.attention, f) for f in type(model.attention).FIELDS}
     return arrays | prompt_arrays(model.prompts)
 
@@ -153,7 +155,7 @@ def _poisoned(writer: str, tmp_path):
         ds.prompts.classes[1].region_tokens[0, 3] = np.inf
         return tmp_path / "prompts.json", lambda path: save_prompts(ds.prompts, path)
     if writer == "save_checkpoint":
-        model.sites[2].params.beta[5] = np.nan
+        [*model.sites.values()][2].beta[5] = np.nan
     else:  # a merged checkpoint's backbone
         model = merge_model(model)
         model.stack.blocks[1].w2[0, 1] = np.inf

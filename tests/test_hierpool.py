@@ -13,6 +13,7 @@ from textmil.errors import NumericError
 from textmil.hierpool import (AttentionParams, BagBatch, RefinementConfig, Region, SlideBag,
                               attention_records, batch_bags, init_attention, instance_saliency,
                               load_bag, refinement_score, region_encode, save_bag, wsi_encode)
+from textmil.model import class_probabilities
 from textmil.tape import refine_value
 
 CFG = RefinementConfig(factor=10.0, threshold=0.2)
@@ -673,3 +674,39 @@ def test_batch_rejects_empty_inputs():
     with pytest.raises(DataError):
         BagBatch.of([])
     assert list(batch_bags([])) == []
+
+
+def test_frozen_pass_reproduces_the_pass_it_freezes(monkeypatch):
+    """Pooling with `frozen=` an earlier pass at the same parameters gives
+    that pass bit for bit, probabilities and both levels' scores; with the
+    attention weights and the guidance on a tape it records no
+    refine_scores node, where the pass it freezes records one per level."""
+    rng = np.random.default_rng(33)
+    batch = BagBatch.of(mixed_bags(rng))
+    t = tp.l2_normalize(rng.standard_normal(5))
+    params = random_params(rng, 4, 5)
+    classes = [tp.l2_normalize(rng.standard_normal(5)) for _ in range(2)]
+    first = wsi_encode(batch, t, params, CFG)
+    again = wsi_encode(batch, t, params, CFG, frozen=first)
+    assert first.region.scores.any() and first.region_scores.any()
+    assert np.array_equal(again.region.scores, first.region.scores)
+    assert np.array_equal(again.region_scores, first.region_scores)
+    assert np.array_equal(class_probabilities(again.slide_embedding, classes, 0.1),
+                          class_probabilities(first.slide_embedding, classes, 0.1))
+
+    recorded, refine_scores = [], tp.refine_scores
+
+    def counted(*args):
+        out = refine_scores(*args)
+        recorded.append(isinstance(out, tp.Node))
+        return out
+
+    monkeypatch.setattr(tp, "refine_scores", counted)
+    tape = tp.Tape()
+    nodes = AttentionParams(*(tape.param(getattr(params, f)) for f in AttentionParams.FIELDS))
+    guidance = tape.param(t)
+    wsi_encode(batch, guidance, nodes, CFG)
+    assert recorded == [True, True]
+    recorded.clear()
+    wsi_encode(batch, guidance, nodes, CFG, frozen=first)
+    assert recorded == []

@@ -62,14 +62,13 @@ def test_attach_depth_out_of_range():
 
 
 def test_init_zero_std_is_exact_identity():
-    for s in build_sites(7, n_blocks=2, depth=2, dim=4, init_std=0.0):
-        assert np.array_equal(s.params.gamma, np.ones(4))
-        assert np.array_equal(s.params.beta, np.zeros(4))
+    for p in build_sites(7, n_blocks=2, depth=2, dim=4, init_std=0.0).values():
+        assert np.array_equal(p.gamma, np.ones(4))
+        assert np.array_equal(p.beta, np.zeros(4))
 
 
 def test_init_sample_means():
-    (p, _) = (s.params for s in build_sites(123, n_blocks=1, depth=1, dim=10_000,
-                                            init_std=0.02))
+    (p, _) = build_sites(123, n_blocks=1, depth=1, dim=10_000, init_std=0.02).values()
     assert p.gamma.mean() == pytest.approx(1.0, abs=0.01)
     assert p.beta.mean() == pytest.approx(0.0, abs=0.01)
 
@@ -77,9 +76,9 @@ def test_init_sample_means():
 def test_init_deterministic():
     a = build_sites(99, n_blocks=2, depth=1, dim=16, init_std=0.02)
     b = build_sites(99, n_blocks=2, depth=1, dim=16, init_std=0.02)
-    for x, y in zip(a, b):
-        assert np.array_equal(x.params.gamma, y.params.gamma)
-        assert np.array_equal(x.params.beta, y.params.beta)
+    for x, y in zip(a.values(), b.values()):
+        assert np.array_equal(x.gamma, y.gamma)
+        assert np.array_equal(x.beta, y.beta)
 
 
 def test_init_rejects_negative_std():
@@ -89,7 +88,7 @@ def test_init_rejects_negative_std():
 
 def test_build_sites_structure():
     sites = build_sites(5, n_blocks=12, depth=2, dim=8, init_std=0.02)
-    assert [(s.block, s.kind) for s in sites] == [
+    assert list(sites) == [
         (11, "post_layernorm"), (11, "post_mlp"), (12, "post_layernorm"), (12, "post_mlp")]
     # each site draws from child (block - 1) * 2 + k of the seed's spawn
     # whatever the depth, so these pinned values never move
@@ -97,9 +96,8 @@ def test_build_sites_structure():
               (0.9798497069680588, 0.005308603245839336, 0.9731332725990177, -0.010282242501931101),
               (1.0033217952076834, 0.022510241636295173, 0.9858421868890556, -0.009874072505581217),
               (0.9816879647045406, 0.010592591905644868, 1.011476743475947, 0.02634710684420974)]
-    for s, (g0, b0, g7, b7) in zip(sites, pinned):
-        assert (s.params.gamma[0], s.params.beta[0], s.params.gamma[7], s.params.beta[7]) == \
-            (g0, b0, g7, b7)
+    for p, (g0, b0, g7, b7) in zip(sites.values(), pinned):
+        assert (p.gamma[0], p.beta[0], p.gamma[7], p.beta[7]) == (g0, b0, g7, b7)
 
 
 # ---------------------------------------------------------------------------

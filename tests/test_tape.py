@@ -395,6 +395,24 @@ def test_ops_used_outside_tape():
     assert set(PUBLIC_OPS) - used == set()
 
 
+def test_every_definition_used_inside_the_package():
+    """Every class, function and method defined in the package (dunder
+    methods aside) is named, as a name or an attribute, somewhere in the
+    package beyond its own definition: one that only the tests name fails
+    here, and belongs in the tests."""
+    defined, named = set(), set()
+    for path in Path(tp.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    dunders = {n for n in defined if n.startswith("__") and n.endswith("__")}
+    assert defined - dunders - named == set()
+
+
 def test_row_ops_reject_a_vector():
     """The pooling, head and refinement ops take row matrices only."""
     u, t = np.array([0.6, 0.8]), np.array([1.0, 0.0])

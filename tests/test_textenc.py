@@ -19,6 +19,13 @@ def golden_stack():
                        GOLDEN["mlp_hidden"])
 
 
+def weight_arrays(stack) -> list:
+    """Every backbone array of `stack`: each block's layernorm and MLP
+    arrays in turn, then the projection."""
+    return [*(a for b in stack.blocks for a in (b.ln_gain, b.ln_bias, b.w1, b.b1, b.w2, b.b2)),
+            stack.proj]
+
+
 def golden_tokens():
     rng = np.random.default_rng(GOLDEN["tokens_seed"])
     return rng.standard_normal((GOLDEN["n_tokens"], GOLDEN["dim"])) / 8.0
@@ -118,8 +125,7 @@ def test_frozen_weights_never_enter_tape():
     stack = build_stack(3, 3, 8, 8)
     sites = build_sites(4, 3, 1, 8, 0.05)
     t = tp.Tape()
-    bound = [type(s)(s.block, s.kind, SsfParams(t.param(s.params.gamma), t.param(s.params.beta)))
-             for s in sites]
+    bound = {key: SsfParams(t.param(p.gamma), t.param(p.beta)) for key, p in sites.items()}
     out = encode(stack, np.random.default_rng(0).standard_normal((3, 8)), sites=bound)
     trainable_nodes = 2 * 2  # one adapted block, two sites, gamma+beta
     # every leaf on the tape is a bound adapter vector; no backbone array
@@ -132,7 +138,7 @@ def test_frozen_weights_never_enter_tape():
     leaves = [n for n in nodes.values() if not n.pulls]
     assert len(leaves) == trainable_nodes
     for leaf in leaves:
-        for arr in stack.weight_arrays():
+        for arr in weight_arrays(stack):
             assert leaf.value is not arr
 
 
@@ -143,8 +149,8 @@ def test_adapted_blocks_record_five_nodes_per_token():
     stack = build_stack(3, 4, 8, 8)
     tokens = np.random.default_rng(0).standard_normal((5, 8))
     t = tp.Tape()
-    bound = [type(s)(s.block, s.kind, SsfParams(t.param(s.params.gamma), t.param(s.params.beta)))
-             for s in build_sites(4, 4, 2, 8, 0.05)]
+    bound = {key: SsfParams(t.param(p.gamma), t.param(p.beta))
+             for key, p in build_sites(4, 4, 2, 8, 0.05).items()}
     for x, start in [(tokens, 0), (encode_prefix(stack, tokens, 2), 2)]:
         before = len(t)
         encode(stack, x, sites=bound, start=start)
@@ -159,13 +165,9 @@ def test_depth_sweep_agreement_with_identity_extras():
     shallow = build_sites(5, 6, 1, 8, 0.1)  # trainable on the last block only
     # force the deep configuration to identity outside the last block and
     # copy the shallow block-6 parameters into it
-    for s in deep:
-        if s.block < 6:
-            s.params = SsfParams(np.ones(8), np.zeros(8))
-    by_key = {(s.block, s.kind): s for s in shallow}
-    for s in deep:
-        if s.block == 6:
-            s.params = by_key[(s.block, s.kind)].params
+    for block, kind in deep:
+        deep[block, kind] = (shallow[block, kind] if block == 6
+                             else SsfParams(np.ones(8), np.zeros(8)))
     a = encode(stack, tokens, sites=deep)
     b = encode(stack, tokens, sites=shallow)
     assert np.abs(a - b).max() <= 1e-12
@@ -236,7 +238,7 @@ def test_merge_identity_bitwise():
 def test_merge_rejects_unknown_site_kind():
     stack = build_stack(21, 3, 8, 8)
     sites = build_sites(0, 3, 3, 8, 0.0)
-    sites[0].kind = "post_attention"
+    sites[1, "post_attention"] = sites.pop((1, "post_layernorm"))
     with pytest.raises(DataError):
         merge_reparam(stack, sites)
 

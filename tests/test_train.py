@@ -20,6 +20,8 @@ from textmil.ssf import SITE_KINDS, build_sites, count_trainable
 from textmil.textenc import PromptSet, build_prompt, build_stack, encode, encode_prefix
 from textmil.train import AdamState, adam_step, epoch_loss, fit, run_kshot
 
+from test_textenc import weight_arrays
+
 
 def small_config(seed=0, k=2, **train_kw):
     train_args = dict(seed=seed, shots=k, depth=2, max_epochs=30, patience=10, lr=3e-3)
@@ -211,9 +213,9 @@ def test_identity_init_zero_lr_keeps_parameters():
 def test_frozen_backbone_unchanged_by_fit():
     cfg = small_config()
     model, train_bags, val_bags, _ = make_problem(cfg)
-    before = [np.array(a, copy=True) for a in model.stack.weight_arrays()]
+    before = [np.array(a, copy=True) for a in weight_arrays(model.stack)]
     fit(model, train_bags, val_bags)
-    after = model.stack.weight_arrays()
+    after = weight_arrays(model.stack)
     assert len(before) == len(after)
     assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
@@ -391,7 +393,7 @@ def test_checkpoint_lists_only_adapted_sites(tmp_path):
         [(b, k) for b in (3, 4) for k in SITE_KINDS]
     assert all(set(r) == {"block", "kind", "gamma", "beta"} for r in raw["ssf"])
     loaded, history, split = load_checkpoint(path)
-    assert [(s.block, s.kind) for s in loaded.sites] == [(s.block, s.kind) for s in model.sites]
+    assert list(loaded.sites) == list(model.sites)
     again = tmp_path / "again.json"
     save_checkpoint(loaded, again, history=history, split=split)
     assert again.read_bytes() == path.read_bytes()
@@ -402,7 +404,7 @@ def test_merge_matches_probabilities(tmp_path):
     model, train_bags, val_bags, test_bags = make_problem(cfg)
     fit(model, train_bags, val_bags)
     merged = merge_model(model)
-    assert merged.sites == []
+    assert merged.sites == {}
     a = evaluate(model, test_bags)
     b = evaluate(merged, test_bags)
     for ra, rb in zip(a.per_slide, b.per_slide):
