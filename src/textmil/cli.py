@@ -22,8 +22,7 @@ from .errors import ConfigError, DataError, NumericError, strict_dumps, write_js
 from .gradcheck import run_gradcheck
 from .metrics import evaluate
 from .model import load_checkpoint, merge_model, save_checkpoint
-from .ssf import SITES_PER_BLOCK, count_trainable
-from .tape import DegenerateVectorError
+from .ssf import count_trainable
 from .train import run_kshot
 
 
@@ -177,10 +176,10 @@ def cmd_merge(args) -> int:
 
 def cmd_params(args) -> int:
     cfg = load_config(args.config, args.set)
-    counts = [count_trainable(cfg.encoder.dim, cfg.train.depth, cfg.encoder.attn_hidden,
-                              cfg.encoder.dim, sites_per_block=n) for n in (SITES_PER_BLOCK, 0)]
+    counts = [count_trainable(cfg.encoder.dim, cfg.train.depth, hidden, cfg.encoder.dim)
+              for hidden in (cfg.encoder.attn_hidden, 0)]
     payload = {"config": cfg.to_dict(), "trainable": counts[0],
-               "adapters": counts[0] - counts[1], "attention": counts[1]}
+               "adapters": counts[1], "attention": counts[0] - counts[1]}
     if args.out is not None:
         write_json(Path(args.out) / "params.json", payload, indent=1)
     print(json.dumps(payload if args.verbose else
@@ -263,7 +262,7 @@ def main(argv=None) -> int:
     except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except (NumericError, DegenerateVectorError) as exc:
+    except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
 

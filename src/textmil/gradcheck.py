@@ -5,9 +5,9 @@ problem against central finite differences, for both refinement
 gradient modes. In "detached" mode the score is a constant of the
 optimization, so the finite-difference oracle evaluates the loss with
 the refinement scores frozen at the base point; in "through-score"
-mode everything is recomputed. Both the tape and the oracle pool the toy
-slides as one batch, so detached mode freezes one flat score vector per
-attention level.
+mode everything is recomputed. Tape and oracle score `train.mean_loss`
+on a copy of the model, pooling the toy slides as one batch, so detached
+mode freezes one flat score vector per attention level.
 
 A valid comparison point must keep every coordinate resolvable: the
 piecewise score is not differentiable at its branch boundaries, and a
@@ -28,11 +28,11 @@ import numpy as np
 from . import tape as tp
 from .config import EncoderConfig, RefinementConfig, RunConfig, TrainConfig
 from .errors import NumericError
-from .hierpool import AttentionParams, Region, SlideBag, batch_bags, wsi_encode
+from .hierpool import AttentionParams, Region, SlideBag, batch_bags
 from .model import SlideClassifier, TrainableLayout, build_model
 from .ssf import build_sites
 from .textenc import ClassPrompt, PromptSet
-from .train import batch_loss, epoch_loss
+from .train import epoch_loss, mean_loss
 
 STEP = 1e-6                # central-difference step h
 BRANCH_MARGIN_MIN = 1e-3   # distance of every cosine from {0, threshold}
@@ -86,15 +86,14 @@ def toy_problem(seed: int):
 
 def branch_margin(model: SlideClassifier, bags) -> float:
     """Smallest distance of any refinement cosine to a branch boundary."""
-    embs = model.class_embeddings()
-    guidance = model.guidance(embs)
-    if guidance is None:
+    text = model.text()
+    if text[1] is None:
         return np.inf
     alpha = model.config.refinement.threshold
     margin = np.inf
-    t = tp.value(guidance)
+    t = tp.value(text[1])
     for batch in batch_bags(bags):
-        out = wsi_encode(batch, guidance, model.attention, model.config.refinement)
+        out = model.forward(batch, text)[1]
         for h in (batch.rows, tp.value(out.region.embedding)):
             c = (h @ t) / (np.linalg.norm(h, axis=1) * np.linalg.norm(t))
             margin = min(margin, float(np.abs(c).min()), float(np.abs(c - alpha).min()))
@@ -113,16 +112,11 @@ def loss_grad_check(model: SlideClassifier, bags, tape_grad=None) -> float:
     layout, theta0, grad = tape_grad or tape_gradient(model, bags)
     batches = list(batch_bags(bags))
 
-    frozen = None
-    if model.config.refinement.gradient == "detached":
-        guidance = model.guidance(model.class_embeddings())
-        frozen = [wsi_encode(b, guidance, model.attention, model.config.refinement)
-                  for b in batches]
+    detached = model.config.refinement.gradient == "detached"
+    frozen = [model.forward(b)[1] for b in batches] if detached else None
 
     def f(theta: np.ndarray) -> float:
-        sites, attn = layout.assemble(layout.split(theta))
-        embs = model.class_embeddings(sites)
-        return batch_loss(model, batches, embs, model.guidance(embs), attn, frozen)
+        return mean_loss(layout.model(layout.split(theta)), batches, frozen)[0]
 
     return tp.grad_check(f, theta0, grad, h=STEP)
 

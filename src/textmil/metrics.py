@@ -10,7 +10,7 @@ from .errors import DataError, NumericError
 from .hierpool import BagBatch, SlideBag, attention_records, batch_bags, instance_saliency
 
 
-class UndefinedMetricError(ValueError):
+class UndefinedMetricError(DataError):
     """Metric has no value on this input (e.g. single-class AUC)."""
 
 
@@ -86,7 +86,7 @@ class EvalResult:
 
 
 def evaluate(model, bags: list[SlideBag], *, with_localization: bool = False,
-             attention: bool = False, class_embeddings: list[np.ndarray] | None = None,
+             attention: bool = False, text: tuple | None = None,
              batches: list[BagBatch] | None = None) -> EvalResult:
     """Deterministic metrics for a trained model on a bag set.
 
@@ -102,20 +102,19 @@ def evaluate(model, bags: list[SlideBag], *, with_localization: bool = False,
     batch is released before the next one is built.
 
     A caller that already holds them may pass the values of the model's
-    current class embeddings (`fit` takes them from its next training
-    step's tape) and `bags` already cut by `batch_bags` in slide-id
-    order; the result is the same as without them.
+    `text()` (`fit` takes them from its next training step's tape) and
+    `bags` already cut by `batch_bags` in slide-id order; the result is
+    the same as without them.
     """
     if not bags:
         raise DataError("cannot evaluate an empty bag set")
     if batches is None:
         batches = batch_bags(sorted(bags, key=lambda b: b.slide_id))
-    class_embs = model.class_embeddings() if class_embeddings is None else class_embeddings
-    guidance = model.guidance(class_embs)
+    text = model.text() if text is None else text
     loc = model.config.localization
     probs, per_slide, dice_rows, records = [], [], [], []
     for batch in batches:
-        p, out = model.forward(batch, class_embs, guidance)
+        p, out = model.forward(batch, text)
         probs.append(p)
         per_slide += [{"slide_id": bag.slide_id, "label": bag.label,
                        "probabilities": row, "predicted": top}

@@ -3,7 +3,9 @@
 The trainable state is exactly the adapter vectors of the model's sites
 (`SsfParams` by (block, kind), on the trailing blocks only) plus the two
 attention-pooling parameter sets: one ordered map of named arrays
-(`TrainableLayout`), flattened into one vector in that order.
+(`TrainableLayout`), flattened into one vector in that order. At other
+values of them (tape nodes, perturbed arrays) the model is a copy that
+shares its frozen-prefix cache, `TrainableLayout.model`.
 
 Checkpoints are JSON in format 2: every array (adapter vectors,
 attention weights, prompt tokens and a merged backbone) is one base64
@@ -23,7 +25,7 @@ between records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -56,61 +58,39 @@ class SlideClassifier:
     prompts: PromptSet
     config: RunConfig
     merged: bool = False
-    # (key, objects the key's ids refer to, per-class prefix activations)
-    _prefix: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # key -> (objects the key's ids refer to, per-class prefixes); copies share it
+    prefix_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
-    @property
-    def tumor_index(self) -> int | None:
-        if self.prompts.n_classes == 2 and self.prompts.tumor_class is not None:
-            return self.prompts.tumor_class
-        return None
+    def text(self) -> tuple[list, object]:
+        """(one text embedding per class prompt, the refinement guidance or
+        None). Only the blocks from the first site onward run here; the
+        bare blocks before it come from `frozen_prefix`."""
+        boundary, prefixes = self.frozen_prefix()
+        embs = [encode(self.stack, x, self.sites, start=boundary) for x in prefixes]
+        tumor = self.prompts.tumor_class if self.prompts.n_classes == 2 else None
+        return embs, refinement_embedding(embs, tumor) if self.config.refinement.enabled else None
 
-    def class_embeddings(self, sites=None) -> list:
-        """One text embedding per class prompt; `sites` (default: the
-        model's) may hold tape nodes. Only the blocks from the first site
-        onward run here; the bare blocks before it come from
-        `frozen_prefix`."""
-        use = self.sites if sites is None else sites
-        boundary, prefixes = self.frozen_prefix(use)
-        return [encode(self.stack, x, use, start=boundary) for x in prefixes]
-
-    def frozen_prefix(self, sites) -> tuple[int, list[np.ndarray]]:
+    def frozen_prefix(self) -> tuple[int, list[np.ndarray]]:
         """(boundary, each class prompt's token activations after blocks
-        1..boundary), where the boundary is the block before the first of
-        `sites` (the whole stack when there is none). Computed once and
-        reused while the stack and the prompt tokens stay the same objects
-        and the boundary does not move; new adapter or attention arrays
-        (`TrainableLayout.apply`) do not invalidate it."""
-        boundary = min((block for block, _ in sites), default=self.stack.n_blocks + 1) - 1
+        1..boundary): the bare blocks before the first site, or all of them.
+        Computed once per boundary, stack and token arrays, and reused by new
+        adapter or attention arrays and by copies (`TrainableLayout`)."""
+        boundary = min((block for block, _ in self.sites), default=self.stack.n_blocks + 1) - 1
         objs = (self.stack,
                 *(t for c in self.prompts.classes for t in (c.region_tokens, c.slide_tokens)))
         key = (boundary, tuple(map(id, objs)))
-        if self._prefix is None or self._prefix[0] != key:
-            prefixes = [encode_prefix(self.stack, build_prompt(c), boundary)
-                        for c in self.prompts.classes]
-            self._prefix = (key, objs, prefixes)
-        return boundary, self._prefix[2]
+        if key not in self.prefix_cache:
+            self.prefix_cache[key] = (objs, [encode_prefix(self.stack, build_prompt(c), boundary)
+                                             for c in self.prompts.classes])
+        return boundary, self.prefix_cache[key][1]
 
-    def guidance(self, class_embeddings):
-        if not self.config.refinement.enabled:
-            return None
-        return refinement_embedding(class_embeddings, self.tumor_index)
-
-    def forward(self, batch: BagBatch, class_embs=None, guidance=None, attention=None,
-                frozen: BagOutput | None = None):
-        """(class probabilities, one row per slide, and the pooling trace)
-        of a batch under the given class embeddings and guidance (by
-        default the model's own), with the model's attention parameters
-        unless `attention` holds tape nodes; the refinement scores of an
-        earlier pass `frozen` over the batch are used as constants."""
-        if class_embs is None:
-            class_embs = self.class_embeddings()
-            guidance = self.guidance(class_embs)
-        attn = self.attention if attention is None else attention
-        out = wsi_encode(batch, guidance, attn, self.config.refinement, frozen=frozen)
-        probs = class_probabilities(out.slide_embedding, class_embs,
-                                    self.config.train.temperature)
-        return probs, out
+    def forward(self, batch: BagBatch, text: tuple | None = None, frozen: BagOutput | None = None):
+        """(class probabilities, one row per slide, and the pooling trace) of
+        a batch under `text` (default: the model's own); an earlier pass
+        `frozen` over the batch supplies its refinement scores as constants."""
+        embs, guidance = self.text() if text is None else text
+        out = wsi_encode(batch, guidance, self.attention, self.config.refinement, frozen=frozen)
+        return class_probabilities(out.slide_embedding, embs, self.config.train.temperature), out
 
     def check_bags(self, bags: list[SlideBag]) -> list[SlideBag]:
         """`bags` unchanged, once each embedding width matches the encoder's
@@ -131,10 +111,17 @@ def _derive_seeds(seed: int) -> tuple[int, int]:
     return int(rng.integers(2 ** 62)), int(rng.integers(2 ** 62))
 
 
+def _check_width(prompts: PromptSet, dim: int, error: type) -> None:
+    """Raise `error` unless the prompt tokens are `dim` wide, the encoder's width."""
+    for c in prompts.classes:
+        if (width := c.region_tokens.shape[1]) != dim:
+            raise error(f"the tokens of prompts.classes[{c.class_id}] are {width} wide; "
+                        f"encoder.dim is {dim}")
+
+
 def build_model(config: RunConfig, prompts: PromptSet) -> SlideClassifier:
     enc = config.encoder
-    if prompts.n_classes < 2:
-        raise DataError("classification needs at least 2 class prompts")
+    _check_width(prompts, enc.dim, DataError)
     stack = build_stack(enc.backbone_seed, enc.blocks, enc.dim, enc.mlp_hidden)
     ssf_seed, attn_seed = _derive_seeds(config.train.seed)
     sites = build_sites(ssf_seed, enc.blocks, config.train.depth, enc.dim,
@@ -171,13 +158,14 @@ class TrainableLayout:
         return {name: theta[lo:hi].reshape(shape) for (name, shape), lo, hi
                 in zip(self.shapes.items(), self._offsets, self._offsets[1:])}
 
-    def assemble(self, named: dict) -> tuple[dict, AttentionParams]:
-        """(sites, attention) of the model's structure holding the named
-        values, which may be arrays or tape nodes."""
+    def model(self, named: dict) -> SlideClassifier:
+        """A copy of the model holding the named values, arrays or tape
+        nodes, as its sites and attention."""
         sites = {(block, kind): SsfParams(named[f"ssf.{block}.{kind}.gamma"],
                                           named[f"ssf.{block}.{kind}.beta"])
                  for block, kind in self._model.sites}
-        return sites, AttentionParams(*(named[f"attn.{f}"] for f in AttentionParams.FIELDS))
+        attn = AttentionParams(*(named[f"attn.{f}"] for f in AttentionParams.FIELDS))
+        return replace(self._model, sites=sites, attention=attn)
 
     def pack(self) -> np.ndarray:
         return np.concatenate([a.ravel() for a in self.arrays().values()])
@@ -186,7 +174,8 @@ class TrainableLayout:
         """Make a copy of a flat vector the model's trainable arrays."""
         if theta.shape != (self.size,):
             raise ValueError(f"theta must have shape ({self.size},), got {theta.shape}")
-        self._model.sites, self._model.attention = self.assemble(self.split(theta.copy()))
+        copy = self.model(self.split(theta.copy()))
+        self._model.sites, self._model.attention = copy.sites, copy.attention
 
     def bind(self, theta: np.ndarray) -> tuple[tp.Tape, dict[str, tp.Node]]:
         """A fresh tape and its leaf nodes for one training step, by name."""
@@ -306,9 +295,7 @@ def load_checkpoint(path: str | Path):
                 else (float, enc.attn_hidden, enc.dim), "attention")
             for f in AttentionParams.FIELDS))
         prompts = prompts_from_dict(get(raw, "prompts", dict))
-        if prompts.n_classes < 2:
-            raise ValueError(f"prompts.classes must hold at least 2 classes, "
-                             f"got {prompts.n_classes}")
+        _check_width(prompts, enc.dim, ValueError)
         merged = read(raw.get("merged", False), bool, "merged")
         history = _load_history(read(raw.get("history", []), list, "history"))
         split = read(raw.get("split"), dict | None, "split")

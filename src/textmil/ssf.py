@@ -77,14 +77,14 @@ def merge_into_linear(w: np.ndarray, b: np.ndarray, params: SsfParams):
     return params.gamma[:, None] * w, params.gamma * b + params.beta
 
 
-def count_trainable(dim: int, depth: int, attn_hidden: int, attn_dim: int,
-                    sites_per_block: int = SITES_PER_BLOCK) -> int:
+def count_trainable(dim: int, depth: int, attn_hidden: int, attn_dim: int) -> int:
     """Closed-form trainable-parameter count.
 
-    Adapters contribute 2 * dim per site over `sites_per_block * depth`
+    Adapters contribute 2 * dim per site over `SITES_PER_BLOCK * depth`
     sites; each of the two attention-pooling blocks contributes two
-    (attn_hidden x attn_dim) matrices plus an attn_hidden logit vector.
+    (attn_hidden x attn_dim) matrices plus an attn_hidden logit vector,
+    so `attn_hidden` 0 counts the adapters alone.
     """
-    adapters = 2 * dim * sites_per_block * depth
+    adapters = 2 * dim * SITES_PER_BLOCK * depth
     attention = 2 * (2 * attn_hidden * attn_dim + attn_hidden)
     return adapters + attention

@@ -66,7 +66,7 @@ EPS_NORM = 1e-8  # minimum norm for cosine / l2_normalize
 REL_GUARD = 1e-12  # denominator guard for relative errors
 
 
-class DegenerateVectorError(ValueError):
+class DegenerateVectorError(NumericError):
     """Vector norm below EPS_NORM where a direction is required."""
 
 

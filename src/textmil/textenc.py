@@ -13,7 +13,9 @@ one base64 block (`errors.Rows.encode`), and read field by field
 through `errors.read`: class i carries the JSON integer id i, a string
 name and finite token matrices, each a block or nested number lists (the
 form of older files, and the easy one to write by hand), and
-`tumor_class` is an integer or null.
+`tumor_class` is an integer or null. `ClassPrompt` and `PromptSet` check
+the rest where they are made: nonempty token matrices of one width per
+class, two classes or more, and a tumor class in range.
 
 The class embeddings become the rows of the class matrix that the
 batched head compares every slide of a batch against
@@ -94,11 +96,25 @@ class ClassPrompt:
     region_tokens: np.ndarray  # (n_region_tokens, dim)
     slide_tokens: np.ndarray   # (n_slide_tokens, dim)
 
+    def __post_init__(self):
+        for name in ("region_tokens", "slide_tokens"):
+            shape = getattr(self, name).shape
+            if len(shape) != 2 or shape[0] == 0 or shape[1] != self.region_tokens.shape[1]:
+                raise ValueError(f"prompts.classes[{self.class_id}].{name} must be a nonempty "
+                                 f"token matrix as wide as region_tokens, got shape {shape}")
+
 
 @dataclass
 class PromptSet:
     classes: list[ClassPrompt]
     tumor_class: int | None = None
+
+    def __post_init__(self):
+        if self.n_classes < 2:
+            raise ValueError(f"prompts.classes must hold at least 2 classes, got {self.n_classes}")
+        if self.tumor_class is not None and not 0 <= self.tumor_class < self.n_classes:
+            raise ValueError(f"prompts.tumor_class must be null or in [0, {self.n_classes}), "
+                             f"got {self.tumor_class}")
 
     @property
     def n_classes(self) -> int:
@@ -107,11 +123,6 @@ class PromptSet:
 
 def build_prompt(prompt: ClassPrompt) -> np.ndarray:
     """Concatenate the two token sequences, region-level tokens first."""
-    for name, toks in (("region_tokens", prompt.region_tokens), ("slide_tokens", prompt.slide_tokens)):
-        if toks.ndim != 2 or toks.shape[0] == 0:
-            raise DataError(f"{name} of class {prompt.class_id} must be a nonempty token matrix")
-    if prompt.region_tokens.shape[1] != prompt.slide_tokens.shape[1]:
-        raise DataError("region and slide tokens must share the embedding dimension")
     return np.concatenate([prompt.region_tokens, prompt.slide_tokens], axis=0)
 
 
@@ -221,11 +232,7 @@ def refinement_embedding(class_embeddings: list, tumor_index: int | None = None)
     embeddings; a near-zero mean yields None, which disables refinement.
     """
     n = len(class_embeddings)
-    if n == 0:
-        raise DataError("refinement embedding needs at least one class embedding")
     if tumor_index is not None:
-        if not 0 <= tumor_index < n:
-            raise DataError(f"tumor class index {tumor_index} out of range")
         return class_embeddings[tumor_index]
     if n == 1:
         return class_embeddings[0]

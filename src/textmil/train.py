@@ -8,7 +8,7 @@ into batches (`hierpool.batch_bags`; every default set is one batch)
 once per fit, so the pooling and head add about fifteen nodes to the
 epoch's tape. Each epoch runs the adapted encoder blocks once: the
 forward pass of step t+1 is taped right after the Adam update of step
-t, its class embeddings score step t's validation, and the next epoch
+t, its text scores step t's validation, and the next epoch
 backpropagates that same tape. Everything is deterministic given the
 config seed. `run_kshot` is the one split -> build -> fit path of a
 k-shot run.
@@ -85,42 +85,40 @@ def _check_split(model: SlideClassifier, train_bags, val_bags):
         raise DataError(f"train/val splits overlap: {sorted(overlap)[:3]}")
 
 
-def batch_loss(model: SlideClassifier, batches: list[BagBatch], embs, guidance, attn,
-               frozen: list[BagOutput] | None = None):
-    """Mean cross-entropy over every slide of `batches` under the given
-    class embeddings, guidance and attention parameters (tape nodes or
-    plain arrays); `frozen` holds an earlier pass over each batch, whose
-    refinement scores are held fixed."""
+def mean_loss(model: SlideClassifier, batches: list[BagBatch],
+              frozen: list[BagOutput] | None = None):
+    """(mean cross-entropy over every slide of `batches`, the model's
+    text): the one loss path of training and of the gradient check's
+    oracle, at parameters that are tape nodes or arrays. `frozen` holds an
+    earlier pass over each batch, whose refinement scores are held fixed."""
+    text = model.text()
     n = sum(b.n_slides for b in batches)
     terms = []
     for i, batch in enumerate(batches):
-        probs, _ = model.forward(batch, embs, guidance, attn,
-                                 frozen=None if frozen is None else frozen[i])
+        probs, _ = model.forward(batch, text, frozen=None if frozen is None else frozen[i])
         terms.append(tp.scale(tp.mean_nll(probs, batch.labels), batch.n_slides / n))
-    return reduce(tp.add, terms)
+    return reduce(tp.add, terms), text
 
 
 def epoch_loss(model: SlideClassifier, batches: list[BagBatch], layout: TrainableLayout,
                theta: np.ndarray):
     """Mean cross-entropy over the slides of `batches` on a fresh tape;
     returns the loss node, the tape, its leaf nodes by parameter name and
-    the class-embedding nodes. The tape holds the whole step: the adapted
-    blocks of each class prompt and the batched pooling and head of every
-    training slide."""
+    the model's text (`SlideClassifier.text`) as tape nodes. The tape
+    holds the whole step: the adapted blocks of each class prompt and the
+    batched pooling and head of every training slide."""
     tape, leaves = layout.bind(theta)
-    sites, attn = layout.assemble(leaves)
-    embs = model.class_embeddings(sites)
-    loss = batch_loss(model, batches, embs, model.guidance(embs), attn)
+    loss, text = mean_loss(layout.model(leaves), batches)
     if not np.isfinite(tp.value(loss)):
         raise NumericError(f"non-finite training loss {tp.value(loss)}")
-    return loss, tape, leaves, embs
+    return loss, tape, leaves, text
 
 
 def fit(model: SlideClassifier, train_bags, val_bags) -> FitResult:
     """Train in place; leaves the model at the best-validation parameters.
 
-    Validation after step t reuses the class embeddings of step t+1's
-    taped forward pass, which runs at the same parameters, so each epoch
+    Validation after step t reuses the text values of step t+1's taped
+    forward pass, which runs at the same parameters, so each epoch
     encodes the class prompts once. A fit of E epochs runs E + 1 forward
     passes; the last one only scores validation, yet a non-finite loss
     there raises NumericError as at any other step. Only the returned
@@ -146,7 +144,7 @@ def fit(model: SlideClassifier, train_bags, val_bags) -> FitResult:
         layout.apply(theta)
         step = epoch_loss(model, batches, layout, theta)
         val_auc = evaluate(model, val_bags, batches=val_batches,
-                           class_embeddings=[tp.value(e) for e in step[3]]).auc
+                           text=([tp.value(e) for e in step[3][0]], tp.value(step[3][1]))).auc
         result.history.append({"epoch": epoch,
                                "train_loss": float(tp.value(loss)),
                                "val_auc": float(val_auc)})

@@ -282,6 +282,23 @@ def test_merge_with_non_finite_parameters_exits_numeric(tmp_path, checkpoint, mo
     assert "checkpoint_merged.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["eval", "localize"])
+def test_split_of_one_class_exits_3(tmp_path, trained_run, command):
+    """An AUC needs both classes: a split that holds only one exits 3 and
+    writes nothing."""
+    data, raw = trained_run
+    raw = json.loads(json.dumps(raw))
+    labels = {s["id"]: s["label"] for s in read_json(data / "manifest.json")["slides"]}
+    raw["split"]["test"] = [sid for sid in raw["split"]["test"] if labels[sid] == 0]
+    path, out, err = tmp_path / "checkpoint.json", tmp_path / "out", io.StringIO()
+    path.write_text(json.dumps(raw))
+    with contextlib.redirect_stderr(err):
+        code = main([command, "--data", str(data), "--checkpoint", str(path), "--out", str(out)])
+    assert code == 3
+    assert not out.exists()
+    assert "AUC needs both a positive and a negative example" in err.getvalue()
+
+
 def test_eval_rejects_checkpoint_without_the_split(tmp_path, dataset_dir, checkpoint, capsys):
     raw = read_json(checkpoint)
     del raw["split"]["val"]
@@ -391,6 +408,13 @@ def _drop(path):
     return edit
 
 
+def _narrow_tokens(prompts):
+    """Keep the first 8 columns of every class's tokens of a parsed prompt set."""
+    for c in prompts["classes"]:
+        for name in ("region_tokens", "slide_tokens"):
+            c[name] = encode(decode(c[name])[:, :8])
+
+
 # FAST_CONFIG: 3 blocks (records 0-1 are the adapters of block 2, 2-3
 # those of block 3), attn_hidden 4, dim 16
 CHECKPOINT_DEFECTS = {
@@ -428,6 +452,8 @@ CHECKPOINT_DEFECTS = {
                          "non-finite value in prompts.classes[1].slide_tokens"),
     "one-class": (_set(["prompts", "classes"], lambda v: v[:1]),
                   "prompts.classes must hold at least 2 classes"),
+    "tokens-8-wide": (lambda raw: _narrow_tokens(raw["prompts"]),
+                      "the tokens of prompts.classes[0] are 8 wide; encoder.dim is 16"),
     "class-id-1-first": (_set(["prompts", "classes", 0, "id"], lambda v: 1),
                          "prompts.classes[0].id"),
     "split-not-a-list": (_set(["split", "test"], lambda v: 5), "split.test"),
@@ -614,6 +640,14 @@ INPUT_DEFECTS = {
     "slide-tokens-dtype": ("prompts", _set(["classes", 1, "slide_tokens", "dtype"],
                                            lambda v: "<f4"),
                            "prompts.classes[1].slide_tokens.dtype"),
+    "region-tokens-empty": ("prompts", _set_array(["classes", 0, "region_tokens"],
+                                                  lambda a: a[:0]),
+                            "prompts.classes[0].region_tokens must be a nonempty token matrix"),
+    "slide-tokens-narrower": ("prompts", _set_array(["classes", 1, "slide_tokens"],
+                                                    lambda a: a[:, :8]),
+                              "prompts.classes[1].slide_tokens must be a nonempty token "
+                              "matrix as wide as region_tokens"),
+    "tumor-class-5": ("prompts", _set(["tumor_class"], lambda v: 5), "prompts.tumor_class"),
 }
 
 
@@ -637,6 +671,21 @@ def test_train_rejects_malformed_bag_or_prompt_file(tmp_path, trained_run, defec
     assert code == 3
     assert not run.exists() or not any(run.iterdir())
     assert name in err.getvalue() and field in err.getvalue()
+
+
+def test_train_rejects_prompts_of_other_width(tmp_path, trained_run):
+    data = Path(shutil.copytree(trained_run[0], tmp_path / "data"))
+    prompts = read_json(data / "prompts.json")
+    _narrow_tokens(prompts)
+    (data / "prompts.json").write_text(json.dumps(prompts))
+    (tmp_path / "config.json").write_text(json.dumps(FAST_CONFIG))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["train", "--config", str(tmp_path / "config.json"), "--data", str(data),
+                     "--out", str(tmp_path / "run")])
+    assert code == 3
+    assert not (tmp_path / "run").exists()
+    assert "the tokens of prompts.classes[0] are 8 wide; encoder.dim is 16" in err.getvalue()
 
 
 # (command, file, path, value): a bad config field under `train`,

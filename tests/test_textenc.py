@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -60,10 +61,13 @@ def test_build_prompt_single_token_each():
 
 
 def test_build_prompt_rejects_empty():
+    """A class prompt is checked where it is made, so `build_prompt`
+    never sees an empty or ragged one."""
     p = make_prompt()
-    p.region_tokens = np.empty((0, 8))
-    with pytest.raises(DataError):
-        build_prompt(p)
+    with pytest.raises(ValueError, match=r"classes\[0\].region_tokens must be a nonempty"):
+        replace(p, region_tokens=np.empty((0, 8)))
+    with pytest.raises(ValueError, match=r"classes\[0\].slide_tokens .* as wide as region_tokens"):
+        replace(p, slide_tokens=np.ones((2, 7)))
 
 
 def test_prompt_file_round_trip(tmp_path):
@@ -204,8 +208,13 @@ def test_refinement_multiclass_mean_normalized():
 
 
 def test_refinement_tumor_index_out_of_range():
-    with pytest.raises(DataError):
-        refinement_embedding([np.ones(2)], tumor_index=3)
+    """The tumor class is checked where a prompt set is made, so
+    `refinement_embedding` never sees one out of range."""
+    classes = [replace(make_prompt(seed=c), class_id=c) for c in range(2)]
+    with pytest.raises(ValueError, match=r"prompts.tumor_class .* got 3"):
+        PromptSet(classes=classes, tumor_class=3)
+    with pytest.raises(ValueError, match="at least 2 classes, got 1"):
+        PromptSet(classes=classes[:1])
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +287,7 @@ def test_encode_start_out_of_range():
 
 
 def test_save_prompts_rejects_non_finite(tmp_path):
-    prompts = PromptSet(classes=[make_prompt(seed=3)], tumor_class=None)
+    prompts = PromptSet(classes=[make_prompt(seed=3), make_prompt(seed=4)], tumor_class=None)
     prompts.classes[0].slide_tokens[0, 1] = np.inf
     path = tmp_path / "p.json"
     with pytest.raises(NumericError, match="p.json"):

@@ -1,5 +1,7 @@
+import ast
 import json
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -450,16 +452,18 @@ def count_prefixes(monkeypatch):
 def test_cached_class_embeddings_bitwise_plain_and_taped(monkeypatch):
     cfg = small_config()
     model, train_bags, _, _ = make_problem(cfg)
-    for a, b in zip(model.class_embeddings(), full_encode(model)):
+    for a, b in zip(model.text()[0], full_encode(model)):
         assert np.array_equal(a, b)
     layout = TrainableLayout(model)
     theta = layout.pack()
     batches = list(hierpool.batch_bags(train_bags))
-    loss, tape, nodes, embs = epoch_loss(model, batches, layout, theta)
-    for a, b in zip(embs, model.class_embeddings()):
+    loss, tape, nodes, (embs, _) = epoch_loss(model, batches, layout, theta)
+    for a, b in zip(embs, model.text()[0]):
         assert np.array_equal(tp.value(a), b)
     grad = layout.flatten_grads(tape.backward(loss), nodes)
-    monkeypatch.setattr(SlideClassifier, "class_embeddings", full_encode)
+    # no cached prefix: every block runs on the whole prompt, as in full_encode
+    monkeypatch.setattr(SlideClassifier, "frozen_prefix",
+                        lambda m: (0, [build_prompt(c) for c in m.prompts.classes]))
     ref_loss, ref_tape, ref_nodes, _ = epoch_loss(model, batches, layout, theta)
     ref_grad = layout.flatten_grads(ref_tape.backward(ref_loss), ref_nodes)
     assert tp.value(loss) == tp.value(ref_loss)
@@ -471,25 +475,25 @@ def test_prefix_cache_follows_reassigned_sites_stack_and_prompts(monkeypatch):
     cfg = small_config()
     model, _, _, _ = make_problem(cfg)
     calls = count_prefixes(monkeypatch)
-    model.class_embeddings()
+    model.text()
     layout = TrainableLayout(model)
     layout.apply(layout.pack() + 0.01)  # new trainable arrays only: cache still valid
-    model.class_embeddings()
+    model.text()
     model.sites = build_sites(41, 4, 2, 16, 0.1)  # new sites, same boundary: still valid
-    for a, b in zip(model.class_embeddings(), full_encode(model)):
+    for a, b in zip(model.text()[0], full_encode(model)):
         assert np.array_equal(a, b)
     assert len(calls) == 2
     model.sites = build_sites(41, 4, 3, 16, 0.1)  # one more adapted block: boundary moves
-    for a, b in zip(model.class_embeddings(), full_encode(model)):
+    for a, b in zip(model.text()[0], full_encode(model)):
         assert np.array_equal(a, b)
     assert calls[-1] == 1
     model.stack = build_stack(6, 4, 16, 8)
-    for a, b in zip(model.class_embeddings(), full_encode(model)):
+    for a, b in zip(model.text()[0], full_encode(model)):
         assert np.array_equal(a, b)
     model.prompts = PromptSet(classes=[replace(c, region_tokens=c.region_tokens[::-1].copy())
                                        for c in model.prompts.classes],
                               tumor_class=model.prompts.tumor_class)
-    for a, b in zip(model.class_embeddings(), full_encode(model)):
+    for a, b in zip(model.text()[0], full_encode(model)):
         assert np.array_equal(a, b)
     assert len(calls) == 8
 
@@ -509,12 +513,47 @@ def test_model_without_trainable_sites_caches_whole_stack(monkeypatch):
     fit(model, train_bags, val_bags)
     merged = merge_model(model)
     calls = count_prefixes(monkeypatch)
-    embs = merged.class_embeddings()
+    embs = merged.text()[0]
     assert calls == [merged.stack.n_blocks] * merged.prompts.n_classes
     for a, b in zip(embs, full_encode(merged)):
         assert np.array_equal(a, b)
-    for a, b in zip(embs, model.class_embeddings()):
+    for a, b in zip(embs, model.text()[0]):
         assert np.abs(a - b).max() <= 1e-10
+
+
+def test_models_and_copies_keep_their_own_prefixes(monkeypatch):
+    """evaluate(model), merge_model, evaluate(merged), evaluate(model):
+    each model encodes its prefix once, and a copy at other parameter
+    values (`TrainableLayout.model`) reuses its model's."""
+    cfg = small_config()
+    model, _, _, test_bags = make_problem(cfg)
+    calls = count_prefixes(monkeypatch)
+    first = evaluate(model, test_bags)
+    merged = merge_model(model)
+    evaluate(merged, test_bags)
+    assert evaluate(model, test_bags).per_slide == first.per_slide
+    n = model.prompts.n_classes
+    assert calls == [2] * n + [merged.stack.n_blocks] * n
+    layout = TrainableLayout(model)
+    copy = layout.model(layout.split(layout.pack() + 0.01))
+    copy.text()
+    assert copy.prefix_cache is model.prefix_cache
+    assert len(calls) == 2 * n
+
+
+def test_only_the_model_pools_and_scores():
+    """No module but model.py calls `wsi_encode`, `class_probabilities` or
+    `refinement_embedding`: every consumer scores the model through
+    `SlideClassifier.text` and `forward`, at any parameter values."""
+    single = {"wsi_encode", "class_probabilities", "refinement_embedding"}
+    callers = set()
+    for path in Path(model_mod.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in single:
+                    callers.add((path.name, name))
+    assert callers == {("model.py", name) for name in single}
 
 
 def test_save_checkpoint_rejects_non_finite(tmp_path):
