@@ -28,7 +28,7 @@ import numpy as np
 from . import tape as tp
 from .config import EncoderConfig, RefinementConfig, RunConfig, TrainConfig
 from .errors import NumericError
-from .hierpool import AttentionParams, Region, SlideBag, batch_bags
+from .hierpool import AttentionParams, BagBatch, Region, SlideBag
 from .model import SlideClassifier, TrainableLayout, build_model
 from .ssf import build_sites
 from .textenc import ClassPrompt, PromptSet
@@ -40,11 +40,10 @@ GRAD_FLOOR = 3e-6          # smallest resolvable gradient at STEP
 MAX_ATTEMPTS = 50          # toy problems drawn before giving up
 
 
-def _away_from_zero(rng: np.random.Generator, shape, lo=0.3, hi=1.2) -> np.ndarray:
-    """Uniform magnitudes in [lo, hi] with random signs: no entry near 0."""
-    mag = rng.uniform(lo, hi, size=shape)
-    sign = rng.choice((-1.0, 1.0), size=shape)
-    return mag * sign
+def _away_from_zero(rng: np.random.Generator, shape) -> np.ndarray:
+    """Uniform magnitudes in [0.3, 1.2] with random signs: no entry near 0."""
+    mag = rng.uniform(0.3, 1.2, size=shape)
+    return mag * rng.choice((-1.0, 1.0), size=shape)
 
 
 def toy_problem(seed: int):
@@ -90,33 +89,30 @@ def branch_margin(model: SlideClassifier, bags) -> float:
     if text[1] is None:
         return np.inf
     alpha = model.config.refinement.threshold
-    margin = np.inf
     t = tp.value(text[1])
-    for batch in batch_bags(bags):
-        out = model.forward(batch, text)[1]
-        for h in (batch.rows, tp.value(out.region.embedding)):
-            c = (h @ t) / (np.linalg.norm(h, axis=1) * np.linalg.norm(t))
-            margin = min(margin, float(np.abs(c).min()), float(np.abs(c - alpha).min()))
+    batch = BagBatch.of(bags)
+    margin = np.inf
+    for h in (batch.rows, tp.value(model.forward(batch, text)[1].region.embedding)):
+        c = (h @ t) / (np.linalg.norm(h, axis=1) * np.linalg.norm(t))
+        margin = min(margin, float(np.abs(c).min()), float(np.abs(c - alpha).min()))
     return margin
 
 
 def tape_gradient(model: SlideClassifier, bags):
     layout = TrainableLayout(model)
     theta0 = layout.pack()
-    loss, tape_, nodes, _ = epoch_loss(model, list(batch_bags(bags)), layout, theta0)
+    loss, tape_, nodes, _ = epoch_loss(BagBatch.of(bags), layout, theta0)
     return layout, theta0, layout.flatten_grads(tape_.backward(loss), nodes)
 
 
 def loss_grad_check(model: SlideClassifier, bags, tape_grad=None) -> float:
     """Max relative error of the tape gradient (`tape_grad`, if held) vs central differences."""
     layout, theta0, grad = tape_grad or tape_gradient(model, bags)
-    batches = list(batch_bags(bags))
-
-    detached = model.config.refinement.gradient == "detached"
-    frozen = [model.forward(b)[1] for b in batches] if detached else None
+    batch = BagBatch.of(bags)
+    frozen = model.forward(batch)[1] if model.config.refinement.gradient == "detached" else None
 
     def f(theta: np.ndarray) -> float:
-        return mean_loss(layout.model(layout.split(theta)), batches, frozen)[0]
+        return mean_loss(layout.model(layout.split(theta)), batch, frozen)[0]
 
     return tp.grad_check(f, theta0, grad, h=STEP)
 

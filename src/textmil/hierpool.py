@@ -15,7 +15,10 @@ and each slide's regions. `region_encode` scores, normalises and pools
 every region of the batch with one call of each segment primitive of
 `tape`, and `wsi_encode` does the same for the region rows of every
 slide, so one pass records about a dozen nodes however many slides it
-holds. One training epoch tapes this pass once for all its slides.
+holds. Each level yields one `Pooled` record (the pooled rows, and per
+item its attention weight and refinement score), and a pass is the
+`BagOutput` of both. One training epoch pools all its slides as one
+batch and tapes this pass once.
 
 `batch_bags` cuts a slide list, in order, into batches of at most
 MAX_BATCH_ROWS instance rows and builds each batch only when it is
@@ -37,10 +40,12 @@ VM, NumPy 2.4):
 rows the benchmark's peak RSS rose 4-5%, against a 5% bound. Measured
 again at 73c0686, 2048 rows were slower end to end as well: eval-bigbag
 op_ref 71.5-75.7 against 68.1-72.0 over 6 process pairs (seeds 1-6,
-8 s each), at 2.4-3.3 MB more peak RSS. Every default k-shot training
-set and the 24-slide validation set fit in one batch either way.
+8 s each), at 2.4-3.3 MB more peak RSS. The 24-slide default
+validation set fits in one batch either way. Training does not cut: its
+slides stay on the epoch's tape until the backward pass whatever the
+batching, and the benchmark's k-shot training sets hold 23-231 rows.
 Training, evaluation, localization, the gradient check and the merge
-check all run this one path: plain arrays simply record nothing.
+check all run this one pass: plain arrays simply record nothing.
 
 Bag files are JSON. `save_bag` stores each region's embeddings as one
 block (`errors.Rows.encode`), `{"dtype": "<f8", "shape": [n, dim],
@@ -302,10 +307,6 @@ class BagBatch:
         return self.rows.shape[0]
 
     @property
-    def n_slides(self) -> int:
-        return len(self.bags)
-
-    @property
     def labels(self) -> np.ndarray:
         return np.array([b.label for b in self.bags], dtype=np.int64)
 
@@ -336,43 +337,41 @@ def batch_bags(bags: list[SlideBag]) -> Iterator[BagBatch]:
 
 
 @dataclass
-class RegionOutput:
-    embedding: object   # (n_regions, dim) value or node
-    weights: object     # (n_instances,) softmax weights within each region
-    scores: np.ndarray  # (n_instances,) refinement scores actually used
+class Pooled:
+    """One attention level of a pass: the pooled row of each segment, and
+    per item its softmax weight within its segment and the refinement
+    score actually used."""
 
-    def weight_values(self) -> np.ndarray:
-        return np.asarray(tp.value(self.weights))
+    embedding: object    # (n_segments, dim) value or node
+    weights: np.ndarray  # (n_items,)
+    scores: np.ndarray   # (n_items,)
 
 
 @dataclass
 class BagOutput:
+    """A pass over a batch: instances pooled into regions, then regions
+    into slides."""
+
     batch: BagBatch
-    slide_embedding: object  # (n_slides, dim) value or node
-    region_weights: object   # (n_regions,) softmax weights within each slide
-    region: RegionOutput
-    region_scores: np.ndarray
-
-    def region_weight_values(self) -> np.ndarray:
-        return np.asarray(tp.value(self.region_weights))
+    region: Pooled
+    slide: Pooled
 
 
-def _attend(items, scores, offsets, w, m1, m2):
+def _attend(items, scores, offsets, w, m1, m2) -> Pooled:
     """Gated attention over the rows of `items` within each segment of
-    `offsets`, shifted by the refinement `scores`; returns (pooled rows,
-    softmax weights)."""
+    `offsets`, shifted by the refinement `scores`."""
     weights = tp.segment_softmax(tp.add(tp.gate_logits(items, w, m1, m2), scores), offsets)
-    return tp.segment_pool(weights, items, offsets), weights
+    return Pooled(embedding=tp.segment_pool(weights, items, offsets),
+                  weights=np.asarray(tp.value(weights)), scores=np.asarray(tp.value(scores)))
 
 
 def region_encode(batch: BagBatch, guidance, params: AttentionParams, cfg: RefinementConfig,
-                  frozen_scores: np.ndarray | None = None) -> RegionOutput:
+                  frozen_scores: np.ndarray | None = None) -> Pooled:
     """Attention-pool the instances of every region of the batch into one
     region embedding each."""
     h = batch.rows
     s = refinement_score(h, guidance, cfg) if frozen_scores is None else frozen_scores
-    emb, weights = _attend(h, s, batch.region_offsets, params.w_r, params.v1, params.v2)
-    return RegionOutput(embedding=emb, weights=weights, scores=np.asarray(tp.value(s)))
+    return _attend(h, s, batch.region_offsets, params.w_r, params.v1, params.v2)
 
 
 def wsi_encode(batch: BagBatch, guidance, params: AttentionParams, cfg: RefinementConfig,
@@ -385,10 +384,9 @@ def wsi_encode(batch: BagBatch, guidance, params: AttentionParams, cfg: Refineme
     region = region_encode(batch, guidance, params, cfg,
                            frozen_scores=None if frozen is None else frozen.region.scores)
     h = region.embedding
-    s = refinement_score(h, guidance, cfg) if frozen is None else frozen.region_scores
-    emb, weights = _attend(h, s, batch.slide_offsets, params.w, params.u1, params.u2)
-    return BagOutput(batch=batch, slide_embedding=emb, region_weights=weights,
-                     region=region, region_scores=np.asarray(tp.value(s)))
+    s = refinement_score(h, guidance, cfg) if frozen is None else frozen.slide.scores
+    return BagOutput(batch=batch, region=region,
+                     slide=_attend(h, s, batch.slide_offsets, params.w, params.u1, params.u2))
 
 
 # ---------------------------------------------------------------------------
@@ -405,9 +403,9 @@ def instance_saliency(output: BagOutput, mode: str = "multiplicative") -> np.nda
     if mode not in SALIENCY_MODES:
         raise ConfigError(f"saliency mode must be one of {SALIENCY_MODES}, got {mode!r}")
     batch = output.batch
-    raw = output.region.weight_values()
+    raw = output.region.weights
     if mode == "multiplicative":
-        raw = np.repeat(output.region_weight_values(), np.diff(batch.region_offsets)) * raw
+        raw = np.repeat(output.slide.weights, np.diff(batch.region_offsets)) * raw
     starts = batch.slide_row_offsets()
     sizes = np.diff(starts)
     lo = np.repeat(np.minimum.reduceat(raw, starts[:-1]), sizes)
@@ -421,8 +419,8 @@ def attention_records(output: BagOutput, mode: str = "multiplicative") -> list[d
     one per slide of the batch."""
     batch = output.batch
     saliency = instance_saliency(output, mode).tolist()
-    inst = output.region.weight_values().tolist()
-    a_regions = output.region_weight_values().tolist()
+    inst = output.region.weights.tolist()
+    a_regions = output.slide.weights.tolist()
     starts = batch.region_offsets.tolist()
     records = []
     for s, bag in enumerate(batch.bags):

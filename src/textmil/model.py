@@ -67,8 +67,8 @@ class SlideClassifier:
         bare blocks before it come from `frozen_prefix`."""
         boundary, prefixes = self.frozen_prefix()
         embs = [encode(self.stack, x, self.sites, start=boundary) for x in prefixes]
-        tumor = self.prompts.tumor_class if self.prompts.n_classes == 2 else None
-        return embs, refinement_embedding(embs, tumor) if self.config.refinement.enabled else None
+        return embs, (refinement_embedding(embs, self.prompts.tumor_class)
+                      if self.config.refinement.enabled else None)
 
     def frozen_prefix(self) -> tuple[int, list[np.ndarray]]:
         """(boundary, each class prompt's token activations after blocks
@@ -90,7 +90,7 @@ class SlideClassifier:
         `frozen` over the batch supplies its refinement scores as constants."""
         embs, guidance = self.text() if text is None else text
         out = wsi_encode(batch, guidance, self.attention, self.config.refinement, frozen=frozen)
-        return class_probabilities(out.slide_embedding, embs, self.config.train.temperature), out
+        return class_probabilities(out.slide.embedding, embs, self.config.train.temperature), out
 
     def check_bags(self, bags: list[SlideBag]) -> list[SlideBag]:
         """`bags` unchanged, once each embedding width matches the encoder's

@@ -15,7 +15,7 @@ name and finite token matrices, each a block or nested number lists (the
 form of older files, and the easy one to write by hand), and
 `tumor_class` is an integer or null. `ClassPrompt` and `PromptSet` check
 the rest where they are made: nonempty token matrices of one width per
-class, two classes or more, and a tumor class in range.
+class, two classes or more, and a tumor class only in a two-class set.
 
 The class embeddings become the rows of the class matrix that the
 batched head compares every slide of a batch against
@@ -112,9 +112,9 @@ class PromptSet:
     def __post_init__(self):
         if self.n_classes < 2:
             raise ValueError(f"prompts.classes must hold at least 2 classes, got {self.n_classes}")
-        if self.tumor_class is not None and not 0 <= self.tumor_class < self.n_classes:
-            raise ValueError(f"prompts.tumor_class must be null or in [0, {self.n_classes}), "
-                             f"got {self.tumor_class}")
+        if self.tumor_class is not None and (self.n_classes != 2 or self.tumor_class not in (0, 1)):
+            raise ValueError(f"prompts.tumor_class must be null, or 0 or 1 in a set of exactly 2 "
+                             f"classes; got {self.tumor_class} with {self.n_classes} classes")
 
     @property
     def n_classes(self) -> int:
@@ -234,8 +234,6 @@ def refinement_embedding(class_embeddings: list, tumor_index: int | None = None)
     n = len(class_embeddings)
     if tumor_index is not None:
         return class_embeddings[tumor_index]
-    if n == 1:
-        return class_embeddings[0]
     m = tp.pool(np.full(n, 1.0 / n), tp.rows(class_embeddings))
     if float(np.linalg.norm(tp.value(m))) < tp.EPS_NORM:
         return None

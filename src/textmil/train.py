@@ -3,10 +3,10 @@
 One epoch is one full-batch gradient step over the k-shot training
 bags (loss averaged per slide in slide-id order) on one fresh tape,
 followed by a validation AUC; the returned parameters are the ones from
-the best validation epoch. The training and validation slides are cut
-into batches (`hierpool.batch_bags`; every default set is one batch)
-once per fit, so the pooling and head add about fifteen nodes to the
-epoch's tape. Each epoch runs the adapted encoder blocks once: the
+the best validation epoch. A fit pools its training slides as one
+`BagBatch`, so the pooling and head add about fifteen nodes to the
+epoch's tape, and cuts its validation slides by `hierpool.batch_bags`;
+it builds both once. Each epoch runs the adapted encoder blocks once: the
 forward pass of step t+1 is taped right after the Adam update of step
 t, its text scores step t's validation, and the next epoch
 backpropagates that same tape. Everything is deterministic given the
@@ -17,7 +17,6 @@ k-shot run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -85,30 +84,25 @@ def _check_split(model: SlideClassifier, train_bags, val_bags):
         raise DataError(f"train/val splits overlap: {sorted(overlap)[:3]}")
 
 
-def mean_loss(model: SlideClassifier, batches: list[BagBatch],
-              frozen: list[BagOutput] | None = None):
-    """(mean cross-entropy over every slide of `batches`, the model's
-    text): the one loss path of training and of the gradient check's
-    oracle, at parameters that are tape nodes or arrays. `frozen` holds an
-    earlier pass over each batch, whose refinement scores are held fixed."""
+def mean_loss(model: SlideClassifier, batch: BagBatch, frozen: BagOutput | None = None):
+    """(mean cross-entropy over the slides of `batch`, the model's text):
+    the one loss path of training and of the gradient check's oracle, at
+    parameters that are tape nodes or arrays. `frozen`, an earlier pass
+    over the batch, holds its refinement scores fixed."""
     text = model.text()
-    n = sum(b.n_slides for b in batches)
-    terms = []
-    for i, batch in enumerate(batches):
-        probs, _ = model.forward(batch, text, frozen=None if frozen is None else frozen[i])
-        terms.append(tp.scale(tp.mean_nll(probs, batch.labels), batch.n_slides / n))
-    return reduce(tp.add, terms), text
+    probs, _ = model.forward(batch, text, frozen=frozen)
+    return tp.mean_nll(probs, batch.labels), text
 
 
-def epoch_loss(model: SlideClassifier, batches: list[BagBatch], layout: TrainableLayout,
-               theta: np.ndarray):
-    """Mean cross-entropy over the slides of `batches` on a fresh tape;
-    returns the loss node, the tape, its leaf nodes by parameter name and
-    the model's text (`SlideClassifier.text`) as tape nodes. The tape
-    holds the whole step: the adapted blocks of each class prompt and the
-    batched pooling and head of every training slide."""
+def epoch_loss(batch: BagBatch, layout: TrainableLayout, theta: np.ndarray):
+    """Mean cross-entropy over the slides of `batch` on a fresh tape, at
+    `theta` on the layout's model; returns the loss node, the tape, its
+    leaf nodes by parameter name and the model's text
+    (`SlideClassifier.text`) as tape nodes. The tape holds the whole
+    step: the adapted blocks of each class prompt and the batched pooling
+    and head of every training slide."""
     tape, leaves = layout.bind(theta)
-    loss, text = mean_loss(layout.model(leaves), batches)
+    loss, text = mean_loss(layout.model(leaves), batch)
     if not np.isfinite(tp.value(loss)):
         raise NumericError(f"non-finite training loss {tp.value(loss)}")
     return loss, tape, leaves, text
@@ -127,7 +121,7 @@ def fit(model: SlideClassifier, train_bags, val_bags) -> FitResult:
     train_bags = sorted(train_bags, key=lambda b: b.slide_id)
     val_bags = sorted(val_bags, key=lambda b: b.slide_id)
     _check_split(model, train_bags, val_bags)
-    batches, val_batches = list(batch_bags(train_bags)), list(batch_bags(val_bags))
+    batch, val_batches = BagBatch.of(train_bags), list(batch_bags(val_bags))
 
     layout = TrainableLayout(model)
     theta = layout.pack()
@@ -135,14 +129,14 @@ def fit(model: SlideClassifier, train_bags, val_bags) -> FitResult:
     best_theta, since_best = theta.copy(), 0
     result = FitResult()
 
-    step = epoch_loss(model, batches, layout, theta)
+    step = epoch_loss(batch, layout, theta)
     for epoch in range(1, cfg.max_epochs + 1):
         loss, tape, nodes, _ = step
         grad = layout.flatten_grads(tape.backward(loss), nodes)
         theta = adam_step(adam, theta, grad, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
                           eps=cfg.adam_eps)
         layout.apply(theta)
-        step = epoch_loss(model, batches, layout, theta)
+        step = epoch_loss(batch, layout, theta)
         val_auc = evaluate(model, val_bags, batches=val_batches,
                            text=([tp.value(e) for e in step[3][0]], tp.value(step[3][1]))).auc
         result.history.append({"epoch": epoch,

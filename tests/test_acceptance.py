@@ -107,7 +107,7 @@ def test_criterion_03_identity_neutrality_and_zero_guidance():
                                      * (1.0 / (1.0 + np.exp(-params.v2 @ h))))
                        for h in embs])
     e = np.exp(logits - logits.max())
-    assert np.abs(guided.weight_values() - e / e.sum()).max() <= 1e-12
+    assert np.abs(guided.weights - e / e.sum()).max() <= 1e-12
     print("ACCEPTANCE 3 PASS: identity adapters bitwise-neutral; "
           "zero guidance equals plain gated attention")
 
@@ -144,7 +144,7 @@ def test_criterion_05_structural_invariants():
                for m in range(3)]
     bag = SlideBag(slide_id="s", label=0, regions=regions)
     out = wsi_encode(BagBatch.of([bag]), guidance, params, cfg.refinement)
-    groups = [out.region_weight_values()] + np.split(out.region.weight_values(),
+    groups = [out.slide.weights] + np.split(out.region.weights,
                                                      out.batch.region_offsets[1:-1])
     assert len(groups) == 4
     for g in groups:
@@ -153,9 +153,9 @@ def test_criterion_05_structural_invariants():
     perm = [2, 0, 1]
     bag_p = SlideBag(slide_id="s", label=0, regions=[regions[i] for i in perm])
     out_p = wsi_encode(BagBatch.of([bag_p]), guidance, params, cfg.refinement)
-    assert np.abs(out_p.region_weight_values() - out.region_weight_values()[perm]).max() <= 1e-9
-    assert np.abs(np.asarray(out_p.slide_embedding)
-                  - np.asarray(out.slide_embedding)).max() <= 1e-9
+    assert np.abs(out_p.slide.weights - out.slide.weights[perm]).max() <= 1e-9
+    assert np.abs(np.asarray(out_p.slide.embedding)
+                  - np.asarray(out.slide.embedding)).max() <= 1e-9
 
     iperm = rng.permutation(4)
     region_p = Region(region_id="0", coord=(0, 0),
@@ -163,7 +163,7 @@ def test_criterion_05_structural_invariants():
                       embeddings=regions[0].embeddings[iperm])
     a, b = (region_encode(BagBatch.of([SlideBag("s", 0, [r])]), guidance, params, cfg.refinement)
             for r in (regions[0], region_p))
-    assert np.abs(b.weight_values() - a.weight_values()[iperm]).max() <= 1e-9
+    assert np.abs(b.weights - a.weights[iperm]).max() <= 1e-9
 
     for d in range(1, 13):
         assert attach_depth(12, d) == list(range(12 - d + 1, 13))

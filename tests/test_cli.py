@@ -255,11 +255,11 @@ def test_localize_pools_each_slide_once(tmp_path, dataset_dir, checkpoint, monke
         rec = read_json(loc / "attention" / f"{bag.slide_id}.json")
         assert set(rec) == {"slide_id", "label", "saliency_mode", "regions"}
         _, out = model.forward(BagBatch.of([bag]))
-        weights = np.split(out.region.weight_values(), out.batch.region_offsets[1:-1])
+        weights = np.split(out.region.weights, out.batch.region_offsets[1:-1])
         saliency = np.split(instance_saliency(out), out.batch.region_offsets[1:-1])
         for m, r in enumerate(rec["regions"]):
             assert set(r) == {"id", "coord", "weight", "instances"}
-            assert abs(r["weight"] - out.region_weight_values()[m]) <= 1e-12
+            assert abs(r["weight"] - out.slide.weights[m]) <= 1e-12
             for j, inst in enumerate(r["instances"]):
                 assert set(inst) == {"coord", "weight", "saliency"}
                 assert abs(inst["weight"] - weights[m][j]) <= 1e-12
@@ -648,6 +648,9 @@ INPUT_DEFECTS = {
                               "prompts.classes[1].slide_tokens must be a nonempty token "
                               "matrix as wide as region_tokens"),
     "tumor-class-5": ("prompts", _set(["tumor_class"], lambda v: 5), "prompts.tumor_class"),
+    "tumor-class-of-three": ("prompts", lambda raw: dict(
+        raw, tumor_class=1, classes=[*raw["classes"], dict(raw["classes"][1], id=2)]),
+        "prompts.tumor_class"),
 }
 
 

@@ -176,7 +176,7 @@ def test_region_single_instance():
     rng = np.random.default_rng(0)
     h = rng.standard_normal(6)
     out = region_encode(region_batch([h]), None, random_params(rng, 4, 6), CFG)
-    assert np.array_equal(out.weight_values(), np.array([1.0]))
+    assert np.array_equal(out.weights, np.array([1.0]))
     assert np.abs(np.asarray(out.embedding) - h).max() <= 1e-15
 
 
@@ -185,7 +185,7 @@ def test_region_two_identical_instances():
     h = rng.standard_normal(6)
     t = tp.l2_normalize(rng.standard_normal(6))
     out = region_encode(region_batch([h, h]), t, random_params(rng, 4, 6), CFG)
-    assert np.abs(out.weight_values() - 0.5).max() <= 1e-15
+    assert np.abs(out.weights - 0.5).max() <= 1e-15
     assert np.abs(np.asarray(out.embedding) - h).max() <= 1e-12
 
 
@@ -196,7 +196,7 @@ def test_region_matches_scalar_oracle():
     params = random_params(rng, 4, 5)
     out = region_encode(region_batch(embs), t, params, CFG)
     emb, weights = oracle_region(embs.tolist(), t.tolist(), params, CFG.factor, CFG.threshold)
-    assert np.abs(out.weight_values() - np.array(weights)).max() <= 1e-12
+    assert np.abs(out.weights - np.array(weights)).max() <= 1e-12
     assert np.abs(np.asarray(out.embedding) - np.array(emb)).max() <= 1e-12
 
 
@@ -220,8 +220,8 @@ def test_wsi_single_region_passthrough():
     batch = batch_of(make_bag([embs]))
     out = wsi_encode(batch, t, params, CFG)
     region = region_encode(batch, t, params, CFG)
-    assert np.array_equal(out.region_weight_values(), np.array([1.0]))
-    assert np.abs(np.asarray(out.slide_embedding) - np.asarray(region.embedding)).max() <= 1e-15
+    assert np.array_equal(out.slide.weights, np.array([1.0]))
+    assert np.abs(np.asarray(out.slide.embedding) - np.asarray(region.embedding)).max() <= 1e-15
 
 
 def test_wsi_identical_regions_uniform():
@@ -230,7 +230,7 @@ def test_wsi_identical_regions_uniform():
     t = tp.l2_normalize(rng.standard_normal(6))
     params = random_params(rng, 4, 6)
     out = wsi_encode(batch_of(make_bag([embs, embs, embs])), t, params, CFG)
-    assert np.abs(out.region_weight_values() - 1.0 / 3).max() <= 1e-12
+    assert np.abs(out.slide.weights - 1.0 / 3).max() <= 1e-12
 
 
 def test_wsi_matches_scalar_oracle_full_chain():
@@ -241,8 +241,8 @@ def test_wsi_matches_scalar_oracle_full_chain():
     out = wsi_encode(batch_of(make_bag(region_embs)), t, params, CFG)
     emb, weights = oracle_slide([e.tolist() for e in region_embs], t.tolist(),
                                 params, CFG.factor, CFG.threshold)
-    assert np.abs(out.region_weight_values() - np.array(weights)).max() <= 1e-12
-    assert np.abs(np.asarray(out.slide_embedding) - np.array(emb)).max() <= 1e-12
+    assert np.abs(out.slide.weights - np.array(weights)).max() <= 1e-12
+    assert np.abs(np.asarray(out.slide.embedding) - np.array(emb)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("bad_id", ["", ".", "..", "../x", "a/b", "a\\b", "a\0b"])
@@ -269,7 +269,7 @@ def test_weights_positive_and_sum_to_one():
     bag = make_bag([rng.standard_normal((5, 6)) for _ in range(3)])
     t = tp.l2_normalize(rng.standard_normal(6))
     out = wsi_encode(batch_of(bag), t, random_params(rng, 4, 6), CFG)
-    groups = [out.region_weight_values()] + np.split(out.region.weight_values(),
+    groups = [out.slide.weights] + np.split(out.region.weights,
                                                      out.batch.region_offsets[1:-1])
     assert len(groups) == 4
     for w in groups:
@@ -285,7 +285,7 @@ def test_instance_permutation_equivariance():
     base = region_encode(region_batch(embs), t, params, CFG)
     perm = rng.permutation(6)
     perm_out = region_encode(region_batch(embs[perm]), t, params, CFG)
-    assert np.abs(perm_out.weight_values() - base.weight_values()[perm]).max() <= 1e-9
+    assert np.abs(perm_out.weights - base.weights[perm]).max() <= 1e-9
     assert np.abs(np.asarray(perm_out.embedding) - np.asarray(base.embedding)).max() <= 1e-9
 
 
@@ -297,10 +297,9 @@ def test_region_permutation_equivariance():
     base = wsi_encode(batch_of(make_bag(region_embs)), t, params, CFG)
     perm = [2, 0, 3, 1]
     perm_out = wsi_encode(batch_of(make_bag([region_embs[i] for i in perm])), t, params, CFG)
-    assert np.abs(perm_out.region_weight_values()
-                  - base.region_weight_values()[perm]).max() <= 1e-9
-    assert np.abs(np.asarray(perm_out.slide_embedding)
-                  - np.asarray(base.slide_embedding)).max() <= 1e-9
+    assert np.abs(perm_out.slide.weights - base.slide.weights[perm]).max() <= 1e-9
+    assert np.abs(np.asarray(perm_out.slide.embedding)
+                  - np.asarray(base.slide.embedding)).max() <= 1e-9
 
 
 def test_zero_guidance_reduces_to_plain_gated_attention():
@@ -313,7 +312,7 @@ def test_zero_guidance_reduces_to_plain_gated_attention():
                        for h in embs])
     e = np.exp(logits - logits.max())
     weights = e / e.sum()
-    assert np.abs(guided.weight_values() - weights).max() <= 1e-12
+    assert np.abs(guided.weights - weights).max() <= 1e-12
 
 
 def test_refinement_increases_aligned_attention():
@@ -327,7 +326,7 @@ def test_refinement_increases_aligned_attention():
     lo = region_encode(region_batch(embs), t, params, CFG)
     hi_cfg = RefinementConfig(factor=3 * CFG.factor, threshold=CFG.threshold)
     hi = region_encode(region_batch(embs), t, params, hi_cfg)
-    assert hi.weight_values()[0] > lo.weight_values()[0]
+    assert hi.weights[0] > lo.weights[0]
 
 
 @given(st.floats(0.21, 0.99), st.floats(1.1, 5.0))
@@ -341,7 +340,7 @@ def test_lambda_amplification_property(c, boost):
     boosted = region_encode(region_batch(embs), t, params,
                             RefinementConfig(factor=CFG.factor * boost,
                                              threshold=CFG.threshold))
-    assert boosted.weight_values()[0] > base.weight_values()[0]
+    assert boosted.weights[0] > base.weights[0]
 
 
 # ---------------------------------------------------------------------------
@@ -607,16 +606,16 @@ def mixed_bags(rng, dim=5):
 
 def pooled(out):
     """Every per-row output of a pooling pass, as plain arrays."""
-    return {"slides": np.asarray(tp.value(out.slide_embedding)),
-            "region_weights": out.region_weight_values(),
-            "instance_weights": out.region.weight_values(),
+    return {"slides": np.asarray(tp.value(out.slide.embedding)),
+            "region_weights": out.slide.weights,
+            "instance_weights": out.region.weights,
             "saliency": instance_saliency(out)}
 
 
 def test_batch_layout():
     bags = mixed_bags(np.random.default_rng(29))
     batch = BagBatch.of(bags)
-    assert batch.n_instances == 22 and batch.n_slides == 4
+    assert batch.n_instances == 22 and len(batch.bags) == 4
     assert batch.region_offsets.tolist() == [0, 3, 4, 8, 10, 11, 15, 17, 20, 22]
     assert batch.slide_offsets.tolist() == [0, 3, 4, 5, 9]
     assert batch.slide_row_offsets().tolist() == [0, 8, 10, 11, 22]
@@ -663,8 +662,8 @@ def test_slide_permutation_within_a_batch():
     base = wsi_encode(BagBatch.of(bags), t, params, CFG)
     perm = [2, 0, 3, 1]
     out = wsi_encode(BagBatch.of([bags[i] for i in perm]), t, params, CFG)
-    assert np.abs(np.asarray(out.slide_embedding)
-                  - np.asarray(base.slide_embedding)[perm]).max() <= 1e-9
+    assert np.abs(np.asarray(out.slide.embedding)
+                  - np.asarray(base.slide.embedding)[perm]).max() <= 1e-9
     rows = [np.arange(*base.batch.slide_row_offsets()[s:s + 2]) for s in perm]
     assert np.abs(instance_saliency(out) - instance_saliency(base)[np.concatenate(rows)]).max() \
         <= 1e-9
@@ -688,11 +687,11 @@ def test_frozen_pass_reproduces_the_pass_it_freezes(monkeypatch):
     classes = [tp.l2_normalize(rng.standard_normal(5)) for _ in range(2)]
     first = wsi_encode(batch, t, params, CFG)
     again = wsi_encode(batch, t, params, CFG, frozen=first)
-    assert first.region.scores.any() and first.region_scores.any()
+    assert first.region.scores.any() and first.slide.scores.any()
     assert np.array_equal(again.region.scores, first.region.scores)
-    assert np.array_equal(again.region_scores, first.region_scores)
-    assert np.array_equal(class_probabilities(again.slide_embedding, classes, 0.1),
-                          class_probabilities(first.slide_embedding, classes, 0.1))
+    assert np.array_equal(again.slide.scores, first.slide.scores)
+    assert np.array_equal(class_probabilities(again.slide.embedding, classes, 0.1),
+                          class_probabilities(first.slide.embedding, classes, 0.1))
 
     recorded, refine_scores = [], tp.refine_scores
 

@@ -384,8 +384,8 @@ def test_table_covers_every_public_op():
 
 def test_ops_used_outside_tape():
     """Every public op of tape.py is used as `tp.<name>` (called, or passed
-    as `reduce(tp.add, ...)` is) by some other module of the package, each
-    of which imports tape as `tp`: an op only the tests call fails here."""
+    as a function) by some other module of the package, each of which
+    imports tape as `tp`: an op only the tests call fails here."""
     used = set()
     for path in Path(tp.__file__).parent.glob("*.py"):
         if path.name != "tape.py":
@@ -411,6 +411,26 @@ def test_every_definition_used_inside_the_package():
                 named.add(node.attr)
     dunders = {n for n in defined if n.startswith("__") and n.endswith("__")}
     assert defined - dunders - named == set()
+
+
+def test_every_parameter_read_in_its_function():
+    """Every parameter of every function and method defined in the package
+    (`self` and `cls` aside) is read somewhere in that function's body: a
+    parameter that nothing reads is an argument each caller passes for
+    nothing."""
+    unread = []
+    for path in Path(tp.__file__).parent.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = fn.args
+                params = [*a.posonlyargs, *a.args, *a.kwonlyargs,
+                          *(p for p in (a.vararg, a.kwarg) if p is not None)]
+                body = fn.body if isinstance(fn.body, list) else [fn.body]
+                read = {node.id for stmt in body for node in ast.walk(stmt)
+                        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+                unread += [f"{path.name}:{getattr(fn, 'name', 'lambda')}({p.arg})"
+                           for p in params if p.arg not in read | {"self", "cls"}]
+    assert unread == []
 
 
 def test_row_ops_reject_a_vector():

@@ -181,11 +181,6 @@ def test_depth_sweep_agreement_with_identity_extras():
 # refinement embedding
 
 
-def test_refinement_single_class():
-    v = tp.l2_normalize(np.array([1.0, 2.0, 3.0]))
-    assert refinement_embedding([v]) is v
-
-
 def test_refinement_antipodal_degenerate():
     u = np.array([1.0, 0.0])
     assert refinement_embedding([u, -u]) is None
@@ -209,10 +204,13 @@ def test_refinement_multiclass_mean_normalized():
 
 def test_refinement_tumor_index_out_of_range():
     """The tumor class is checked where a prompt set is made, so
-    `refinement_embedding` never sees one out of range."""
-    classes = [replace(make_prompt(seed=c), class_id=c) for c in range(2)]
+    `refinement_embedding` never sees one out of range, nor one in a set
+    of three classes or more, where it would be ignored."""
+    classes = [replace(make_prompt(seed=c), class_id=c) for c in range(3)]
     with pytest.raises(ValueError, match=r"prompts.tumor_class .* got 3"):
-        PromptSet(classes=classes, tumor_class=3)
+        PromptSet(classes=classes[:2], tumor_class=3)
+    with pytest.raises(ValueError, match=r"prompts.tumor_class .* got 2 with 3 classes"):
+        PromptSet(classes=classes, tumor_class=2)
     with pytest.raises(ValueError, match="at least 2 classes, got 1"):
         PromptSet(classes=classes[:1])
 

@@ -274,12 +274,12 @@ def reference_fit(model, train_bags, val_bags):
     step, Adam update, then `evaluate(model, val)`. Returns (history,
     best epoch, final parameter vector)."""
     cfg = model.config.train
-    batches = list(hierpool.batch_bags(sorted(train_bags, key=lambda b: b.slide_id)))
+    batch = BagBatch.of(sorted(train_bags, key=lambda b: b.slide_id))
     layout = TrainableLayout(model)
     theta, adam = layout.pack(), AdamState.zeros(layout.size)
     best, best_theta, best_epoch, since, history = -np.inf, theta.copy(), 0, 0, []
     for epoch in range(1, cfg.max_epochs + 1):
-        loss, tape, nodes, _ = epoch_loss(model, batches, layout, theta)
+        loss, tape, nodes, _ = epoch_loss(batch, layout, theta)
         theta = adam_step(adam, theta, layout.flatten_grads(tape.backward(loss), nodes),
                           lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.adam_eps)
         layout.apply(theta)
@@ -456,15 +456,15 @@ def test_cached_class_embeddings_bitwise_plain_and_taped(monkeypatch):
         assert np.array_equal(a, b)
     layout = TrainableLayout(model)
     theta = layout.pack()
-    batches = list(hierpool.batch_bags(train_bags))
-    loss, tape, nodes, (embs, _) = epoch_loss(model, batches, layout, theta)
+    batch = BagBatch.of(train_bags)
+    loss, tape, nodes, (embs, _) = epoch_loss(batch, layout, theta)
     for a, b in zip(embs, model.text()[0]):
         assert np.array_equal(tp.value(a), b)
     grad = layout.flatten_grads(tape.backward(loss), nodes)
     # no cached prefix: every block runs on the whole prompt, as in full_encode
     monkeypatch.setattr(SlideClassifier, "frozen_prefix",
                         lambda m: (0, [build_prompt(c) for c in m.prompts.classes]))
-    ref_loss, ref_tape, ref_nodes, _ = epoch_loss(model, batches, layout, theta)
+    ref_loss, ref_tape, ref_nodes, _ = epoch_loss(batch, layout, theta)
     ref_grad = layout.flatten_grads(ref_tape.backward(ref_loss), ref_nodes)
     assert tp.value(loss) == tp.value(ref_loss)
     assert np.array_equal(grad, ref_grad)
@@ -605,7 +605,7 @@ def test_batched_probabilities_match_per_slide_batches(monkeypatch):
     large = [b for b in big.bags if b.slide_id in ids]
     cut = list(hierpool.batch_bags(sorted(large, key=lambda b: b.slide_id)))
     assert len(large) == len(bags) and len(cut) == -(-len(large) // 3)
-    assert all(batch.n_slides == 3 for batch in cut[:-1])
+    assert all(len(batch.bags) == 3 for batch in cut[:-1])
     batched = evaluate(model, large, with_localization=True, attention=True)
     monkeypatch.setattr(hierpool, "MAX_BATCH_ROWS", 1)  # one slide per batch
     single = evaluate(model, large, with_localization=True, attention=True)
@@ -635,20 +635,22 @@ def test_evaluate_holds_one_batch_at_a_time(monkeypatch):
     assert alive == [0] * len(alive)  # each earlier batch is gone before the next is built
 
 
-def test_epoch_loss_is_the_same_for_any_batching(monkeypatch):
-    cfg = small_config()
-    model, train_bags, _, _ = make_problem(cfg)
-    layout = TrainableLayout(model)
-    theta = layout.pack()
-    loss, tape, nodes, _ = epoch_loss(model, list(hierpool.batch_bags(train_bags)), layout, theta)
-    grad = layout.flatten_grads(tape.backward(loss), nodes)
-    monkeypatch.setattr(hierpool, "MAX_BATCH_ROWS", 1)  # one slide per batch
-    cut, cut_tape, cut_nodes, _ = epoch_loss(model, list(hierpool.batch_bags(train_bags)),
-                                             layout, theta)
-    cut_grad = layout.flatten_grads(cut_tape.backward(cut), cut_nodes)
-    assert len(cut_tape) > len(tape)
-    assert abs(tp.value(loss) - tp.value(cut)) <= 1e-12
-    assert np.abs(grad - cut_grad).max() <= 1e-12 * np.abs(grad).max()
+def test_fit_train_loss_ignores_the_row_limit(monkeypatch):
+    """A fit pools its training slides as one batch whatever the row
+    limit, so each epoch's training loss is the same to the last bit
+    with one slide per evaluation batch. Patience covers every epoch, so
+    both fits run the same steps."""
+    cfg = small_config(max_epochs=6, patience=6)
+    model, train_bags, val_bags, _ = make_problem(cfg)
+    theta = TrainableLayout(model).pack()
+    losses = []
+    for limit in (hierpool.MAX_BATCH_ROWS, 1):
+        monkeypatch.setattr(hierpool, "MAX_BATCH_ROWS", limit)
+        TrainableLayout(model).apply(theta)
+        history = fit(model, train_bags, val_bags).history
+        assert len(history) == cfg.train.max_epochs
+        losses.append([float(row["train_loss"]).hex() for row in history])
+    assert losses[0] == losses[1]
 
 
 def search_then_sort_backward(root):
@@ -684,11 +686,11 @@ def test_default_epoch_gradient_matches_reference_sweep_bitwise():
                        test_per_class=spec.test_per_class, val_per_class=spec.val_per_class)
     model = build_model(cfg, dataset.prompts)
     train_bags = sorted(model.check_bags(dataset.select(plan.train)), key=lambda b: b.slide_id)
-    batches = list(hierpool.batch_bags(train_bags))
+    batch = BagBatch.of(train_bags)
     layout = TrainableLayout(model)
     theta = layout.pack()
     for _ in range(2):
-        loss, tape, nodes, _ = epoch_loss(model, batches, layout, theta)
+        loss, tape, nodes, _ = epoch_loss(batch, layout, theta)
         grad = layout.flatten_grads(tape.backward(loss), nodes)
         ref = layout.flatten_grads(search_then_sort_backward(loss), nodes)
         assert np.abs(grad).max() > 0.0
@@ -698,10 +700,10 @@ def test_default_epoch_gradient_matches_reference_sweep_bitwise():
 
 
 def test_default_epoch_tape_nodes_pinned():
-    """A default k=4 epoch records 182 tape nodes. 144 are the 16 prompt
+    """A default k=4 epoch records 181 tape nodes. 144 are the 16 prompt
     tokens' 9 each: 4 in the first adapted block, whose layernorm reads the
     constant frozen prefix, and 5 in the second (layernorm, two scale_shift
-    sites, mlp, residual add). The other 38 are the 14 parameter leaves, 4
+    sites, mlp, residual add). The other 37 are the 14 parameter leaves, 4
     per class embedding and the batched pooling and head."""
     cfg = RunConfig()
     dataset = build_dataset(cfg.generator)
@@ -711,8 +713,8 @@ def test_default_epoch_tape_nodes_pinned():
     model = build_model(cfg, dataset.prompts)
     train_bags = sorted(model.check_bags(dataset.select(plan.train)), key=lambda b: b.slide_id)
     layout = TrainableLayout(model)
-    _, tape, _, _ = epoch_loss(model, list(hierpool.batch_bags(train_bags)), layout, layout.pack())
-    assert len(tape) == 182
+    _, tape, _, _ = epoch_loss(BagBatch.of(train_bags), layout, layout.pack())
+    assert len(tape) == 181
 
 
 def test_default_kshot_grid_pinned():
