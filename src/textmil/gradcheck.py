@@ -107,12 +107,13 @@ def tape_gradient(model: SlideClassifier, bags):
 
 def loss_grad_check(model: SlideClassifier, bags, tape_grad=None) -> float:
     """Max relative error of the tape gradient (`tape_grad`, if held) vs central differences."""
-    layout, theta0, grad = tape_grad or tape_gradient(model, bags)
+    _, theta0, grad = tape_grad or tape_gradient(model, bags)
     batch = BagBatch.of(bags)
     frozen = model.forward(batch)[1] if model.config.refinement.gradient == "detached" else None
+    oracle = TrainableLayout(replace(model, row_by_row=True))
 
     def f(theta: np.ndarray) -> float:
-        return mean_loss(layout.model(layout.split(theta)), batch, frozen)[0]
+        return mean_loss(oracle.model(oracle.split(theta)), batch, frozen)[0]
 
     return tp.grad_check(f, theta0, grad, h=STEP)
 

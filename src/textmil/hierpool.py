@@ -74,6 +74,7 @@ from .config import GRADIENT_MODES, SALIENCY_MODES, RefinementConfig  # noqa: F4
 from .errors import ID, ConfigError, DataError, Rows, column, get, json_input, read, write_json
 
 MAX_BATCH_ROWS = 1024  # instance rows pooled in one pass (see module docs)
+LARGEST_NORM = float(np.sqrt(np.finfo(np.float64).max))  # largest norm whose square is finite
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +156,19 @@ def validate_bag(bag: SlideBag) -> SlideBag:
     if not np.isfinite(rows).all():
         bad = next(r for r in bag.regions if not np.isfinite(r.embeddings).all())
         raise DataError(f"slide {bag.slide_id} region {bad.region_id}: non-finite embedding values")
-    if (np.linalg.norm(rows, axis=1) < tp.EPS_NORM).all():
+    # each row's norm as its largest entry times the norm of the row scaled by it,
+    # so that no square overflows here; the pooling's cosines and norms square it
+    top = np.abs(rows).max(axis=1)
+    scaled = np.maximum(np.linalg.norm(rows / np.where(top > 0.0, top, 1.0)[:, None], axis=1), 1.0)
+    huge = top > LARGEST_NORM / scaled
+    if huge.any():
+        j = int(np.argmax(huge))
+        counts = [r.n_instances for r in bag.regions]
+        m = int(np.searchsorted(np.cumsum(counts), j, side="right"))
+        raise DataError(f"slide {bag.slide_id} region {bag.regions[m].region_id}: instance "
+                        f"{j - sum(counts[:m])} has an embedding norm above {LARGEST_NORM:.4g}, "
+                        f"whose square overflows float64")
+    if (top * scaled < tp.EPS_NORM).all():
         raise DataError(f"slide {bag.slide_id}: every instance embedding is zero "
                         f"(norm < {tp.EPS_NORM:g})")
     return bag

@@ -58,6 +58,7 @@ class SlideClassifier:
     prompts: PromptSet
     config: RunConfig
     merged: bool = False
+    row_by_row: bool = False  # run the text encoder one token row at a time (`encode`)
     # key -> (objects the key's ids refer to, per-class prefixes); copies share it
     prefix_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -66,7 +67,7 @@ class SlideClassifier:
         None). Only the blocks from the first site onward run here; the
         bare blocks before it come from `frozen_prefix`."""
         boundary, prefixes = self.frozen_prefix()
-        embs = [encode(self.stack, x, self.sites, start=boundary) for x in prefixes]
+        embs = encode(self.stack, prefixes, self.sites, start=boundary, row_by_row=self.row_by_row)
         return embs, (refinement_embedding(embs, self.prompts.tumor_class)
                       if self.config.refinement.enabled else None)
 

@@ -54,6 +54,7 @@ checkpoint byte-identical.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Sequence
 
 import numpy as np
@@ -192,6 +193,26 @@ def _same_shape(a, b):
         raise ValueError(f"shape mismatch: {sa} vs {sb}")
 
 
+def _check_rows(x, *vectors):
+    """`x` must be a matrix of nonempty rows and each of `vectors` a vector as long as a row."""
+    _check_matrix(x, "X")
+    for v in vectors:
+        if not (isinstance(v, np.ndarray) and v.shape == x.shape[1:]):
+            raise ValueError(f"shape mismatch: {getattr(v, 'shape', ())} vs rows of {x.shape}")
+
+
+def _rows_times(a, x):
+    """A x_i for each row x_i of X: one matrix-vector product per row, so
+    each row comes out bitwise as `a @ x_i` would (`x @ a.T` does not)."""
+    return (a @ x[..., None])[..., 0]
+
+
+def _row_sum(m):
+    """Sum of the rows of m from the last to the first, one at a time: the
+    order in which one node per row would reach a shared parent."""
+    return functools.reduce(np.add, m[::-1])
+
+
 # ---------------------------------------------------------------------------
 # primitives
 
@@ -223,37 +244,55 @@ def scale(a, k: float):
 
 
 def scale_shift(x, gamma, beta):
-    """Elementwise gamma * x + beta, the scale-and-shift adapter of ssf.py."""
-    _same_shape(x, gamma)
-    _same_shape(x, beta)
-    xv, gv = value(x), value(gamma)
-    return record(gv * xv + value(beta),
-                  [(beta, lambda g: g), (gamma, lambda g: g * xv), (x, lambda g: g * gv)])
+    """gamma * x_i + beta for each row x_i of the matrix X: the
+    scale-and-shift adapter of ssf.py, with gamma and beta as long as a row."""
+    xv, gv, bv = value(x), value(gamma), value(beta)
+    _check_rows(xv, gv, bv)
+    return record(gv * xv + bv,
+                  [(beta, _row_sum), (gamma, lambda g: _row_sum(g * xv)),
+                   (x, lambda g: g * gv)])
 
 
 def mlp(x, w1, b1, w2, b2):
-    """Two-layer MLP w2 tanh(w1 x + b1) + b2 of the vector x, with w1
-    (hidden, dim) and w2 (dim, hidden)."""
+    """Two-layer MLP w2 tanh(w1 x_i + b1) + b2 of each row x_i of the
+    matrix X, with w1 (hidden, dim) and w2 (dim, hidden)."""
     xv, w1v, b1v, w2v, b2v = value(x), value(w1), value(b1), value(w2), value(b2)
-    _check_matvec(w1v, xv)
-    z = w1v @ xv
-    _same_shape(z, b1v)
+    _check_matrix(xv, "X")
+    _check_matrix(w1v, "w1", xv.shape[1])
+    z = _rows_times(w1v, xv)
+    _check_rows(z, b1v)
     h = np.tanh(z + b1v)
-    _check_matvec(w2v, h)
-    y = w2v @ h
-    _same_shape(y, b2v)
+    _check_matrix(w2v, "w2", h.shape[1])
+    y = _rows_times(w2v, h)
+    _check_rows(y, b2v)
     memo = [None, None]
 
     def pre(g):
-        """Cotangent of the pre-activation w1 x + b1."""
+        """Cotangent of the pre-activations w1 x_i + b1."""
         if memo[0] is not g:
             memo[0] = g
-            memo[1] = (w2v.T @ g) * (1.0 - h * h)
+            memo[1] = _rows_times(w2v.T, g) * (1.0 - h * h)
         return memo[1]
 
-    return record(y + b2v, [(b2, lambda g: g), (w2, lambda g: np.outer(g, h)),
-                            (b1, pre), (w1, lambda g: np.outer(pre(g), xv)),
-                            (x, lambda g: w1v.T @ pre(g))])
+    return record(y + b2v, [(b2, _row_sum), (w2, lambda g: _row_sum(g[:, :, None] * h[:, None])),
+                            (b1, lambda g: _row_sum(pre(g))),
+                            (w1, lambda g: _row_sum(pre(g)[:, :, None] * xv[:, None])),
+                            (x, lambda g: _rows_times(w1v.T, pre(g)))])
+
+
+def take_rows(x, lo: int, hi: int):
+    """Rows lo..hi-1 of the matrix X, a nonempty range of them."""
+    xv = value(x)
+    _check_matrix(xv, "X")
+    if not 0 <= lo < hi <= xv.shape[0]:
+        raise ValueError(f"rows {lo}..{hi - 1} are not a nonempty range of {xv.shape[0]} rows")
+
+    def pull(g):
+        d = np.zeros_like(xv)
+        d[lo:hi] = g
+        return d
+
+    return record(xv[lo:hi], [(x, pull)])
 
 
 def matvec(a, x):
@@ -462,27 +501,26 @@ def l2_normalize(u):
 
 
 def layernorm(x, gain, bias):
-    """Zero-mean/unit-variance normalization with affine gain and bias."""
+    """Zero-mean/unit-variance normalization of each row of the matrix X,
+    with affine gain and bias vectors as long as a row."""
     xv, gv, bv = value(x), value(gain), value(bias)
-    _check_vector(xv, "x")
-    n = xv.shape[0]
+    _check_rows(xv, gv, bv)
+    n = xv.shape[1]
     if n < 2:
         raise ValueError("layernorm needs dim >= 2")
-    _same_shape(x, gain)
-    _same_shape(x, bias)
-    mu = xv.mean()
-    xc = xv - mu
-    inv = 1.0 / np.sqrt(float((xc * xc).mean()) + EPS_LN)
+    # np.add.reduce(., axis=1) / n is each row's ndarray.mean, bit for bit
+    xc = xv - np.add.reduce(xv, axis=1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=1, keepdims=True) / n + EPS_LN)
     xhat = xc * inv
     out = gv * xhat + bv
 
     def pull_x(g):
         dxhat = g * gv
-        # np.add.reduce(.) / n is bitwise ndarray.mean, minus its Python wrapper
-        mean_dxhat_xhat = np.add.reduce(dxhat * xhat) / n
-        return inv * (dxhat - np.add.reduce(dxhat) / n - xhat * mean_dxhat_xhat)
+        mean_dxhat_xhat = np.add.reduce(dxhat * xhat, axis=1, keepdims=True) / n
+        return inv * (dxhat - np.add.reduce(dxhat, axis=1, keepdims=True) / n
+                      - xhat * mean_dxhat_xhat)
 
-    return record(out, [(x, pull_x), (gain, lambda g: g * xhat), (bias, lambda g: g)])
+    return record(out, [(x, pull_x), (gain, lambda g: _row_sum(g * xhat)), (bias, _row_sum)])
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -166,62 +167,75 @@ def save_prompts(prompts: PromptSet, path: str | Path) -> None:
 # forward
 
 
-def _token_rows(stack: TextEncoderStack, tokens) -> list:
-    tokens = np.asarray(tokens, dtype=np.float64) if not isinstance(tokens, np.ndarray) else tokens
+def _check_tokens(stack: TextEncoderStack, tokens) -> np.ndarray:
+    tokens = np.array(tokens, dtype=np.float64)
     if tokens.ndim != 2 or tokens.shape[0] == 0:
         raise DataError("tokens must be a nonempty (n_tokens, dim) matrix")
     if tokens.shape[1] != stack.dim:
         raise DataError(f"token dim {tokens.shape[1]} does not match encoder dim {stack.dim}")
-    return [tokens[t] for t in range(tokens.shape[0])]
+    return tokens
 
 
-def _run_blocks(stack: TextEncoderStack, xs: list, sites: dict,
-                first: int, last: int) -> list:
-    """Token activations after blocks `first..last` (1-based, inclusive)."""
+def _run_blocks(x, stack: TextEncoderStack, sites: dict, first: int, last: int,
+                row_by_row: bool = False):
+    """Activations of the token rows of `x` after blocks `first..last`
+    (1-based, inclusive): each op takes every row at once, or with
+    `row_by_row` each row alone (plain arrays only), to the same bits."""
+    if row_by_row:
+        return np.concatenate([_run_blocks(x[r:r + 1], stack, sites, first, last)
+                               for r in range(x.shape[0])])
     for b_idx in range(first, last + 1):
         block = stack.blocks[b_idx - 1]
-        ln_site = sites.get((b_idx, "post_layernorm"))
-        mlp_site = sites.get((b_idx, "post_mlp"))
-        nxt = []
-        for x in xs:
-            u = tp.layernorm(x, block.ln_gain, block.ln_bias)
-            if ln_site is not None:
-                u = ssf_forward(u, ln_site)
-            v = tp.mlp(u, block.w1, block.b1, block.w2, block.b2)
-            if mlp_site is not None:
-                v = ssf_forward(v, mlp_site)
-            nxt.append(tp.add(x, v))
-        xs = nxt
-    return xs
+        u = tp.layernorm(x, block.ln_gain, block.ln_bias)
+        if (site := sites.get((b_idx, "post_layernorm"))) is not None:
+            u = ssf_forward(u, site)
+        v = tp.mlp(u, block.w1, block.b1, block.w2, block.b2)
+        if (site := sites.get((b_idx, "post_mlp"))) is not None:
+            v = ssf_forward(v, site)
+        x = tp.add(x, v)
+    return x
 
 
 def encode_prefix(stack: TextEncoderStack, tokens: np.ndarray, boundary: int) -> np.ndarray:
     """Token activations (n_tokens, dim) after the bare blocks
     1..`boundary`. When no adapter site sits on those blocks,
-    `encode(stack, prefix, sites, start=boundary)` finishes the forward
-    pass bit for bit as `encode(stack, tokens, sites)`."""
+    `encode(stack, [prefix], sites, start=boundary)` finishes the forward
+    pass bit for bit as `encode(stack, [tokens], sites)`."""
     if not 0 <= boundary <= stack.n_blocks:
         raise ValueError(f"boundary must be in [0, {stack.n_blocks}], got {boundary}")
-    return np.stack(_run_blocks(stack, _token_rows(stack, tokens), {}, 1, boundary))
+    return _run_blocks(_check_tokens(stack, tokens), stack, {}, 1, boundary, row_by_row=True)
 
 
-def encode(stack: TextEncoderStack, tokens: np.ndarray, sites: dict | None = None,
-           start: int = 0):
-    """Map token embeddings (n_tokens, dim) to a unit-norm text embedding.
+def encode(stack: TextEncoderStack, prompts: Sequence[np.ndarray], sites: dict | None = None,
+           start: int = 0, row_by_row: bool = False) -> list:
+    """Map each prompt's token embeddings (n_tokens, dim) to a unit-norm
+    text embedding, one per prompt.
 
-    `sites` maps (block, kind) to the `SsfParams` of that adapter site.
-    Adapter parameters may be tape nodes, in which case the result is a
-    node differentiable with respect to them; the backbone itself never
-    enters the tape. `sites=None` runs the bare frozen stack. With
-    `start > 0`, `tokens` are the activations after block `start` (from
-    `encode_prefix`) and only blocks `start+1..L` run, so frozen leading
-    blocks can be computed once and reused.
+    The blocks run once over the token rows of every prompt, stacked
+    prompt by prompt; then each prompt's rows are mean-pooled, projected
+    and l2-normalized on their own. `sites` maps (block, kind) to the
+    `SsfParams` of that adapter site. Adapter parameters may be tape
+    nodes, in which case each embedding is a node differentiable with
+    respect to them; the backbone itself never enters the tape.
+    `sites=None` runs the bare frozen stack. With `start > 0`, the prompts
+    are the activations after block `start` (from `encode_prefix`) and
+    only blocks `start+1..L` run, so frozen leading blocks can be computed
+    once and reused. `row_by_row` runs each token row through the blocks
+    alone, on plain arrays only: the same values bit for bit, for the
+    finite-difference oracle of gradcheck.py.
     """
     if not 0 <= start <= stack.n_blocks:
         raise ValueError(f"start must be in [0, {stack.n_blocks}], got {start}")
-    xs = _run_blocks(stack, _token_rows(stack, tokens), sites or {}, start + 1, stack.n_blocks)
-    pooled = tp.pool(np.full(len(xs), 1.0 / len(xs)), tp.rows(xs))
-    return tp.l2_normalize(tp.matvec(stack.proj, pooled))
+    tokens = [_check_tokens(stack, t) for t in prompts]
+    x = np.concatenate(tokens)
+    x = _run_blocks(x, stack, sites or {}, start + 1, stack.n_blocks, row_by_row)
+    embs, lo = [], 0
+    for t in tokens:
+        n = t.shape[0]
+        pooled = tp.pool(np.full(n, 1.0 / n), tp.take_rows(x, lo, lo + n))
+        embs.append(tp.l2_normalize(tp.matvec(stack.proj, pooled)))
+        lo += n
+    return embs
 
 
 def refinement_embedding(class_embeddings: list, tumor_index: int | None = None):

@@ -63,8 +63,8 @@ def test_criterion_02_reparameterization_exactness():
     worst = 0.0
     for _ in range(100):
         tokens = rng.standard_normal((4, cfg.encoder.dim)) / 8.0
-        a = encode(stack, tokens, sites=sites)
-        b = encode(merged_stack, tokens, sites=None)
+        a = encode(stack, [tokens], sites=sites)[0]
+        b = encode(merged_stack, [tokens], sites=None)[0]
         worst = max(worst, float(np.abs(a - b).max()))
     assert worst <= 1e-12
 
@@ -91,8 +91,8 @@ def test_criterion_03_identity_neutrality_and_zero_guidance():
     rng = np.random.default_rng(5)
     for _ in range(20):
         tokens = rng.standard_normal((5, cfg.encoder.dim)) / 8.0
-        bare = encode(stack, tokens, sites=None)
-        with_identity = encode(stack, tokens, sites=identity_sites)
+        bare = encode(stack, [tokens], sites=None)[0]
+        with_identity = encode(stack, [tokens], sites=identity_sites)[0]
         assert np.abs(bare - with_identity).max() <= 1e-12
 
     # zero guidance reduces region pooling to plain gated attention

@@ -975,6 +975,23 @@ def test_eval_rejects_all_zero_slide(tmp_path, dataset_dir, checkpoint, capsys):
     assert f"slide {slide_id}: every instance embedding is zero" in capsys.readouterr().err
 
 
+def test_eval_rejects_instance_norm_that_overflows(tmp_path, dataset_dir, checkpoint, capsys):
+    """A bag whose finite embeddings are scaled by 1e200 squares to
+    infinity in every cosine; it is rejected where it is read, naming the
+    file, the slide and the region, instead of scored as [0.5, 0.5]."""
+    slide_id = read_json(checkpoint)["split"]["test"][0]
+    files = {s["id"]: s["file"] for s in read_json(dataset_dir / "manifest.json")["slides"]}
+    bag_path = dataset_dir / files[slide_id]
+    raw = edit_bag_rows(bag_path, lambda m, rows: rows.__imul__(1e200) if m == 1 else None)
+    out = tmp_path / "out"
+    assert main(["eval", "--data", str(dataset_dir), "--checkpoint", str(checkpoint),
+                 "--out", str(out)]) == 3
+    assert not (out / "metrics.json").exists()
+    err = capsys.readouterr().err
+    assert (f"{bag_path}: slide {slide_id} region {raw['regions'][1]['id']}: instance 0 has an "
+            f"embedding norm above 1.341e+154") in err
+
+
 def test_degenerate_vector_exits_numeric(tmp_path, dataset_dir, checkpoint, monkeypatch):
     def degenerate(*args, **kwargs):
         raise DegenerateVectorError("cannot normalize vector with norm 0")

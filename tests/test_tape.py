@@ -43,36 +43,41 @@ def test_matvec_dimension_mismatch():
 
 
 def tanh_mlp(x):
-    """tanh(x) as the MLP with identity weights and zero biases."""
-    n = np.shape(tp.value(x))[0]
+    """tanh of each row of X as the MLP with identity weights and zero biases."""
+    n = np.shape(tp.value(x))[1]
     eye, zero = np.eye(n), np.zeros(n)
     return tp.mlp(x, eye, zero, eye, zero)
 
 
 def test_elementwise_values():
-    assert tanh_mlp(np.array([0.0]))[0] == 0.0
-    assert np.array_equal(tp.scale_shift(np.array([1.0, 2.0]), np.array([3.0, 4.0]),
-                                         np.array([0.5, -1.0])), np.array([3.5, 7.0]))
+    assert tanh_mlp(np.array([[0.0]]))[0, 0] == 0.0
+    assert np.array_equal(tp.scale_shift(np.array([[1.0, 2.0], [0.0, -2.0]]), np.array([3.0, 4.0]),
+                                         np.array([0.5, -1.0])), [[3.5, 7.0], [0.5, -9.0]])
 
 
 def test_elementwise_shape_mismatch():
     with pytest.raises(ValueError):
         tp.add(np.ones(3), np.ones(4))
-    with pytest.raises(ValueError):
-        tp.scale_shift(np.ones(3), np.ones(2), np.ones(3))
-    with pytest.raises(ValueError):
-        tp.scale_shift(np.ones(3), np.ones(3), np.ones(2))
+    for x, gamma, beta in [(np.ones((2, 3)), np.ones(2), np.ones(3)),
+                           (np.ones((2, 3)), np.ones(3), np.ones(2)),
+                           (np.ones((2, 3)), np.ones((2, 3)), np.ones(3)),
+                           (np.ones(3), np.ones(3), np.ones(3))]:
+        with pytest.raises(ValueError):
+            tp.scale_shift(x, gamma, beta)
 
 
 def test_mlp_matches_composed_arithmetic_bitwise():
+    """Each row's output is the vector arithmetic on that row alone, to the last bit."""
     rng = np.random.default_rng(3)
-    x, w1, b1, w2, b2 = (rng.standard_normal(s) for s in (5, (7, 5), 7, (5, 7), 5))
-    assert np.array_equal(tp.mlp(x, w1, b1, w2, b2), w2 @ np.tanh(w1 @ x + b1) + b2)
+    X, w1, b1, w2, b2 = (rng.standard_normal(s) for s in ((4, 5), (7, 5), 7, (5, 7), 5))
+    out = tp.mlp(X, w1, b1, w2, b2)
+    for x, y in zip(X, out):
+        assert np.array_equal(y, w2 @ np.tanh(w1 @ x + b1) + b2)
 
 
 def test_mlp_shape_checks():
-    x, w1, b1, w2, b2 = np.ones(3), np.ones((4, 3)), np.ones(4), np.ones((3, 4)), np.ones(3)
-    for k, bad in [(0, np.ones(2)), (0, np.ones((1, 3))), (1, np.ones(4)), (1, np.ones((4, 2))),
+    x, w1, b1, w2, b2 = np.ones((2, 3)), np.ones((4, 3)), np.ones(4), np.ones((3, 4)), np.ones(3)
+    for k, bad in [(0, np.ones(3)), (0, np.ones((1, 2))), (1, np.ones(4)), (1, np.ones((4, 2))),
                    (2, np.ones(3)), (3, np.ones(4)), (3, np.ones((3, 5))), (4, np.ones(4))]:
         args = [x, w1, b1, w2, b2]
         args[k] = bad
@@ -82,10 +87,10 @@ def test_mlp_shape_checks():
 
 def test_tanh_vjp_closed_form():
     t = tp.Tape()
-    x = t.param(np.array([0.5]))
+    x = t.param(np.array([[0.5]]))
     y = tanh_mlp(x)
-    g = t.backward(dot(np.ones(1), y))[x]
-    assert g[0] == pytest.approx(0.7864477329659274, abs=1e-15)
+    g = t.backward(dot(np.ones((1, 1)), y))[x]
+    assert g[0, 0] == pytest.approx(0.7864477329659274, abs=1e-15)
 
 
 def test_softmax_constant_vector():
@@ -136,22 +141,22 @@ def test_l2_normalize_unit():
 
 def test_layernorm_constant_input_gives_bias():
     bias = np.array([0.3, -1.0, 2.0])
-    out = tp.layernorm(np.full(3, 7.7), np.array([2.0, 2.0, 2.0]), bias)
-    assert np.array_equal(out, bias)
+    out = tp.layernorm(np.full((2, 3), 7.7), np.array([2.0, 2.0, 2.0]), bias)
+    assert np.array_equal(out, [bias, bias])
 
 
 def test_layernorm_output_mean_near_bias_mean():
     rng = np.random.default_rng(17)
-    x = rng.standard_normal(8)
+    x = rng.standard_normal((3, 8))
     bias = rng.standard_normal(8)
     out = tp.layernorm(x, np.full(8, 1.7), bias)
-    # normalized part is zero-mean, so the output mean is the bias mean
-    assert out.mean() == pytest.approx(bias.mean(), abs=1e-9)
+    # normalized part is zero-mean, so each row's output mean is the bias mean
+    assert np.abs(out.mean(axis=1) - bias.mean()).max() <= 1e-9
 
 
 def test_layernorm_rejects_dim_one():
     with pytest.raises(ValueError):
-        tp.layernorm(np.array([1.0]), np.array([1.0]), np.array([0.0]))
+        tp.layernorm(np.array([[1.0]]), np.array([1.0]), np.array([0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -165,17 +170,17 @@ for i in range(10):
     A = _rng.standard_normal((4, 6))
     p4 = _rng.standard_normal(4)
     CASES += [
-        (f"tanh-{i}", lambda x, w=w: dot(w, tanh_mlp(x)), v + 0.1),
+        (f"tanh-{i}", lambda x, w=w: dot(w[None], tanh_mlp(x)), (v + 0.1)[None]),
         # the sigmoid gate of gate_logits: unit instances, so row j's gate is sigmoid(x_j)
         (f"sigmoid-{i}", lambda x, w=w: dot(w, tp.gate_logits(
             np.eye(6), np.ones(1), np.full((1, 6), 0.5), tp.rows([x]))), v - 0.2),
-        (f"hadamard-{i}", lambda x, w=w: dot(w, tp.scale_shift(x, w, 0.0 * w)), v),
+        (f"hadamard-{i}", lambda x, w=w: dot(w[None], tp.scale_shift(x, w, 0.0 * w)), v[None]),
         (f"matvec-{i}", lambda x, A=A, p=p4: dot(p, tp.matvec(A, x)), v),
         (f"softmax-{i}", lambda x, w=w: dot(w[None], tp.softmax(x)), v[None]),
         (f"cosine-{i}", lambda x, w=w: dot(np.ones((1, 1)), tp.cosine(x, w[None])),
          (v + 0.5)[None]),
         (f"l2norm-{i}", lambda x, w=w: dot(w, tp.l2_normalize(x)), v + 0.3),
-        (f"layernorm-{i}", lambda x, w=w: dot(w, tp.layernorm(x, w, w)), v),
+        (f"layernorm-{i}", lambda x, w=w: dot(w[None], tp.layernorm(x, w, w)), v[None]),
         (f"add-scale-{i}", lambda x, w=w: tp.scale(dot(w, tp.add(x, w)), 1.7), v),
         (f"wsum-{i}", lambda x, w=w, v=v: dot(w, tp.pool(
             tp.segment_softmax(x, [0, 6]), np.stack([w, v, w + 1, v - 1, w * 2, v * 0.5]))), v),
@@ -319,14 +324,22 @@ for i in range(3):
     # mlp with identity weights and zero biases
     PRIMITIVE_CASES += [(f"hadamard-{n}-{i}",
                          lambda x, gamma, z=0.0 * w6: tp.scale_shift(x, gamma, z),
-                         [v6, w6], j, tp.scale_shift) for j, n in enumerate("ab")]
-    PRIMITIVE_CASES += [(f"tanh-a-{i}", tanh_mlp, [v6], 0, tp.mlp)]
+                         [v6[None], w6], j, tp.scale_shift) for j, n in enumerate("ab")]
+    PRIMITIVE_CASES += [(f"tanh-a-{i}", tanh_mlp, [v6[None]], 0, tp.mlp)]
     PRIMITIVE_CASES += both(tp.matvec, tp.matvec, [M, v6], "ax")
     PRIMITIVE_CASES += [(f"softmax-x-{i}", tp.softmax, [v6[None]], 0, tp.softmax),
                         (f"softmax-rows-x-{i}", tp.softmax, [M], 0, tp.softmax)]
     PRIMITIVE_CASES += [(f"l2_normalize-u-{i}", tp.l2_normalize, [v6], 0, tp.l2_normalize)]
-    PRIMITIVE_CASES += both(tp.layernorm, tp.layernorm, [v6, 1.0 + 0.3 * draw(6), draw(6)],
-                            ("x", "gain", "bias"))
+    for tag, n in (("", 1), ("rows-", 3)):  # one row, as the gradient oracle runs, and three
+        PRIMITIVE_CASES += both(tp.layernorm, tp.layernorm,
+                                [draw(n, 6), 1.0 + 0.3 * draw(6), draw(6)], ("x", "gain", "bias"), tag)
+        PRIMITIVE_CASES += both(tp.scale_shift, tp.scale_shift,
+                                [draw(n, 6), 1.0 + 0.3 * draw(6), draw(6)], ("x", "gamma", "beta"), tag)
+        PRIMITIVE_CASES += both(tp.mlp, tp.mlp, [draw(n, 6), 0.5 * draw(5, 6), draw(5),
+                                                 0.5 * draw(6, 5), draw(6)],
+                                ("x", "w1", "b1", "w2", "b2"), tag)
+    PRIMITIVE_CASES += [(f"take_rows-x-{i}", lambda x: tp.take_rows(x, 1, 3), [draw(4, 6)], 0,
+                         tp.take_rows)]
     PRIMITIVE_CASES += both(tp.cosine, tp.cosine, [v6[None], w6[None]], "uv")
     PRIMITIVE_CASES += both(tp.cosine, tp.cosine, [draw(3, 6), M], "uv", "rows-")
     PRIMITIVE_CASES += both(tp.cosine, tp.cosine, [v6[None], M], "uv", "vector-rows-")
@@ -336,10 +349,6 @@ for i in range(3):
                             [draw(7), draw(7, 5)], ("p", "H"))
     PRIMITIVE_CASES += [(f"mean_nll-p-{i}", lambda p: tp.mean_nll(p, LABELS),
                          [_prng.uniform(0.1, 1.0, (3, 4))], 0, tp.mean_nll)]
-    PRIMITIVE_CASES += both(tp.scale_shift, tp.scale_shift, [draw(6), 1.0 + 0.3 * draw(6), draw(6)],
-                            ("x", "gamma", "beta"))
-    PRIMITIVE_CASES += both(tp.mlp, tp.mlp, [draw(6), 0.5 * draw(5, 6), draw(5), 0.5 * draw(6, 5),
-                                             draw(6)], ("x", "w1", "b1", "w2", "b2"))
 
 
 @pytest.mark.parametrize("name,fn,args,k,op", PRIMITIVE_CASES,
@@ -363,7 +372,7 @@ def test_primitive_argument_vjp(name, fn, args, k, op):
 # functions of tape.py that are not differentiable ops, and the arguments
 # of ops that are constants by contract
 NOT_OPS = {"value", "record", "central_difference", "grad_check", "refine_value"}
-CONSTANT_ARGS = {"k", "offsets", "labels", "factor", "threshold"}
+CONSTANT_ARGS = {"k", "offsets", "labels", "factor", "threshold", "lo", "hi"}
 PUBLIC_OPS = {name: f for name, f in vars(tp).items()
               if inspect.isfunction(f) and f.__module__ == tp.__name__
               and not name.startswith("_") and name not in NOT_OPS}
@@ -509,8 +518,8 @@ def test_cosine_symmetry_and_rescale_invariance(u, v, s):
 def test_layernorm_shift_invariance(x, c):
     gain = np.full(x.shape, 1.3)
     bias = np.full(x.shape, -0.4)
-    a = tp.layernorm(x, gain, bias)
-    b = tp.layernorm(x + c, gain, bias)
+    a = tp.layernorm(x[None], gain, bias)
+    b = tp.layernorm(x[None] + c, gain, bias)
     assert np.abs(a - b).max() <= 1e-9
 
 
@@ -540,11 +549,12 @@ def test_dropped_graph_freed_without_cycle_collection():
     gc.disable()
     try:
         t = tp.Tape()
-        x = t.param(np.array([0.3, -0.2]))
-        root = dot(tanh_mlp(x), tp.scale_shift(x, x, x))
+        x = t.param(np.array([[0.3, -0.2]]))
+        y = t.param(np.array([0.5, 1.5]))
+        root = dot(tanh_mlp(x), tp.scale_shift(x, y, y))
         t.backward(root)
-        assert len(t) == 4
-        del t, x, root
+        assert len(t) == 5
+        del t, x, y, root
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -552,14 +562,14 @@ def test_dropped_graph_freed_without_cycle_collection():
 
 def test_backward_ignores_nodes_off_the_root_path():
     t = tp.Tape()
-    x = t.param(np.array([1.0, 2.0]))
+    x = t.param(np.array([[1.0, 2.0]]))
     y = t.param(np.array([3.0, 4.0]))
     unused = tp.scale_shift(x, y, y)
-    root = dot(x, np.array([1.0, -1.0]))
+    root = dot(x, np.array([[1.0, -1.0]]))
     g = t.backward(root)
-    assert np.array_equal(g[x], [1.0, -1.0])
+    assert np.array_equal(g[x], [[1.0, -1.0]])
     assert np.array_equal(g[y], [0.0, 0.0])
-    assert np.array_equal(g[unused], [0.0, 0.0])
+    assert np.array_equal(g[unused], [[0.0, 0.0]])
 
 
 def test_only_tape_records_primitives():
@@ -581,12 +591,12 @@ def test_mixing_tapes_rejected():
     t1, t2 = tp.Tape(), tp.Tape()
     a = t1.param(np.ones(2))
     b = t2.param(np.ones(2))
-    c = t1.param(np.array([1.0, -1.0]))
+    c = t1.param(np.array([[1.0, -1.0]]))
     with pytest.raises(ValueError):
         tp.add(a, b)
     # the foreign node in the second or the third argument, after a node
     # of the first tape or a constant
-    for args in [(c, b, a), (c, a, b), (np.array([1.0, -1.0]), a, b)]:
+    for args in [(c, b, a), (c, a, b), (np.array([[1.0, -1.0]]), a, b)]:
         with pytest.raises(ValueError, match="different tapes"):
             tp.layernorm(*args)
     with pytest.raises(ValueError, match="different tapes"):

@@ -85,7 +85,7 @@ def test_prompt_file_round_trip(tmp_path):
 
 
 def test_encode_golden_snapshot():
-    out = encode(golden_stack(), golden_tokens(), sites=None)
+    out = encode(golden_stack(), [golden_tokens()], sites=None)[0]
     assert np.abs(out - np.array(GOLDEN["output"])).max() <= 1e-12
 
 
@@ -93,7 +93,7 @@ def test_encode_unit_norm():
     rng = np.random.default_rng(9)
     stack = build_stack(1, 4, 16, 16)
     for _ in range(5):
-        out = encode(stack, rng.standard_normal((4, 16)), sites=None)
+        out = encode(stack, [rng.standard_normal((4, 16))], sites=None)[0]
         assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
 
 
@@ -101,27 +101,27 @@ def test_encode_token_order_invariant():
     stack = golden_stack()
     tokens = golden_tokens()
     perm = np.random.default_rng(0).permutation(tokens.shape[0])
-    a = encode(stack, tokens, sites=None)
-    b = encode(stack, tokens[perm], sites=None)
+    a = encode(stack, [tokens], sites=None)[0]
+    b = encode(stack, [tokens[perm]], sites=None)[0]
     assert np.abs(a - b).max() <= 1e-12
 
 
 def test_encode_dim_mismatch():
     with pytest.raises(DataError):
-        encode(golden_stack(), np.ones((3, 7)), sites=None)
+        encode(golden_stack(), [np.ones((3, 7))], sites=None)
 
 
 def test_identity_ssf_bitwise_neutral():
     stack = golden_stack()
     tokens = golden_tokens()
     sites = build_sites(0, stack.n_blocks, stack.n_blocks, stack.dim, 0.0)
-    assert np.array_equal(encode(stack, tokens, sites=None),
-                          encode(stack, tokens, sites=sites))
+    assert np.array_equal(encode(stack, [tokens], sites=None)[0],
+                          encode(stack, [tokens], sites=sites)[0])
 
 
 def test_frozen_stack_reproducible_across_builds():
-    a = encode(golden_stack(), golden_tokens(), sites=None)
-    b = encode(golden_stack(), golden_tokens(), sites=None)
+    a = encode(golden_stack(), [golden_tokens()], sites=None)[0]
+    b = encode(golden_stack(), [golden_tokens()], sites=None)[0]
     assert np.array_equal(a, b)
 
 
@@ -130,7 +130,7 @@ def test_frozen_weights_never_enter_tape():
     sites = build_sites(4, 3, 1, 8, 0.05)
     t = tp.Tape()
     bound = {key: SsfParams(t.param(p.gamma), t.param(p.beta)) for key, p in sites.items()}
-    out = encode(stack, np.random.default_rng(0).standard_normal((3, 8)), sites=bound)
+    out = encode(stack, [np.random.default_rng(0).standard_normal((3, 8))], sites=bound)[0]
     trainable_nodes = 2 * 2  # one adapted block, two sites, gamma+beta
     # every leaf on the tape is a bound adapter vector; no backbone array
     nodes, todo = {}, [out]
@@ -146,20 +146,22 @@ def test_frozen_weights_never_enter_tape():
             assert leaf.value is not arr
 
 
-def test_adapted_blocks_record_five_nodes_per_token():
-    """Per token, an adapted block records its layernorm, two scale_shift
-    sites, one mlp and the residual add. The first adapted block reads the
-    constant frozen prefix, so its layernorm records nothing."""
+def test_adapted_blocks_record_five_nodes():
+    """An adapted block records its layernorm, two scale_shift sites, one
+    mlp and the residual add, each over the token rows of every prompt at
+    once. The first adapted block reads the constant frozen prefix, so its
+    layernorm records nothing."""
     stack = build_stack(3, 4, 8, 8)
     tokens = np.random.default_rng(0).standard_normal((5, 8))
     t = tp.Tape()
     bound = {key: SsfParams(t.param(p.gamma), t.param(p.beta))
              for key, p in build_sites(4, 4, 2, 8, 0.05).items()}
     for x, start in [(tokens, 0), (encode_prefix(stack, tokens, 2), 2)]:
-        before = len(t)
-        encode(stack, x, sites=bound, start=start)
-        # then rows, pool, projection and l2_normalize, once per prompt
-        assert len(t) - before == 5 * (4 + 5) + 4
+        for prompts in ([x], [x, x[:2], x[1:]]):
+            before = len(t)
+            encode(stack, prompts, sites=bound, start=start)
+            # then take_rows, pool, projection and l2_normalize, once per prompt
+            assert len(t) - before == 4 + 5 + 4 * len(prompts)
 
 
 def test_depth_sweep_agreement_with_identity_extras():
@@ -172,8 +174,8 @@ def test_depth_sweep_agreement_with_identity_extras():
     for block, kind in deep:
         deep[block, kind] = (shallow[block, kind] if block == 6
                              else SsfParams(np.ones(8), np.zeros(8)))
-    a = encode(stack, tokens, sites=deep)
-    b = encode(stack, tokens, sites=shallow)
+    a = encode(stack, [tokens], sites=deep)[0]
+    b = encode(stack, [tokens], sites=shallow)[0]
     assert np.abs(a - b).max() <= 1e-12
 
 
@@ -226,8 +228,8 @@ def test_merge_reparam_matches_composed_forward():
     merged = merge_reparam(stack, sites)
     for _ in range(100):
         tokens = rng.standard_normal((3, 12))
-        a = encode(stack, tokens, sites=sites)
-        b = encode(merged, tokens, sites=None)
+        a = encode(stack, [tokens], sites=sites)[0]
+        b = encode(merged, [tokens], sites=None)[0]
         assert np.abs(a - b).max() <= 1e-12
 
 
@@ -261,25 +263,25 @@ def test_encode_from_prefix_bitwise(identity):
     tokens = np.random.default_rng(3).standard_normal((5, 8))
     for depth in range(1, stack.n_blocks + 1):
         sites = build_sites(32, 6, depth, 8, 0.0 if identity else 0.1)
-        full = encode(stack, tokens, sites=sites)
+        full = encode(stack, [tokens], sites=sites)[0]
         for boundary in range(0, stack.n_blocks - depth + 1):  # every bare prefix
             prefix = encode_prefix(stack, tokens, boundary)
             assert prefix.shape == tokens.shape
-            assert np.array_equal(encode(stack, prefix, sites=sites, start=boundary), full)
+            assert np.array_equal(encode(stack, [prefix], sites=sites, start=boundary)[0], full)
 
 
 def test_encode_from_full_stack_prefix_runs_no_block():
     stack = golden_stack()
     prefix = encode_prefix(stack, golden_tokens(), stack.n_blocks)
-    out = encode(stack, prefix, sites=None, start=stack.n_blocks)
-    assert np.array_equal(out, encode(stack, golden_tokens(), sites=None))
+    out = encode(stack, [prefix], sites=None, start=stack.n_blocks)[0]
+    assert np.array_equal(out, encode(stack, [golden_tokens()], sites=None)[0])
     assert np.abs(out - np.array(GOLDEN["output"])).max() <= 1e-12
 
 
 def test_encode_start_out_of_range():
     stack = golden_stack()
     with pytest.raises(ValueError):
-        encode(stack, golden_tokens(), sites=None, start=stack.n_blocks + 1)
+        encode(stack, [golden_tokens()], sites=None, start=stack.n_blocks + 1)
     with pytest.raises(ValueError):
         encode_prefix(stack, golden_tokens(), -1)
 

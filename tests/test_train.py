@@ -171,6 +171,44 @@ def test_loss_gradient_modes_differ():
     assert np.abs(g1 - g2).max() > 1e-6
 
 
+@pytest.mark.parametrize("problem", ["default", "toy"])
+def test_row_by_row_text_is_the_batched_text_bitwise(problem):
+    """The gradient oracle's text pass, one token row at a time, gives the
+    batched pass's class embeddings and guidance to the last bit, at the
+    model's parameters and at perturbed ones."""
+    if problem == "default":
+        cfg = RunConfig()
+        model = build_model(cfg, build_dataset(cfg.generator).prompts)
+    else:
+        model = toy_problem(0)[0]
+    layout = TrainableLayout(model)
+    theta = layout.pack()
+    for step in (0.0, 0.05):
+        batched = layout.model(layout.split(theta + step))
+        embs, guidance = batched.text()
+        row_embs, row_guidance = replace(batched, row_by_row=True).text()
+        assert len(embs) == len(row_embs) == model.prompts.n_classes
+        for a, b in zip([*embs, guidance], [*row_embs, row_guidance]):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_row_mixing_defect_fails_the_gradient_check(monkeypatch):
+    """A layernorm that couples the token rows (each row shifted by a tenth
+    of the mean row), with a correct VJP for that coupling, gives a tape
+    gradient that the batched function agrees with. The oracle runs one
+    row at a time, so it never sees the coupling, and the check fails."""
+    layernorm = tp.layernorm
+
+    def mixing_layernorm(x, gain, bias):
+        xv = tp.value(x)
+        shifted = tp.record(xv + 0.1 * xv.mean(axis=0),
+                            [(x, lambda g: g + 0.1 * g.sum(axis=0) / xv.shape[0])])
+        return layernorm(shifted, gain, bias)
+
+    monkeypatch.setattr(tp, "layernorm", mixing_layernorm)
+    assert run_gradcheck(seed=0)["max_rel_error"] > 1e-4
+
+
 # ---------------------------------------------------------------------------
 # fit
 
@@ -260,13 +298,13 @@ def test_fit_encodes_class_prompts_once_per_epoch(monkeypatch):
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append(len(args[1]))
         return encode(*args, **kwargs)
 
     monkeypatch.setattr(model_mod, "encode", counted)
     res = fit(model, train_bags, val_bags)
     assert model.prompts.n_classes == 2
-    assert len(calls) == 2 * (len(res.history) + 1)
+    assert calls == [2] * (len(res.history) + 1)  # one call for both class prompts
 
 
 def reference_fit(model, train_bags, val_bags):
@@ -435,7 +473,7 @@ def test_fit_rejects_one_class_validation_set():
 def full_encode(model, sites=None):
     """Class embeddings through every block, bypassing the prefix cache."""
     use = model.sites if sites is None else sites
-    return [encode(model.stack, build_prompt(c), use) for c in model.prompts.classes]
+    return encode(model.stack, [build_prompt(c) for c in model.prompts.classes], use)
 
 
 def count_prefixes(monkeypatch):
@@ -700,11 +738,12 @@ def test_default_epoch_gradient_matches_reference_sweep_bitwise():
 
 
 def test_default_epoch_tape_nodes_pinned():
-    """A default k=4 epoch records 181 tape nodes. 144 are the 16 prompt
-    tokens' 9 each: 4 in the first adapted block, whose layernorm reads the
-    constant frozen prefix, and 5 in the second (layernorm, two scale_shift
-    sites, mlp, residual add). The other 37 are the 14 parameter leaves, 4
-    per class embedding and the batched pooling and head."""
+    """A default k=4 epoch records 46 tape nodes. 9 are the adapted blocks,
+    each run once over the 16 token rows of both class prompts: 4 in the
+    first, whose layernorm reads the constant frozen prefix, and 5 in the
+    second (layernorm, two scale_shift sites, mlp, residual add). The other
+    37 are the 14 parameter leaves, 4 per class embedding (take_rows, pool,
+    projection, l2_normalize) and the 15 of the batched pooling and head."""
     cfg = RunConfig()
     dataset = build_dataset(cfg.generator)
     spec = dataset.spec
@@ -714,7 +753,7 @@ def test_default_epoch_tape_nodes_pinned():
     train_bags = sorted(model.check_bags(dataset.select(plan.train)), key=lambda b: b.slide_id)
     layout = TrainableLayout(model)
     _, tape, _, _ = epoch_loss(BagBatch.of(train_bags), layout, layout.pack())
-    assert len(tape) == 181
+    assert len(tape) == 46
 
 
 def test_default_kshot_grid_pinned():
