@@ -9,6 +9,14 @@ mode everything is recomputed. Tape and oracle score `train.mean_loss`
 on a copy of the model, pooling the toy slides as one batch, so detached
 mode freezes one flat score vector per attention level.
 
+The tape runs the text encoder over the token rows of both class prompts
+at once; the oracle runs it one token row at a time
+(`SlideClassifier.row_by_row`). The row ops give each row the bits it
+would get alone, so both evaluate the same function and the oracle
+differences it. But the oracle never sees two rows together: an op that
+coupled the rows of a batch, even with a VJP right for that coupling,
+computes a function the oracle does not, and the check fails on it.
+
 A valid comparison point must keep every coordinate resolvable: the
 piecewise score is not differentiable at its branch boundaries, and a
 central difference at h=1e-6 in double precision cannot resolve
@@ -106,7 +114,9 @@ def tape_gradient(model: SlideClassifier, bags):
 
 
 def loss_grad_check(model: SlideClassifier, bags, tape_grad=None) -> float:
-    """Max relative error of the tape gradient (`tape_grad`, if held) vs central differences."""
+    """Max relative error of the tape gradient (`tape_grad`, if held) vs
+    central differences of the loss, its text encoded one token row at a
+    time (see the module docs)."""
     _, theta0, grad = tape_grad or tape_gradient(model, bags)
     batch = BagBatch.of(bags)
     frozen = model.forward(batch)[1] if model.config.refinement.gradient == "detached" else None

@@ -162,12 +162,10 @@ def validate_bag(bag: SlideBag) -> SlideBag:
     scaled = np.maximum(np.linalg.norm(rows / np.where(top > 0.0, top, 1.0)[:, None], axis=1), 1.0)
     huge = top > LARGEST_NORM / scaled
     if huge.any():
-        j = int(np.argmax(huge))
-        counts = [r.n_instances for r in bag.regions]
-        m = int(np.searchsorted(np.cumsum(counts), j, side="right"))
-        raise DataError(f"slide {bag.slide_id} region {bag.regions[m].region_id}: instance "
-                        f"{j - sum(counts[:m])} has an embedding norm above {LARGEST_NORM:.4g}, "
-                        f"whose square overflows float64")
+        ends = np.cumsum([r.n_instances for r in bag.regions])
+        bad = bag.regions[int(np.searchsorted(ends, np.argmax(huge), side="right"))]
+        raise DataError(f"slide {bag.slide_id} region {bad.region_id}: an instance embedding's "
+                        f"norm is above {LARGEST_NORM:.4g}, so its square overflows float64")
     if (top * scaled < tp.EPS_NORM).all():
         raise DataError(f"slide {bag.slide_id}: every instance embedding is zero "
                         f"(norm < {tp.EPS_NORM:g})")

@@ -7,10 +7,10 @@ only; the other blocks run bare. A model's adapters are one map from
 (block, site kind) to `SsfParams`, by block then site kind. The blocks
 before the first site are encoded once per model
 (`SlideClassifier.frozen_prefix`); each adapter records one
-`tp.scale_shift` node per token of each class prompt on the tape of an
-epoch, which also holds the batched pooling of every training slide. At
-inference time an adapter can be folded exactly into the affine layer it
-follows.
+`tp.scale_shift` node on the tape of an epoch, over the token rows of
+every class prompt, and the same tape holds the batched pooling of every
+training slide. At inference time an adapter can be folded exactly into
+the affine layer it follows.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ class SsfParams:
 
 
 def ssf_forward(x, params: SsfParams):
-    """y_i = gamma_i * x_i + beta_i, one `tp.scale_shift` node on a tape.
-    Accepts tape nodes or plain arrays."""
+    """gamma * x_t + beta for each token row x_t of the matrix X, one
+    `tp.scale_shift` node on a tape. Accepts tape nodes or plain arrays."""
     return tp.scale_shift(x, params.gamma, params.beta)
 
 

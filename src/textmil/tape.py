@@ -4,11 +4,13 @@ The op set is closed on purpose: every primitive used by the slide
 classifier lives here with its backward rule next to it, so the whole
 reverse pass can be audited function by function. Values are python
 floats (scalars) or float64 numpy arrays, and each op takes one shape.
-The encoder ops (`layernorm`, `scale_shift`, `mlp`, `matvec`,
-`l2_normalize`) take vectors. The pooling, head and refinement ops
+The encoder block ops (`layernorm`, `scale_shift`, `mlp`) take token
+rows, and so do `take_rows` and the pooling, head and refinement ops
 (`gate_logits`, `segment_pool`, `cosine`, `softmax`, `refine_scores`,
-`mean_nll`) take their items (instances, regions, slides or classes) as
-the rows of a matrix, and a vector in its place is a ValueError.
+`mean_nll`), which take their items (instances, regions, slides or
+classes) as the rows of a matrix; a vector in its place is a
+ValueError. The class-embedding tail (`pool`, `matvec`, `l2_normalize`)
+takes vectors.
 
 Ops are module-level functions. Arguments may be plain arrays/floats
 (constants) or `Node`s created via `Tape.param`. An op records itself
@@ -18,13 +20,21 @@ what keeps frozen weights structurally outside the gradient: they are
 never wrapped in a Node, so no backward rule ever touches them.
 
 Prefer few, large primitives: each recorded node costs bookkeeping at
-record and backward time, whatever its size. The text encoder runs
-token by token: each block applies `layernorm`, `scale_shift` at each
-adapter site (ssf.py), its two-layer tanh `mlp` and the residual `add`
-to a token's vector, so an adapted block records five nodes per token.
-A fused op's pulls take the steps of its arithmetic in reverse, in a
-fixed order, so its gradients are those of the chain of small ops it
-stands for, bit for bit.
+record and backward time, whatever its size. The text encoder runs each
+block once over the token rows of every class prompt: `layernorm`,
+`scale_shift` at each adapter site (ssf.py), the two-layer tanh `mlp`
+and the residual `add` each take the whole (rows, dim) matrix, so an
+adapted block records five nodes however many tokens the prompts hold.
+Each row comes out as the same op on that row alone would give it, bit
+for bit: matrix products run as one matrix-vector product per row
+(`_rows_times`; one matrix-matrix product sums in another order), and
+layernorm reduces each row on its own. Pulls into a vector that every
+row shares (a gain, a scale or a shift) add the rows' contributions
+from the last row to the first (`_row_sum`), the order in which one
+node per row would reach it, so gradients too are those of a
+row-by-row tape, bit for bit. A fused op's pulls take the steps of its
+arithmetic in reverse, in a fixed order, so its gradients are those of
+the chain of small ops it stands for.
 
 Attention pooling and the classification head work on whole batches of
 slides. A batch lays out its rows in CSR form: one (n_rows, dim) matrix

@@ -19,12 +19,18 @@ class, two classes or more, and a tumor class only in a two-class set.
 
 The class embeddings become the rows of the class matrix that the
 batched head compares every slide of a batch against
-(`model.class_probabilities`). A training tape covers one epoch: it
-records each class prompt's adapted blocks once, token by token, however
-many slides the epoch pools. Per token, an adapted block records five
-nodes (`tp.layernorm`, two `tp.scale_shift` adapter sites, `tp.mlp` and
-the residual `tp.add`); the first adapted block records four, as its
-input, the cached frozen prefix, is a constant.
+(`model.class_probabilities`). `encode` stacks the token rows of every
+class prompt, prompt by prompt, and runs each block once over them. A
+training tape covers one epoch: an adapted block records five nodes
+(`tp.layernorm`, two `tp.scale_shift` adapter sites, `tp.mlp` and the
+residual `tp.add`) however many tokens and slides the epoch holds; the
+first adapted block records four, as its input, the cached frozen
+prefix, is a constant. Each prompt's rows are then mean-pooled,
+projected and normalized on their own, four nodes per class embedding.
+The row ops treat each row as the vector ops would, bit for bit, so
+`row_by_row` (each token row through the blocks alone) gives the same
+values: the gradient check's oracle runs that way, and so does the
+frozen prefix.
 """
 
 from __future__ import annotations
@@ -168,7 +174,7 @@ def save_prompts(prompts: PromptSet, path: str | Path) -> None:
 
 
 def _check_tokens(stack: TextEncoderStack, tokens) -> np.ndarray:
-    tokens = np.array(tokens, dtype=np.float64)
+    tokens = np.asarray(tokens, dtype=np.float64)
     if tokens.ndim != 2 or tokens.shape[0] == 0:
         raise DataError("tokens must be a nonempty (n_tokens, dim) matrix")
     if tokens.shape[1] != stack.dim:
@@ -198,7 +204,9 @@ def _run_blocks(x, stack: TextEncoderStack, sites: dict, first: int, last: int,
 
 def encode_prefix(stack: TextEncoderStack, tokens: np.ndarray, boundary: int) -> np.ndarray:
     """Token activations (n_tokens, dim) after the bare blocks
-    1..`boundary`. When no adapter site sits on those blocks,
+    1..`boundary`, one token row at a time like the gradient oracle (the
+    same bits as the stacked pass; ROADMAP item 4 says why it is not
+    stacked yet). When no adapter site sits on those blocks,
     `encode(stack, [prefix], sites, start=boundary)` finishes the forward
     pass bit for bit as `encode(stack, [tokens], sites)`."""
     if not 0 <= boundary <= stack.n_blocks:
@@ -227,8 +235,8 @@ def encode(stack: TextEncoderStack, prompts: Sequence[np.ndarray], sites: dict |
     if not 0 <= start <= stack.n_blocks:
         raise ValueError(f"start must be in [0, {stack.n_blocks}], got {start}")
     tokens = [_check_tokens(stack, t) for t in prompts]
-    x = np.concatenate(tokens)
-    x = _run_blocks(x, stack, sites or {}, start + 1, stack.n_blocks, row_by_row)
+    x = _run_blocks(np.concatenate(tokens), stack, sites or {}, start + 1, stack.n_blocks,
+                    row_by_row)
     embs, lo = [], 0
     for t in tokens:
         n = t.shape[0]

@@ -988,8 +988,8 @@ def test_eval_rejects_instance_norm_that_overflows(tmp_path, dataset_dir, checkp
                  "--out", str(out)]) == 3
     assert not (out / "metrics.json").exists()
     err = capsys.readouterr().err
-    assert (f"{bag_path}: slide {slide_id} region {raw['regions'][1]['id']}: instance 0 has an "
-            f"embedding norm above 1.341e+154") in err
+    assert (f"{bag_path}: slide {slide_id} region {raw['regions'][1]['id']}: an instance "
+            f"embedding's norm is above 1.341e+154") in err
 
 
 def test_degenerate_vector_exits_numeric(tmp_path, dataset_dir, checkpoint, monkeypatch):

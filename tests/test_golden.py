@@ -9,6 +9,13 @@ JSON file the manifest also holds a short digest of each leaf (a
 scalar, a list of scalars or an array block) by key path, so a mismatch
 names the first differing file and its first differing key path.
 
+The bytes hold only for the kernels they were computed with: OpenBLAS
+picks its kernels for the CPU it runs on, and numpy its SIMD loops, and
+both move the last bits of some sums. So the manifest also records its
+platform under the key `platform` (numpy's version, the OpenBLAS core
+of numpy's bundled library and numpy's active SIMD targets), and a
+mismatch's failure message says first whether the platform differs.
+
 A change that moves a byte on purpose (such as one that reorders a
 float sum) rewrites the manifest by running this module as a script,
 `python tests/test_golden.py`, and lists each file whose digest moved,
@@ -16,6 +23,7 @@ and why. The test itself never writes the manifest.
 """
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -23,7 +31,9 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_features__
 
 import conftest  # noqa: F401  (registers the hypothesis profile that test_cli reads)
 from test_cli import FAST_CONFIG
@@ -56,6 +66,35 @@ def run_sequence(root: Path) -> Path:
         with contextlib.redirect_stdout(io.StringIO()):
             assert main([str(a) for a in argv]) == 0, argv[0]
     return out
+
+
+def platform() -> dict:
+    """numpy's version, the core name of the OpenBLAS library bundled with
+    numpy (None when there is none) and numpy's active SIMD targets."""
+    core = None
+    for lib in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*")):
+        corename = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            core = corename().decode()
+    return {"numpy": np.__version__, "openblas_core": core,
+            "simd": sorted(name for name, active in __cpu_features__.items() if active)}
+
+
+def platform_difference(golden: dict, here: dict) -> str:
+    """How this platform differs from the golden run's, in one line."""
+    parts = []
+    for key in sorted(golden.keys() | here.keys()):
+        a, b = golden.get(key), here.get(key)
+        if a == b:
+            continue
+        if isinstance(a, list) and isinstance(b, list):
+            parts.append(f"{key} {sorted(set(a) - set(b))} only in the golden run, "
+                         f"{sorted(set(b) - set(a))} only here")
+        else:
+            parts.append(f"{key} {a!r} in the golden run, {b!r} here")
+    return ("the platform differs from the golden run's: " + "; ".join(parts) if parts
+            else "the platform is the golden run's")
 
 
 def leaves(value, at: str = "") -> dict[str, str]:
@@ -110,7 +149,19 @@ def written(tmp_path_factory):
 
 def test_every_written_file_matches_the_golden_run(written):
     expected = json.loads(MANIFEST.read_text())
-    assert first_difference(expected, written) is None
+    golden_platform = expected.pop("platform")
+    problem = first_difference(expected, written)
+    assert problem is None, f"{platform_difference(golden_platform, platform())}; {problem}"
+
+
+def test_a_platform_difference_is_named_first():
+    here = platform()
+    assert here["numpy"] == np.__version__ and "SSE2" in here["simd"]
+    assert platform_difference(here, dict(here)) == "the platform is the golden run's"
+    other = {**here, "openblas_core": "Haswell", "simd": [*here["simd"], "NEON"]}
+    assert platform_difference(other, here) == (
+        f"the platform differs from the golden run's: openblas_core 'Haswell' in the golden "
+        f"run, {here['openblas_core']!r} here; simd ['NEON'] only in the golden run, [] only here")
 
 
 def test_a_difference_is_named_by_file_and_key_path(written):
@@ -129,6 +180,6 @@ def test_a_difference_is_named_by_file_and_key_path(written):
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        manifest = digests(run_sequence(Path(tmp)))
+        manifest = {"platform": platform(), **digests(run_sequence(Path(tmp)))}
     MANIFEST.write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
-    print(f"wrote the digests of {len(manifest)} files to {MANIFEST}", file=sys.stderr)
+    print(f"wrote the digests of {len(manifest) - 1} files to {MANIFEST}", file=sys.stderr)

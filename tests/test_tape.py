@@ -67,12 +67,37 @@ def test_elementwise_shape_mismatch():
 
 
 def test_mlp_matches_composed_arithmetic_bitwise():
-    """Each row's output is the vector arithmetic on that row alone, to the last bit."""
+    """Each row's output and input cotangent are the vector arithmetic on
+    that row alone, to the last bit."""
     rng = np.random.default_rng(3)
-    X, w1, b1, w2, b2 = (rng.standard_normal(s) for s in ((4, 5), (7, 5), 7, (5, 7), 5))
-    out = tp.mlp(X, w1, b1, w2, b2)
-    for x, y in zip(X, out):
-        assert np.array_equal(y, w2 @ np.tanh(w1 @ x + b1) + b2)
+    X, w1, b1, w2, b2, G = (rng.standard_normal(s)
+                            for s in ((4, 5), (7, 5), 7, (5, 7), 5, (4, 5)))
+    t = tp.Tape()
+    node = t.param(X)
+    out = tp.mlp(node, w1, b1, w2, b2)
+    grad = t.backward(dot(G, out))[node]
+    for x, y, g, dx in zip(X, out.value, G, grad):
+        h = np.tanh(w1 @ x + b1)
+        assert np.array_equal(y, w2 @ h + b2)
+        assert np.array_equal(dx, w1.T @ ((w2.T @ g) * (1.0 - h * h)))
+
+
+def test_layernorm_matches_vector_arithmetic_bitwise():
+    """Each row's output and input cotangent are the vector arithmetic on
+    that row alone, to the last bit (`mean` as numpy's, one row at a time)."""
+    rng = np.random.default_rng(4)
+    X, gain, bias, G = (rng.standard_normal(s) for s in ((5, 6), 6, 6, (5, 6)))
+    t = tp.Tape()
+    node = t.param(X)
+    out = tp.layernorm(node, gain, bias)
+    grad = t.backward(dot(G, out))[node]
+    for x, y, g, dx in zip(X, out.value, G, grad):
+        xc = x - x.mean()
+        inv = 1.0 / np.sqrt(float((xc * xc).mean()) + tp.EPS_LN)
+        xhat = xc * inv
+        assert np.array_equal(y, gain * xhat + bias)
+        dxhat = g * gain
+        assert np.array_equal(dx, inv * (dxhat - dxhat.mean() - xhat * (dxhat * xhat).mean()))
 
 
 def test_mlp_shape_checks():
