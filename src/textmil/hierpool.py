@@ -74,7 +74,6 @@ from .config import GRADIENT_MODES, SALIENCY_MODES, RefinementConfig  # noqa: F4
 from .errors import ID, ConfigError, DataError, Rows, column, get, json_input, read, write_json
 
 MAX_BATCH_ROWS = 1024  # instance rows pooled in one pass (see module docs)
-LARGEST_NORM = float(np.sqrt(np.finfo(np.float64).max))  # largest norm whose square is finite
 
 
 # ---------------------------------------------------------------------------
@@ -156,17 +155,14 @@ def validate_bag(bag: SlideBag) -> SlideBag:
     if not np.isfinite(rows).all():
         bad = next(r for r in bag.regions if not np.isfinite(r.embeddings).all())
         raise DataError(f"slide {bag.slide_id} region {bad.region_id}: non-finite embedding values")
-    # each row's norm as its largest entry times the norm of the row scaled by it,
-    # so that no square overflows here; the pooling's cosines and norms square it
-    top = np.abs(rows).max(axis=1)
-    scaled = np.maximum(np.linalg.norm(rows / np.where(top > 0.0, top, 1.0)[:, None], axis=1), 1.0)
-    huge = top > LARGEST_NORM / scaled
+    norms = tp.safe_row_norms(rows)  # inf where the pooling's squares would overflow
+    huge = np.isinf(norms)
     if huge.any():
         ends = np.cumsum([r.n_instances for r in bag.regions])
         bad = bag.regions[int(np.searchsorted(ends, np.argmax(huge), side="right"))]
         raise DataError(f"slide {bag.slide_id} region {bad.region_id}: an instance embedding's "
-                        f"norm is above {LARGEST_NORM:.4g}, so its square overflows float64")
-    if (top * scaled < tp.EPS_NORM).all():
+                        f"norm is above {tp.LARGEST_NORM:.4g}, so its square overflows float64")
+    if (norms < tp.EPS_NORM).all():
         raise DataError(f"slide {bag.slide_id}: every instance embedding is zero "
                         f"(norm < {tp.EPS_NORM:g})")
     return bag
@@ -265,12 +261,13 @@ def init_attention(seed: int, hidden: int, dim: int) -> AttentionParams:
 # refinement score
 
 
-def refinement_score(h, guidance, cfg: RefinementConfig):
+def refinement_score(h, guidance, cfg: RefinementConfig, norms: np.ndarray | None = None):
     """Piecewise score (`tape.refine_value`) of cos(h_i, guidance) for
     each row h_i of the matrix h. `guidance=None` (degenerate or disabled
     guidance) scores zero, as does a near-zero-norm row. Within a branch
     the gradient is linear in the cosine; in "detached" mode the score is
-    a constant with respect to everything."""
+    a constant with respect to everything. `norms` are the norms of the
+    rows of a constant h, computed once (`BagBatch.norms`)."""
     if guidance is None:
         hv = tp.value(h)
         if np.ndim(hv) != 2:
@@ -278,7 +275,7 @@ def refinement_score(h, guidance, cfg: RefinementConfig):
         return np.zeros(hv.shape[0])
     if cfg.gradient == "detached":
         h, guidance = tp.value(h), tp.value(guidance)
-    return tp.refine_scores(h, guidance, cfg.factor, cfg.threshold)
+    return tp.refine_scores(h, guidance, cfg.factor, cfg.threshold, norms)
 
 
 # ---------------------------------------------------------------------------
@@ -289,12 +286,16 @@ def refinement_score(h, guidance, cfg: RefinementConfig):
 class BagBatch:
     """Slides pooled in one pass. The instance rows of every region of every
     slide, slide by slide and region by region, form one matrix; CSR
-    offsets mark where each region's rows and each slide's regions start."""
+    segments mark where each region's rows and each slide's regions start.
+    Everything here is a constant of the slides, checked or computed once
+    when the batch is built, so a pass repeats only the arithmetic that
+    depends on the parameters."""
 
     bags: list[SlideBag]
-    rows: np.ndarray            # (n_instances, dim)
-    region_offsets: np.ndarray  # (n_regions + 1,): region r owns rows [o[r], o[r+1])
-    slide_offsets: np.ndarray   # (n_slides + 1,): slide s owns regions [o[s], o[s+1])
+    rows: np.ndarray       # (n_instances, dim)
+    norms: np.ndarray      # (n_instances,): the norm of each row
+    regions: tp.Segments   # region r owns rows [o[r], o[r+1])
+    slides: tp.Segments    # slide s owns regions [o[s], o[s+1])
 
     @classmethod
     def of(cls, bags: list[SlideBag]) -> "BagBatch":
@@ -307,11 +308,12 @@ class BagBatch:
         regions = [r for bag in bags for r in bag.regions]
         if not regions:
             raise DataError("cannot pool an empty set of slides")
+        rows = np.concatenate([r.embeddings for r in regions])
         counts = [r.n_instances for r in regions]
-        return cls(bags=list(bags),
-                   rows=np.concatenate([r.embeddings for r in regions]),
-                   region_offsets=np.concatenate([[0], np.cumsum(counts)]),
-                   slide_offsets=np.concatenate([[0], np.cumsum([b.n_regions for b in bags])]))
+        return cls(bags=list(bags), rows=rows, norms=np.linalg.norm(rows, axis=1),
+                   regions=tp.Segments(np.concatenate([[0], np.cumsum(counts)]), len(rows)),
+                   slides=tp.Segments(np.concatenate([[0], np.cumsum([b.n_regions for b in bags])]),
+                                      len(regions)))
 
     @property
     def n_instances(self) -> int:
@@ -320,6 +322,16 @@ class BagBatch:
     @property
     def labels(self) -> np.ndarray:
         return np.array([b.label for b in self.bags], dtype=np.int64)
+
+    @property
+    def region_offsets(self) -> np.ndarray:
+        """(n_regions + 1,): region r owns instance rows [o[r], o[r+1])."""
+        return self.regions.offsets
+
+    @property
+    def slide_offsets(self) -> np.ndarray:
+        """(n_slides + 1,): slide s owns regions [o[s], o[s+1])."""
+        return self.slides.offsets
 
     def slide_row_offsets(self) -> np.ndarray:
         """(n_slides + 1,): slide s owns instance rows [o[s], o[s+1])."""
@@ -368,11 +380,11 @@ class BagOutput:
     slide: Pooled
 
 
-def _attend(items, scores, offsets, w, m1, m2) -> Pooled:
-    """Gated attention over the rows of `items` within each segment of
-    `offsets`, shifted by the refinement `scores`."""
-    weights = tp.segment_softmax(tp.add(tp.gate_logits(items, w, m1, m2), scores), offsets)
-    return Pooled(embedding=tp.segment_pool(weights, items, offsets),
+def _attend(items, scores, segments: tp.Segments, w, m1, m2) -> Pooled:
+    """Gated attention over the rows of `items` within each of `segments`,
+    shifted by the refinement `scores`."""
+    weights = tp.segment_softmax(tp.add(tp.gate_logits(items, w, m1, m2), scores), segments)
+    return Pooled(embedding=tp.segment_pool(weights, items, segments),
                   weights=np.asarray(tp.value(weights)), scores=np.asarray(tp.value(scores)))
 
 
@@ -381,8 +393,8 @@ def region_encode(batch: BagBatch, guidance, params: AttentionParams, cfg: Refin
     """Attention-pool the instances of every region of the batch into one
     region embedding each."""
     h = batch.rows
-    s = refinement_score(h, guidance, cfg) if frozen_scores is None else frozen_scores
-    return _attend(h, s, batch.region_offsets, params.w_r, params.v1, params.v2)
+    s = refinement_score(h, guidance, cfg, batch.norms) if frozen_scores is None else frozen_scores
+    return _attend(h, s, batch.regions, params.w_r, params.v1, params.v2)
 
 
 def wsi_encode(batch: BagBatch, guidance, params: AttentionParams, cfg: RefinementConfig,
@@ -397,7 +409,7 @@ def wsi_encode(batch: BagBatch, guidance, params: AttentionParams, cfg: Refineme
     h = region.embedding
     s = refinement_score(h, guidance, cfg) if frozen is None else frozen.slide.scores
     return BagOutput(batch=batch, region=region,
-                     slide=_attend(h, s, batch.slide_offsets, params.w, params.u1, params.u2))
+                     slide=_attend(h, s, batch.slides, params.w, params.u1, params.u2))
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +428,7 @@ def instance_saliency(output: BagOutput, mode: str = "multiplicative") -> np.nda
     batch = output.batch
     raw = output.region.weights
     if mode == "multiplicative":
-        raw = np.repeat(output.slide.weights, np.diff(batch.region_offsets)) * raw
+        raw = np.repeat(output.slide.weights, batch.regions.counts) * raw
     starts = batch.slide_row_offsets()
     sizes = np.diff(starts)
     lo = np.repeat(np.minimum.reduceat(raw, starts[:-1]), sizes)

@@ -16,9 +16,11 @@ class UndefinedMetricError(DataError):
 
 def _average_ranks(scores: np.ndarray) -> np.ndarray:
     """1-based ranks, ties sharing the average of their rank range (an
-    exact half-integer: the group's last rank minus half its size less 1)."""
-    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
-    return (np.cumsum(counts) - 0.5 * (counts - 1))[group]
+    exact half-integer: the mean of the first and last rank of the scores
+    equal to it, found by binary search in the sorted scores)."""
+    ordered = np.sort(scores)
+    return (np.searchsorted(ordered, scores, "left")
+            + np.searchsorted(ordered, scores, "right") + 1) / 2
 
 
 def auc(scores, labels) -> float:
@@ -28,7 +30,7 @@ def auc(scores, labels) -> float:
     labels = np.asarray(labels)
     if scores.shape != labels.shape:
         raise DataError(f"scores {scores.shape} and labels {labels.shape} differ in length")
-    if not np.isin(labels, (0, 1)).all():
+    if not ((labels == 0) | (labels == 1)).all():
         raise DataError("labels must be 0/1 indicators")
     if not np.isfinite(scores).all():
         raise NumericError(f"cannot rank a non-finite score {scores[~np.isfinite(scores)][0]}")

@@ -64,7 +64,6 @@ checkpoint byte-identical.
 
 from __future__ import annotations
 
-import functools
 from typing import Callable, Sequence
 
 import numpy as np
@@ -75,6 +74,7 @@ from .errors import DataError, NumericError
 EPS_LN = 1e-5    # layernorm variance stabilizer
 EPS_NORM = 1e-8  # minimum norm for cosine / l2_normalize
 REL_GUARD = 1e-12  # denominator guard for relative errors
+LARGEST_NORM = float(np.sqrt(np.finfo(np.float64).max))  # largest norm whose square is finite
 
 
 class DegenerateVectorError(NumericError):
@@ -219,25 +219,40 @@ def _rows_times(a, x):
 
 def _row_sum(m):
     """Sum of the rows of m from the last to the first, one at a time: the
-    order in which one node per row would reach a shared parent."""
-    return functools.reduce(np.add, m[::-1])
+    order in which one node per row would reach a shared parent. One
+    reduction over the first axis adds whole rows into its accumulator in
+    that order, so it gives the bits of the row-at-a-time fold."""
+    return np.add.reduce(m[::-1], axis=0)
+
+
+class Segments:
+    """A CSR layout checked once: integer `offsets` rising strictly from 0
+    to `n_rows`, so that every segment is nonempty, with each segment's
+    first row (`starts`) and its number of rows (`counts`). The segment
+    ops take one and check only that it covers their rows."""
+
+    __slots__ = ("offsets", "starts", "counts", "n_rows")
+
+    def __init__(self, offsets, n_rows: int):
+        off = np.array(offsets)
+        if not (off.ndim == 1 and off.size >= 2 and np.issubdtype(off.dtype, np.integer)
+                and off[0] == 0 and off[-1] == n_rows):
+            raise ValueError(f"offsets must run from 0 to {n_rows}, got {off!r}")
+        counts = np.diff(off)
+        if not (counts > 0).all():
+            raise ValueError("offsets must rise strictly: every segment needs a row")
+        off.flags.writeable = counts.flags.writeable = False
+        self.offsets, self.starts, self.counts, self.n_rows = off, off[:-1], counts, int(n_rows)
+
+    def check(self, n_rows: int):
+        """Its starts and counts, for an op on `n_rows` rows."""
+        if n_rows != self.n_rows:
+            raise ValueError(f"segments of {self.n_rows} rows cannot lay out {n_rows} rows")
+        return self.starts, self.counts
 
 
 # ---------------------------------------------------------------------------
 # primitives
-
-
-def _check_offsets(offsets, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """(segment starts, segment lengths) of CSR `offsets`: integers rising
-    strictly from 0 to `n_rows`, so every segment is nonempty."""
-    off = np.asarray(offsets)
-    if not (off.ndim == 1 and off.size >= 2 and np.issubdtype(off.dtype, np.integer)
-            and off[0] == 0 and off[-1] == n_rows):
-        raise ValueError(f"offsets must run from 0 to {n_rows}, got {off!r}")
-    counts = np.diff(off)
-    if not (counts > 0).all():
-        raise ValueError("offsets must rise strictly: every segment needs a row")
-    return off[:-1], counts
 
 
 def add(a, b):
@@ -375,12 +390,13 @@ def pool(p, h):
     return record(pv @ hv, [(p, lambda g: hv @ g), (h, lambda g: np.outer(pv, g))])
 
 
-def segment_softmax(z, offsets):
+def segment_softmax(z, segments: Segments):
     """Stable softmax of the vector z within each segment
-    z[offsets[k]:offsets[k+1]] (the CSR layout of the module docs)."""
+    z[offsets[k]:offsets[k+1]] of `segments` (the CSR layout of the module
+    docs)."""
     zv = value(z)
     _check_vector(zv, "z")
-    starts, counts = _check_offsets(offsets, zv.shape[0])
+    starts, counts = segments.check(zv.shape[0])
     e = np.exp(zv - np.repeat(np.maximum.reduceat(zv, starts), counts))
     y = e / np.repeat(np.add.reduceat(e, starts), counts)
 
@@ -390,15 +406,15 @@ def segment_softmax(z, offsets):
     return record(y, [(z, pull)])
 
 
-def segment_pool(p, h, offsets):
+def segment_pool(p, h, segments: Segments):
     """Weighted sum of the rows of H in each segment: row k of the result is
-    the sum of p_i H_i over offsets[k] <= i < offsets[k+1]."""
+    the sum of p_i H_i over offsets[k] <= i < offsets[k+1] of `segments`."""
     pv, hv = value(p), value(h)
     _check_vector(pv, "p")
     _check_matrix(hv, "H")
     if pv.shape[0] != hv.shape[0]:
         raise ValueError(f"{pv.shape[0]} weights for {hv.shape[0]} rows")
-    starts, counts = _check_offsets(offsets, hv.shape[0])
+    starts, counts = segments.check(hv.shape[0])
     out = np.add.reduceat(pv[:, None] * hv, starts, axis=0)
 
     def spread(g):
@@ -421,18 +437,31 @@ def refine_value(c, factor: float, threshold: float):
     return score, slope
 
 
-def refine_scores(x, t, factor: float, threshold: float):
+def refine_scores(x, t, factor: float, threshold: float, norms=None):
     """`refine_value` of the cosine between the vector `t` and each row of
     the matrix `x`, one score per row. A row with norm below EPS_NORM
     scores 0. The gradient is the branch slope times the cosine's
-    gradient, so a zero score gets none."""
+    gradient, so a zero score gets none.
+
+    `norms`, the rows' norms computed once (as `BagBatch` holds them), is
+    taken in place of computing them; only constant rows may come with
+    it, as their norms then depend on nothing on the tape. Given, it is
+    an input of its own: the cosines divide by it."""
     xv, tv = value(x), value(t)
     _check_vector(tv, "t")
     _check_matrix(xv, "x", tv.shape[0])
     nt = float(np.linalg.norm(tv))
     if nt < EPS_NORM:
         raise DegenerateVectorError(f"cannot score against a guidance with norm {nt:g}")
-    nx = np.linalg.norm(xv, axis=1)
+    if norms is None:
+        nx = np.linalg.norm(xv, axis=1)
+    elif isinstance(x, Node):
+        raise ValueError("precomputed norms need constant rows")
+    else:
+        nx = value(norms)
+        _check_vector(nx, "norms")
+        if nx.shape[0] != xv.shape[0]:
+            raise ValueError(f"{nx.shape[0]} norms for {xv.shape[0]} rows")
     live = nx >= EPS_NORM
     nx = np.where(live, nx, 1.0)
     c = (xv @ tv) / (nx * nt)
@@ -448,7 +477,10 @@ def refine_scores(x, t, factor: float, threshold: float):
         gs = g * slope
         return (gs / (nx * nt)) @ xv - float(gs @ c) / (nt * nt) * tv
 
-    pulls = [(x, pull_x), (t, pull_t)] if slope.any() else []
+    def pull_norms(g):
+        return -g * slope * c / nx
+
+    pulls = [(x, pull_x), (t, pull_t), (norms, pull_norms)] if slope.any() else []
     return record(s, pulls)
 
 
@@ -504,6 +536,8 @@ def l2_normalize(u):
     uv = value(u)
     _check_vector(uv, "u")
     n = float(np.linalg.norm(uv))
+    if not np.isfinite(n):
+        raise NumericError(f"cannot normalize a vector whose norm is not finite ({n:g})")
     if n < EPS_NORM:
         raise DegenerateVectorError(f"cannot normalize vector with norm {n:g}")
     y = uv / n
@@ -531,6 +565,17 @@ def layernorm(x, gain, bias):
                       - xhat * mean_dxhat_xhat)
 
     return record(out, [(x, pull_x), (gain, lambda g: _row_sum(g * xhat)), (bias, _row_sum)])
+
+
+def safe_row_norms(x) -> np.ndarray:
+    """The norm of each row of the finite matrix `x`, taken as the row's
+    largest |entry| times the norm of the row divided by that entry, so
+    that no square overflows; inf for a row whose norm is above
+    LARGEST_NORM, since its square, which `cosine` and `refine_scores`
+    take, overflows float64. Not an op: input checks call it."""
+    top = np.abs(x).max(axis=1)
+    scaled = np.maximum(np.linalg.norm(x / np.where(top > 0.0, top, 1.0)[:, None], axis=1), 1.0)
+    return top * np.where(top > LARGEST_NORM / scaled, np.inf, scaled)
 
 
 # ---------------------------------------------------------------------------

@@ -105,10 +105,14 @@ class ClassPrompt:
 
     def __post_init__(self):
         for name in ("region_tokens", "slide_tokens"):
-            shape = getattr(self, name).shape
-            if len(shape) != 2 or shape[0] == 0 or shape[1] != self.region_tokens.shape[1]:
+            tokens = getattr(self, name)
+            shape = tokens.shape
+            if len(shape) != 2 or 0 in shape or shape[1] != self.region_tokens.shape[1]:
                 raise ValueError(f"prompts.classes[{self.class_id}].{name} must be a nonempty "
                                  f"token matrix as wide as region_tokens, got shape {shape}")
+            if np.isinf(tp.safe_row_norms(tokens)).any():  # the bag files' rule (validate_bag)
+                raise ValueError(f"prompts.classes[{self.class_id}].{name}: a token's norm is "
+                                 f"above {tp.LARGEST_NORM:.4g}, so its square overflows float64")
 
 
 @dataclass

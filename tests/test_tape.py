@@ -208,7 +208,7 @@ for i in range(10):
         (f"layernorm-{i}", lambda x, w=w: dot(w[None], tp.layernorm(x, w, w)), v[None]),
         (f"add-scale-{i}", lambda x, w=w: tp.scale(dot(w, tp.add(x, w)), 1.7), v),
         (f"wsum-{i}", lambda x, w=w, v=v: dot(w, tp.pool(
-            tp.segment_softmax(x, [0, 6]), np.stack([w, v, w + 1, v - 1, w * 2, v * 0.5]))), v),
+            tp.segment_softmax(x, tp.Segments([0, 6], 6)), np.stack([w, v, w + 1, v - 1, w * 2, v * 0.5]))), v),
     ]
 
 
@@ -309,7 +309,7 @@ def refine(x, t):
 # argument checked; `test_table_covers_every_public_op` keeps the table
 # complete. The `vector` cases of the row ops take one row, a (1, dim) matrix.
 PRIMITIVE_CASES = []
-OFFSETS = np.array([0, 1, 4, 7])  # a one-row segment and two of three rows
+SEGMENTS = tp.Segments([0, 1, 4, 7], 7)  # a one-row segment and two of three rows
 LABELS = np.array([2, 0, 3])
 _prng = np.random.default_rng(20261018)
 for i in range(3):
@@ -333,6 +333,11 @@ for i in range(3):
                         (f"refine_scores-pass-vector-{i}", refine, [X[1:2], t], 0,
                          tp.refine_scores),
                         (f"refine_scores-vector-guidance-{i}", refine, [X[3:4], t], 1,
+                         tp.refine_scores)]
+    # the rows' norms given, as a batch holds them for its constant rows
+    cached = [X, t, FACTOR, THRESHOLD, np.linalg.norm(X, axis=1)]
+    PRIMITIVE_CASES += [(f"refine_scores-norms-{i}", tp.refine_scores, cached, 4, tp.refine_scores),
+                        (f"refine_scores-guidance-given-norms-{i}", tp.refine_scores, cached, 1,
                          tp.refine_scores)]
 
     def draw(*shape):
@@ -368,9 +373,9 @@ for i in range(3):
     PRIMITIVE_CASES += both(tp.cosine, tp.cosine, [v6[None], w6[None]], "uv")
     PRIMITIVE_CASES += both(tp.cosine, tp.cosine, [draw(3, 6), M], "uv", "rows-")
     PRIMITIVE_CASES += both(tp.cosine, tp.cosine, [v6[None], M], "uv", "vector-rows-")
-    PRIMITIVE_CASES += [(f"segment_softmax-z-{i}", lambda z: tp.segment_softmax(z, OFFSETS),
+    PRIMITIVE_CASES += [(f"segment_softmax-z-{i}", lambda z: tp.segment_softmax(z, SEGMENTS),
                          [draw(7)], 0, tp.segment_softmax)]
-    PRIMITIVE_CASES += both(tp.segment_pool, lambda p, h: tp.segment_pool(p, h, OFFSETS),
+    PRIMITIVE_CASES += both(tp.segment_pool, lambda p, h: tp.segment_pool(p, h, SEGMENTS),
                             [draw(7), draw(7, 5)], ("p", "H"))
     PRIMITIVE_CASES += [(f"mean_nll-p-{i}", lambda p: tp.mean_nll(p, LABELS),
                          [_prng.uniform(0.1, 1.0, (3, 4))], 0, tp.mean_nll)]
@@ -396,8 +401,9 @@ def test_primitive_argument_vjp(name, fn, args, k, op):
 
 # functions of tape.py that are not differentiable ops, and the arguments
 # of ops that are constants by contract
-NOT_OPS = {"value", "record", "central_difference", "grad_check", "refine_value"}
-CONSTANT_ARGS = {"k", "offsets", "labels", "factor", "threshold", "lo", "hi"}
+NOT_OPS = {"value", "record", "central_difference", "grad_check", "refine_value",
+           "safe_row_norms"}
+CONSTANT_ARGS = {"k", "segments", "labels", "factor", "threshold", "lo", "hi"}
 PUBLIC_OPS = {name: f for name, f in vars(tp).items()
               if inspect.isfunction(f) and f.__module__ == tp.__name__
               and not name.startswith("_") and name not in NOT_OPS}
