@@ -11,7 +11,12 @@ settings are the config's `refinement` section, `config.RefinementConfig`.
 
 Pooling works on a `BagBatch`: the instance rows of all its slides form
 one (n_instances, dim) matrix, and CSR offsets mark each region's rows
-and each slide's regions. `region_encode` scores, normalises and pools
+and each slide's regions. The batch checks those offsets once, when it
+is built, as two `tape.Segments`, and computes the norms of its
+instance rows once too; the region level's refinement takes those
+norms. A batch holds no parameter state, so a fit reuses its batches in
+every epoch and each pass repeats only the arithmetic that depends on
+the parameters. `region_encode` scores, normalises and pools
 every region of the batch with one call of each segment primitive of
 `tape`, and `wsi_encode` does the same for the region rows of every
 slide, so one pass records about a dozen nodes however many slides it

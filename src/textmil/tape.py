@@ -32,17 +32,23 @@ layernorm reduces each row on its own. Pulls into a vector that every
 row shares (a gain, a scale or a shift) add the rows' contributions
 from the last row to the first (`_row_sum`), the order in which one
 node per row would reach it, so gradients too are those of a
-row-by-row tape, bit for bit. A fused op's pulls take the steps of its
-arithmetic in reverse, in a fixed order, so its gradients are those of
-the chain of small ops it stands for.
+row-by-row tape, bit for bit. `_row_sum` does this in one numpy
+reduction over the reversed rows, which adds whole rows into its
+accumulator one at a time, in that order. A fused op's pulls take the
+steps of its arithmetic in reverse, in a fixed order, so its gradients
+are those of the chain of small ops it stands for.
 
 Attention pooling and the classification head work on whole batches of
 slides. A batch lays out its rows in CSR form: one (n_rows, dim) matrix
 plus integer `offsets` rising strictly from 0 to n_rows, so that
 consecutive offsets bound each segment (the instances of one region, or
-the regions of one slide). `gate_logits` and `refine_scores` score every
-row, `segment_softmax` normalises the scores within each segment and
-`segment_pool` sums each segment's weighted rows into one output row.
+the regions of one slide). A `Segments` checks those offsets once and
+keeps each segment's start and row count. `gate_logits` and
+`refine_scores` score every row, `segment_softmax` normalises the scores
+within each segment and `segment_pool` sums each segment's weighted rows
+into one output row; the two segment ops take a `Segments` and check
+only that it covers their rows. `refine_scores` also takes the norms of
+constant rows, computed once, in place of taking them on every call.
 The head is `cosine` of the slide rows against the class-embedding
 rows, a row-wise `softmax` and `mean_nll`, the mean cross-entropy. The
 pooling and head of a batch therefore record about fifteen nodes,

@@ -15,7 +15,9 @@ name and finite token matrices, each a block or nested number lists (the
 form of older files, and the easy one to write by hand), and
 `tumor_class` is an integer or null. `ClassPrompt` and `PromptSet` check
 the rest where they are made: nonempty token matrices of one width per
-class, two classes or more, and a tumor class only in a two-class set.
+class, each token's norm small enough to square in float64 (the rule of
+the bag files, `tape.safe_row_norms`), two classes or more, and a tumor
+class only in a two-class set.
 
 The class embeddings become the rows of the class matrix that the
 batched head compares every slide of a batch against

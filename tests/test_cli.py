@@ -992,6 +992,46 @@ def test_eval_rejects_instance_norm_that_overflows(tmp_path, dataset_dir, checkp
             f"embedding's norm is above 1.341e+154") in err
 
 
+@pytest.mark.parametrize("name", ["region_tokens", "slide_tokens"])
+def test_eval_rejects_checkpoint_token_norm_that_overflows(tmp_path, trained_run, name):
+    """A checkpoint whose prompt tokens are scaled by 1e200 is finite, but
+    the tokens' norms square to infinity. It is rejected where it is read,
+    naming the file and the field (exit 3), by the rule that bag files
+    follow, instead of failing later as a guidance "with norm 0" (exit 4)."""
+    data, raw = trained_run
+    raw = _set_array(["prompts", "classes", 1, name], lambda a: a * 1e200)(
+        json.loads(json.dumps(raw)))
+    code, err, wrote = eval_edited_checkpoint(data, raw, tmp_path)
+    assert (code, wrote) == (3, False)
+    assert (f"malformed checkpoint {tmp_path / 'checkpoint.json'}: prompts.classes[1].{name}: "
+            f"a token's norm is above 1.341e+154, so its square overflows float64") in err
+
+
+def test_train_rejects_prompt_file_token_norm_that_overflows(tmp_path, config_path, dataset_dir,
+                                                             capsys):
+    path = dataset_dir / read_json(dataset_dir / "manifest.json")["prompts_file"]
+    raw = _set_array(["classes", 0, "region_tokens"], lambda a: a * 1e200)(read_json(path))
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "run"
+    assert main(["train", "--config", config_path, "--data", str(dataset_dir),
+                 "--out", str(out)]) == 3
+    assert not out.exists()
+    assert (f"malformed prompt file {path}: prompts.classes[0].region_tokens: a token's norm "
+            f"is above 1.341e+154") in capsys.readouterr().err
+
+
+def test_eval_names_a_text_embedding_norm_that_is_not_finite(tmp_path, trained_run):
+    """Adapters scaled by 1e300 overflow the text encoder's output. Its
+    l2 normalization says that the norm is not finite (exit 4), instead
+    of passing a zero class embedding on to fail as a norm of 0."""
+    data, raw = trained_run
+    raw = _set_array(["ssf", 3, "gamma"], lambda a: a * 1e300)(json.loads(json.dumps(raw)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, err, wrote = eval_edited_checkpoint(data, raw, tmp_path)
+    assert (code, wrote) == (4, False)
+    assert "numeric failure: cannot normalize a vector whose norm is not finite" in err
+
+
 def test_degenerate_vector_exits_numeric(tmp_path, dataset_dir, checkpoint, monkeypatch):
     def degenerate(*args, **kwargs):
         raise DegenerateVectorError("cannot normalize vector with norm 0")

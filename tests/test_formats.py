@@ -13,6 +13,12 @@ toy encoder: dim 8, 3 blocks, the last 2 adapted) with
 
 and copied as checkpoint.json (run/), checkpoint_merged.json (merged/),
 prompts.json (data/), metrics.json (ev1/) and metrics_merged.json (ev2/).
+
+Three tests compare bytes computed here with those files, and such bytes
+hold only for the kernels that computed them (see tests/test_golden.py).
+So platform.json records, as `test_golden.platform()` does, a platform
+on which the fixtures reproduce, and each of the three says first
+whether this platform differs from it when its bytes differ.
 """
 
 import json
@@ -31,11 +37,24 @@ from textmil.metrics import evaluate
 from textmil.model import load_checkpoint, merge_model, save_checkpoint
 from textmil.textenc import load_prompts, save_prompts
 
+from test_golden import platform, platform_difference
 from test_textenc import weight_arrays
 
 FORMAT1 = Path(__file__).parent / "data" / "format1"
 CHECKPOINTS = {"checkpoint.json": "metrics.json",
                "checkpoint_merged.json": "metrics_merged.json"}
+
+
+def platform_note() -> str:
+    """How this platform differs from the one the fixtures reproduce on."""
+    return platform_difference(json.loads((FORMAT1 / "platform.json").read_text()), platform(),
+                               "the format-1 fixtures")
+
+
+def test_format1_platform_record_names_every_platform_field():
+    record = json.loads((FORMAT1 / "platform.json").read_text())
+    assert record.keys() == platform().keys()
+    assert platform_note().startswith("the platform ")
 
 
 @pytest.fixture(scope="module")
@@ -60,11 +79,12 @@ def prompt_arrays(prompts) -> dict:
             for t in ("region_tokens", "slide_tokens")}
 
 
-def assert_bitwise_equal(a: dict, b: dict):
+def assert_bitwise_equal(a: dict, b: dict, note: str = ""):
+    """Arrays of the same names and bits; `note` leads a failure's message."""
     assert a.keys() == b.keys()
     for name in a:
         assert a[name].dtype == b[name].dtype == np.float64, name
-        assert a[name].tobytes() == b[name].tobytes(), name
+        assert a[name].tobytes() == b[name].tobytes(), f"{note}; {name}" if note else name
 
 
 @pytest.mark.parametrize("name", sorted(CHECKPOINTS))
@@ -98,13 +118,14 @@ def test_format1_checkpoint_evaluates_as_it_did_when_written(tmp_path, dataset, 
         assert main(["eval", "--data", str(dataset), "--checkpoint", str(path),
                      "--out", str(out)]) == 0
         assert (out / "metrics.json").read_bytes() == \
-            (FORMAT1 / CHECKPOINTS[name]).read_bytes()
+            (FORMAT1 / CHECKPOINTS[name]).read_bytes(), f"{platform_note()}; {path}"
 
 
 def test_format1_prompt_file_resaves_as_format2_bitwise(tmp_path, dataset):
     prompts = load_prompts(FORMAT1 / "prompts.json")
     spec = load_dataset(dataset).spec
-    assert_bitwise_equal(prompt_arrays(prompts), prompt_arrays(build_dataset(spec).prompts))
+    assert_bitwise_equal(prompt_arrays(prompts), prompt_arrays(build_dataset(spec).prompts),
+                         platform_note())
     save_prompts(prompts, tmp_path / "prompts.json")
     raw = json.loads((tmp_path / "prompts.json").read_text())
     assert set(raw["classes"][0]["region_tokens"]) == {"dtype", "shape", "base64"}
@@ -135,7 +156,7 @@ def test_format1_prompt_file_evaluates_as_its_format2_resave(tmp_path, dataset):
     for data, run in ((dataset, tmp_path / "run_new"), (old, tmp_path / "run_old")):
         assert main(["train", "--config", config, "--data", str(data), "--out", str(run)]) == 0
     assert (tmp_path / "run_new" / "checkpoint.json").read_bytes() == \
-        (tmp_path / "run_old" / "checkpoint.json").read_bytes()
+        (tmp_path / "run_old" / "checkpoint.json").read_bytes(), platform_note()
 
 
 def _poisoned(writer: str, tmp_path):

@@ -81,20 +81,21 @@ def platform() -> dict:
             "simd": sorted(name for name, active in __cpu_features__.items() if active)}
 
 
-def platform_difference(golden: dict, here: dict) -> str:
-    """How this platform differs from the golden run's, in one line."""
+def platform_difference(golden: dict, here: dict, source: str = "the golden run") -> str:
+    """How this platform differs from that of `source` (whose platform is
+    `golden`), in one line."""
     parts = []
     for key in sorted(golden.keys() | here.keys()):
         a, b = golden.get(key), here.get(key)
         if a == b:
             continue
         if isinstance(a, list) and isinstance(b, list):
-            parts.append(f"{key} {sorted(set(a) - set(b))} only in the golden run, "
+            parts.append(f"{key} {sorted(set(a) - set(b))} only in {source}, "
                          f"{sorted(set(b) - set(a))} only here")
         else:
-            parts.append(f"{key} {a!r} in the golden run, {b!r} here")
-    return ("the platform differs from the golden run's: " + "; ".join(parts) if parts
-            else "the platform is the golden run's")
+            parts.append(f"{key} {a!r} in {source}, {b!r} here")
+    return (f"the platform differs from {source}'s: " + "; ".join(parts) if parts
+            else f"the platform is {source}'s")
 
 
 def leaves(value, at: str = "") -> dict[str, str]:

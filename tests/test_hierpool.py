@@ -623,6 +623,32 @@ def test_batch_layout():
     assert np.array_equal(batch.rows[8:10], bags[1].regions[0].embeddings)
 
 
+def test_batch_checks_its_layout_and_norms_once(monkeypatch):
+    """A batch holds checked segments and its rows' norms. A pass over it
+    builds no segments, hands the region level's refinement the batch's
+    norms, and scores as the rows' own norms would."""
+    rng = np.random.default_rng(31)
+    batch = BagBatch.of(mixed_bags(rng))
+    assert (batch.regions.n_rows, batch.slides.n_rows) == (22, 9)
+    assert batch.regions.counts.tolist() == [3, 1, 4, 2, 1, 4, 2, 3, 2]
+    assert batch.norms.tobytes() == np.linalg.norm(batch.rows, axis=1).tobytes()
+    t, params = rng.standard_normal(5), init_attention(3, 4, 5)
+    cfg = RefinementConfig()
+    expected = tp.refine_scores(batch.rows, t, cfg.factor, cfg.threshold)
+    built, given_norms, refine_scores = [], [], tp.refine_scores
+
+    def refine(x, t, factor, threshold, norms=None):
+        given_norms.append(norms)
+        return refine_scores(x, t, factor, threshold, norms)
+
+    monkeypatch.setattr(tp, "Segments", lambda *a: built.append(a))
+    monkeypatch.setattr(tp, "refine_scores", refine)
+    out = wsi_encode(batch, t, params, cfg)
+    assert built == [] and len(given_norms) == 2
+    assert given_norms[0] is batch.norms and given_norms[1] is None  # region rows, then slides
+    assert out.region.scores.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("guided", [True, False])
 def test_multi_slide_batch_matches_per_slide_batches(guided):
     rng = np.random.default_rng(30)

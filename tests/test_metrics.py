@@ -37,6 +37,18 @@ def test_auc_rejects_non_binary_labels():
         auc([0.1, 0.2], [1, 2])
 
 
+def test_auc_reads_labels_equal_to_0_or_1():
+    """Labels are checked by comparison: booleans and the floats 0.0 and
+    1.0 are 0/1 indicators; any other value, or text, is not."""
+    scores = [0.1, 0.4, 0.35, 0.8]
+    expected = auc(scores, [0, 0, 1, 1])
+    for labels in ([False, False, True, True], [0.0, 0.0, 1.0, 1.0]):
+        assert auc(scores, labels) == expected
+    for labels in ([0, 0, 1, -1], [0, 0, 1, 0.5], ["0", "0", "1", "1"]):
+        with pytest.raises(DataError, match="labels must be 0/1 indicators"):
+            auc(scores, labels)
+
+
 def test_auc_rejects_non_finite_scores():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(NumericError):

@@ -1,4 +1,5 @@
 import ast
+import functools
 import gc
 import inspect
 import math
@@ -514,6 +515,103 @@ def test_refine_scores_all_zero_records_nothing():
     node = tape.param(np.array([[-1.0, 0.5, 0.0], [0.0, 1.0, 0.0]]))
     out = tp.refine_scores(node, t, FACTOR, THRESHOLD)
     assert not isinstance(out, tp.Node) and not out.any()
+
+
+def test_refine_scores_given_norms_keeps_every_bit():
+    """Norms computed once, as a batch holds them, give the scores and the
+    guidance's gradient that the op gets computing them itself."""
+    rng = np.random.default_rng(24)
+    t = rng.standard_normal(5)
+    X = np.vstack([rows_at_cosines(rng, t, COSINES[:5]), np.full((1, 5), 1e-12)])
+    results = []
+    for norms in (None, np.linalg.norm(X, axis=1)):
+        tape = tp.Tape()
+        node = tape.param(t)
+        s = tp.refine_scores(X, node, FACTOR, THRESHOLD, norms)
+        results.append((tp.value(s).tobytes(), tape.backward(dot(np.ones(6), s))[node].tobytes()))
+    assert results[0] == results[1]
+
+
+def test_refine_scores_takes_norms_only_for_constant_rows():
+    rng = np.random.default_rng(25)
+    t, X = rng.standard_normal(4), rng.standard_normal((3, 4))
+    norms = np.linalg.norm(X, axis=1)
+    with pytest.raises(ValueError, match="precomputed norms need constant rows"):
+        tp.refine_scores(tp.Tape().param(X), t, FACTOR, THRESHOLD, norms)
+    for bad in (norms[:2], norms[None], 2.0):
+        with pytest.raises(ValueError):
+            tp.refine_scores(X, t, FACTOR, THRESHOLD, bad)
+
+
+def test_l2_normalize_rejects_a_norm_that_is_not_finite():
+    """A norm that overflows is not passed on as a zero vector."""
+    for u in (np.full(4, 1e300), np.array([1.0, np.inf])):
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="not finite") as err:
+            tp.l2_normalize(u)
+        assert not isinstance(err.value, DegenerateVectorError)
+
+
+def test_safe_row_norms_overflow_to_inf_without_a_warning():
+    rng = np.random.default_rng(26)
+    X = rng.standard_normal((4, 6))
+    assert np.abs(tp.safe_row_norms(X) - np.linalg.norm(X, axis=1)).max() <= 1e-14
+    big = np.vstack([X[:1] * 1e150, X[1:2] * 1e160, X[2:3] * 1e300, np.zeros((1, 6))])
+    with np.errstate(all="raise"):
+        norms = tp.safe_row_norms(big)
+    assert np.isfinite(norms[0]) and np.isinf(norms[1:3]).all() and norms[3] == 0.0
+    limit = np.full((1, 4), tp.LARGEST_NORM / 2 * 0.999999)  # a norm just below the limit
+    assert np.isfinite(tp.safe_row_norms(limit)).all()
+    assert np.isinf(tp.safe_row_norms(limit * 1.000002)).all()
+
+
+# ---------------------------------------------------------------------------
+# segment layouts and shared-parent sums
+
+
+@pytest.mark.parametrize("offsets,n_rows", [
+    (np.array([[0, 2], [2, 4]]), 4),    # not one row of offsets
+    (np.array([0]), 0),                 # no segment
+    (np.array([0.0, 2.0, 4.0]), 4),     # not integers
+    (np.array([1, 2, 4]), 4),           # not from 0
+    (np.array([0, 2, 4]), 5),           # not to the row count
+    (np.array([0, 2, 2, 4]), 4),        # an empty segment
+    (np.array([0, 3, 2, 4]), 4),        # falling
+    ([True, True], 1),                  # booleans
+])
+def test_segments_reject_bad_offsets(offsets, n_rows):
+    with pytest.raises(ValueError, match="offsets must"):
+        tp.Segments(offsets, n_rows)
+
+
+def test_segments_are_a_frozen_copy():
+    offsets = np.array([0, 1, 4, 7])
+    seg = tp.Segments(offsets, 7)
+    offsets[1] = 2
+    assert seg.offsets.tolist() == [0, 1, 4, 7] and seg.n_rows == 7
+    assert seg.starts.tolist() == [0, 1, 4] and seg.counts.tolist() == [1, 3, 3]
+    for array in (seg.offsets, seg.starts, seg.counts):
+        with pytest.raises(ValueError):
+            array[0] = 5
+
+
+def test_segment_ops_reject_segments_of_another_row_count():
+    rng = np.random.default_rng(27)
+    z, h = rng.standard_normal(7), rng.standard_normal((7, 3))
+    for seg in (tp.Segments([0, 3, 6], 6), tp.Segments([0, 4, 8], 8)):
+        with pytest.raises(ValueError, match=f"segments of {seg.n_rows} rows cannot lay out 7"):
+            tp.segment_softmax(z, seg)
+        with pytest.raises(ValueError, match=f"segments of {seg.n_rows} rows cannot lay out 7"):
+            tp.segment_pool(z, h, seg)
+
+
+@pytest.mark.parametrize("shape", [(5,), (4, 3)], ids=["2d", "3d"])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 16, 17, 64])
+def test_row_sum_is_the_row_at_a_time_fold(n, shape):
+    """`_row_sum` adds rows from the last to the first as the fold of one
+    `np.add` per row does, bit for bit."""
+    m = np.random.default_rng(n).standard_normal((n, *shape)) * np.logspace(-8, 8, n).reshape(
+        (n,) + (1,) * len(shape))
+    assert tp._row_sum(m).tobytes() == functools.reduce(np.add, m[::-1]).tobytes()
 
 
 # ---------------------------------------------------------------------------

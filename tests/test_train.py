@@ -673,6 +673,31 @@ def test_evaluate_holds_one_batch_at_a_time(monkeypatch):
     assert alive == [0] * len(alive)  # each earlier batch is gone before the next is built
 
 
+def test_reused_batches_hold_no_parameter_state(monkeypatch):
+    """`evaluate` on batches cut once, as `fit` scores every epoch's
+    validation, gives at each of two parameter vectors what a fresh
+    `evaluate` of the bags gives, to the last bit: a batch holds only
+    constants of its slides."""
+    cfg = small_config()
+    model, _, val_bags, test_bags = make_problem(cfg)
+    monkeypatch.setattr(hierpool, "MAX_BATCH_ROWS", 30)  # several batches
+    bags = sorted(test_bags + val_bags, key=lambda b: b.slide_id)
+    batches = list(hierpool.batch_bags(bags))
+    assert len(batches) > 2
+    layout = TrainableLayout(model)
+    theta = layout.pack()
+    results = []
+    for step in (theta, theta + 0.1 * np.random.default_rng(3).standard_normal(theta.size)):
+        layout.apply(step)
+        reused = evaluate(model, bags, with_localization=True, attention=True, batches=batches)
+        fresh = evaluate(model, bags, with_localization=True, attention=True)
+        # float repr is exact, so equal text is equal bits
+        assert json.dumps(reused.to_dict()) == json.dumps(fresh.to_dict())
+        assert json.dumps(reused.attention) == json.dumps(fresh.attention)
+        results.append(json.dumps(reused.to_dict()))
+    assert results[0] != results[1]
+
+
 def test_fit_train_loss_ignores_the_row_limit(monkeypatch):
     """A fit pools its training slides as one batch whatever the row
     limit, so each epoch's training loss is the same to the last bit
