@@ -97,7 +97,7 @@ def branch_margin(model: SlideClassifier, bags) -> float:
     if text[1] is None:
         return np.inf
     alpha = model.config.refinement.threshold
-    t = tp.value(text[1])
+    t = tp.value(text[1])[0]
     batch = BagBatch.of(bags)
     margin = np.inf
     for h in (batch.rows, tp.value(model.forward(batch, text)[1].region.embedding)):

@@ -268,7 +268,8 @@ def init_attention(seed: int, hidden: int, dim: int) -> AttentionParams:
 
 def refinement_score(h, guidance, cfg: RefinementConfig, norms: np.ndarray | None = None):
     """Piecewise score (`tape.refine_value`) of cos(h_i, guidance) for
-    each row h_i of the matrix h. `guidance=None` (degenerate or disabled
+    each row h_i of the matrix h and the guidance row (a (1, dim) matrix,
+    `textenc.refinement_embedding`). `guidance=None` (degenerate or disabled
     guidance) scores zero, as does a near-zero-norm row. Within a branch
     the gradient is linear in the cosine; in "detached" mode the score is
     a constant with respect to everything. `norms` are the norms of the
@@ -328,19 +329,9 @@ class BagBatch:
     def labels(self) -> np.ndarray:
         return np.array([b.label for b in self.bags], dtype=np.int64)
 
-    @property
-    def region_offsets(self) -> np.ndarray:
-        """(n_regions + 1,): region r owns instance rows [o[r], o[r+1])."""
-        return self.regions.offsets
-
-    @property
-    def slide_offsets(self) -> np.ndarray:
-        """(n_slides + 1,): slide s owns regions [o[s], o[s+1])."""
-        return self.slides.offsets
-
     def slide_row_offsets(self) -> np.ndarray:
         """(n_slides + 1,): slide s owns instance rows [o[s], o[s+1])."""
-        return self.region_offsets[self.slide_offsets]
+        return self.regions.offsets[self.slides.offsets]
 
 
 def batch_bags(bags: list[SlideBag]) -> Iterator[BagBatch]:
@@ -449,10 +440,10 @@ def attention_records(output: BagOutput, mode: str = "multiplicative") -> list[d
     saliency = instance_saliency(output, mode).tolist()
     inst = output.region.weights.tolist()
     a_regions = output.slide.weights.tolist()
-    starts = batch.region_offsets.tolist()
+    starts = batch.regions.offsets.tolist()
     records = []
     for s, bag in enumerate(batch.bags):
-        first = int(batch.slide_offsets[s])
+        first = int(batch.slides.offsets[s])
         records.append({
             "slide_id": bag.slide_id,
             "label": bag.label,

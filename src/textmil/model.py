@@ -5,7 +5,11 @@ The trainable state is exactly the adapter vectors of the model's sites
 attention-pooling parameter sets: one ordered map of named arrays
 (`TrainableLayout`), flattened into one vector in that order. At other
 values of them (tape nodes, perturbed arrays) the model is a copy that
-shares its frozen-prefix cache, `TrainableLayout.model`.
+shares its frozen-prefix cache, `TrainableLayout.model`. The cache holds
+the class prompts' token rows after the bare blocks, stacked, with
+their segments; `SlideClassifier.text` continues from it to the
+(classes, dim) class matrix that `class_probabilities` compares every
+slide against, and to the refinement guidance row.
 
 Checkpoints are JSON in format 2: every array (adapter vectors,
 attention weights, prompt tokens and a merged backbone) is one base64
@@ -19,8 +23,9 @@ adapter (dropped on loading), so a round trip through it re-saves a
 format-1 file as format 2 with every array bit for bit the same. It
 reads every field, its config section and training history included,
 through `errors.read` and names a bad one (such as `ssf[2].gamma` or
-`history[0].epoch`); it keeps only the checks against the config and
-between records.
+`history[0].epoch`), and holds each adapter, attention and backbone
+array to the bag files' magnitude rule (`textenc.check_norms`); it keeps
+only the checks against the config and between records.
 """
 
 from __future__ import annotations
@@ -36,17 +41,18 @@ from .errors import ConfigError, DataError, get, json_input, read, write_json
 from .hierpool import AttentionParams, BagBatch, BagOutput, SlideBag, init_attention, wsi_encode
 from .ssf import SITE_KINDS, SsfParams, build_sites
 from .textenc import (EncoderBlock, PromptSet, TextEncoderStack, build_prompt, build_stack,
-                      encode, encode_prefix, merge_reparam, prompts_from_dict,
+                      check_norms, encode, encode_prefix, merge_reparam, prompts_from_dict,
                       prompts_to_dict, refinement_embedding)
 
 
 def class_probabilities(slide_embeddings, class_embeddings, temperature: float):
     """Softmax over the cosine similarities between each slide embedding (a
-    row of `slide_embeddings`) and each class text embedding, scaled by the
-    temperature: one row of class probabilities per slide."""
+    row of `slide_embeddings`) and each class text embedding (a row of
+    the class matrix `class_embeddings`), scaled by the temperature: one
+    row of class probabilities per slide."""
     if temperature <= 0:
         raise ConfigError(f"temperature must be > 0, got {temperature}")
-    cosines = tp.cosine(slide_embeddings, tp.rows(class_embeddings))
+    cosines = tp.cosine(slide_embeddings, class_embeddings)
     return tp.softmax(tp.scale(cosines, 1.0 / temperature))
 
 
@@ -59,31 +65,36 @@ class SlideClassifier:
     config: RunConfig
     merged: bool = False
     row_by_row: bool = False  # run the text encoder one token row at a time (`encode`)
-    # key -> (objects the key's ids refer to, per-class prefixes); copies share it
+    # key -> (objects the key's ids refer to, stacked prefix, its segments); copies share it
     prefix_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def text(self) -> tuple[list, object]:
-        """(one text embedding per class prompt, the refinement guidance or
-        None). Only the blocks from the first site onward run here; the
-        bare blocks before it come from `frozen_prefix`."""
-        boundary, prefixes = self.frozen_prefix()
-        embs = encode(self.stack, prefixes, self.sites, start=boundary, row_by_row=self.row_by_row)
+    def text(self) -> tuple:
+        """(the class matrix, whose rows are the text embeddings of the
+        class prompts, and the refinement guidance row or None). Only the
+        blocks from the first site onward run here; the bare blocks before
+        it come from `frozen_prefix`."""
+        boundary, prefix, prompts = self.frozen_prefix()
+        embs = encode(self.stack, prefix, prompts, self.sites, start=boundary,
+                      row_by_row=self.row_by_row)
         return embs, (refinement_embedding(embs, self.prompts.tumor_class)
                       if self.config.refinement.enabled else None)
 
-    def frozen_prefix(self) -> tuple[int, list[np.ndarray]]:
-        """(boundary, each class prompt's token activations after blocks
-        1..boundary): the bare blocks before the first site, or all of them.
-        Computed once per boundary, stack and token arrays, and reused by new
-        adapter or attention arrays and by copies (`TrainableLayout`)."""
+    def frozen_prefix(self) -> tuple[int, np.ndarray, tp.Segments]:
+        """(boundary, the token activations of every class prompt after
+        blocks 1..boundary, stacked prompt by prompt, and their segments):
+        the bare blocks before the first site, or all of them. Computed and
+        laid out once per boundary, stack and token arrays, and reused by
+        new adapter or attention arrays and by copies (`TrainableLayout`)."""
         boundary = min((block for block, _ in self.sites), default=self.stack.n_blocks + 1) - 1
         objs = (self.stack,
                 *(t for c in self.prompts.classes for t in (c.region_tokens, c.slide_tokens)))
         key = (boundary, tuple(map(id, objs)))
         if key not in self.prefix_cache:
-            self.prefix_cache[key] = (objs, [encode_prefix(self.stack, build_prompt(c), boundary)
-                                             for c in self.prompts.classes])
-        return boundary, self.prefix_cache[key][1]
+            tokens = [build_prompt(c) for c in self.prompts.classes]
+            rows = np.concatenate(tokens)
+            self.prefix_cache[key] = (objs, encode_prefix(self.stack, rows, boundary),
+                                      tp.Segments(np.cumsum([0, *map(len, tokens)]), len(rows)))
+        return boundary, *self.prefix_cache[key][1:]
 
     def forward(self, batch: BagBatch, text: tuple | None = None, frozen: BagOutput | None = None):
         """(class probabilities, one row per slide, and the pooling trace) of
@@ -217,6 +228,13 @@ def save_checkpoint(model: SlideClassifier, path: str | Path, history: list | No
     write_json(path, payload)
 
 
+def _weights(obj: dict, key: str, kind: tuple, at: str) -> np.ndarray:
+    """`get` of a float array whose norms square in float64, the rule of
+    the bag and prompt files (`check_norms`); a vector counts as one row."""
+    x = get(obj, key, kind, at)
+    return check_norms(x, f"{at}.{key}", "its" if x.ndim == 1 else "a row's")
+
+
 def _load_sites(records: list, n_blocks: int, dim: int) -> dict[tuple[int, str], SsfParams]:
     """The adapter sites of `records` by (block, kind), in the records'
     order, frozen identity records (format 1) dropped; a bad record raises
@@ -232,7 +250,7 @@ def _load_sites(records: list, n_blocks: int, dim: int) -> dict[tuple[int, str],
         if (block, kind) in seen:
             raise ValueError(f"{at} repeats the {kind} site of block {block}")
         seen.add((block, kind))
-        params = SsfParams(get(r, "gamma", (float, dim), at), get(r, "beta", (float, dim), at))
+        params = SsfParams(*(_weights(r, v, (float, dim), at) for v in ("gamma", "beta")))
         if read(r.get("trainable", True), bool, f"{at}.trainable"):
             sites[block, kind] = params
         elif (params.gamma != 1.0).any() or params.beta.any():
@@ -257,9 +275,9 @@ def _load_backbone(bb: dict, enc: EncoderConfig) -> TextEncoderStack:
         at = f"backbone.blocks[{i}]"
         if set(read(b, dict, at)) != set(shapes):
             raise ValueError(f"{at} must hold exactly {sorted(shapes)}")
-        blocks.append(EncoderBlock(**{k: get(b, k, (float, *shape), at)
+        blocks.append(EncoderBlock(**{k: _weights(b, k, (float, *shape), at)
                                       for k, shape in shapes.items()}))
-    return TextEncoderStack(blocks=blocks, proj=get(bb, "proj", (float, d, d), "backbone"),
+    return TextEncoderStack(blocks=blocks, proj=_weights(bb, "proj", (float, d, d), "backbone"),
                             dim=d, seed=None)
 
 
@@ -292,7 +310,7 @@ def load_checkpoint(path: str | Path):
         sites = _load_sites(get(raw, "ssf", list), stack.n_blocks, stack.dim)
         attention = get(raw, "attention", dict)
         attention = AttentionParams(*(
-            get(attention, f, (float, enc.attn_hidden) if f in ("w_r", "w")
+            _weights(attention, f, (float, enc.attn_hidden) if f in ("w_r", "w")
                 else (float, enc.attn_hidden, enc.dim), "attention")
             for f in AttentionParams.FIELDS))
         prompts = prompts_from_dict(get(raw, "prompts", dict))

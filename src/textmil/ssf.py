@@ -8,9 +8,10 @@ only; the other blocks run bare. A model's adapters are one map from
 before the first site are encoded once per model
 (`SlideClassifier.frozen_prefix`); each adapter records one
 `tp.scale_shift` node on the tape of an epoch, over the token rows of
-every class prompt, and the same tape holds the batched pooling of every
-training slide. At inference time an adapter can be folded exactly into
-the affine layer it follows.
+every class prompt, which end in one (classes, dim) class matrix. The
+same tape holds the batched pooling of every training slide: 41 nodes
+in a default k=4 epoch. At inference time an adapter can be folded
+exactly into the affine layer it follows.
 """
 
 from __future__ import annotations

@@ -5,12 +5,11 @@ classifier lives here with its backward rule next to it, so the whole
 reverse pass can be audited function by function. Values are python
 floats (scalars) or float64 numpy arrays, and each op takes one shape.
 The encoder block ops (`layernorm`, `scale_shift`, `mlp`) take token
-rows, and so do `take_rows` and the pooling, head and refinement ops
-(`gate_logits`, `segment_pool`, `cosine`, `softmax`, `refine_scores`,
-`mean_nll`), which take their items (instances, regions, slides or
-classes) as the rows of a matrix; a vector in its place is a
-ValueError. The class-embedding tail (`pool`, `matvec`, `l2_normalize`)
-takes vectors.
+rows, and so do `take_rows`, the class-embedding tail (`segment_pool`,
+`matvec`, `l2_normalize`) and the pooling, head and refinement ops
+(`gate_logits`, `cosine`, `softmax`, `refine_scores`, `mean_nll`), which
+take their items (tokens, instances, regions, slides or classes) as the
+rows of a matrix; a vector in its place is a ValueError.
 
 Ops are module-level functions. Arguments may be plain arrays/floats
 (constants) or `Node`s created via `Tape.param`. An op records itself
@@ -41,19 +40,20 @@ are those of the chain of small ops it stands for.
 Attention pooling and the classification head work on whole batches of
 slides. A batch lays out its rows in CSR form: one (n_rows, dim) matrix
 plus integer `offsets` rising strictly from 0 to n_rows, so that
-consecutive offsets bound each segment (the instances of one region, or
-the regions of one slide). A `Segments` checks those offsets once and
-keeps each segment's start and row count. `gate_logits` and
-`refine_scores` score every row, `segment_softmax` normalises the scores
-within each segment and `segment_pool` sums each segment's weighted rows
-into one output row; the two segment ops take a `Segments` and check
-only that it covers their rows. `refine_scores` also takes the norms of
-constant rows, computed once, in place of taking them on every call.
-The head is `cosine` of the slide rows against the class-embedding
-rows, a row-wise `softmax` and `mean_nll`, the mean cross-entropy. The
-pooling and head of a batch therefore record about fifteen nodes,
-however many slides and instances it holds. Sums run through numpy/BLAS,
-so reordering inputs changes results only through float rounding.
+consecutive offsets bound each segment (the instances of one region,
+the regions of one slide, or the token rows of one class prompt). A
+`Segments` checks those offsets once and keeps each segment's start and
+row count. `gate_logits` and `refine_scores` (against one guidance row)
+score every row, `segment_softmax` normalises the scores within each
+segment and `segment_pool` sums each segment's weighted rows into one
+output row; the two segment ops take a `Segments` and check only that
+it covers their rows. `refine_scores` also takes the norms of constant
+rows, computed once, in place of taking them on every call. The head is
+`cosine` of the slide rows against the class-embedding rows, a row-wise
+`softmax` and `mean_nll`, the mean cross-entropy. The pooling and head
+of a batch therefore record about fifteen nodes, however many slides
+and instances it holds. Sums run through numpy/BLAS, so reordering
+inputs changes results only through float rounding.
 
 A tape only counts its nodes; each node holds its parents, not the
 other way round. The record graph is therefore acyclic and is freed by
@@ -195,12 +195,6 @@ def _check_matrix(x, name: str, width: int | None = None):
         raise ValueError(f"{name} has rows of length {x.shape[1]}, expected {width}")
 
 
-def _check_matvec(a, x):
-    """`a` must be a matrix and `x` a nonempty vector of its row length."""
-    _check_vector(x, "x")
-    _check_matrix(a, "A", x.shape[0])
-
-
 def _same_shape(a, b):
     av, bv = value(a), value(b)
     sa = av.shape if isinstance(av, np.ndarray) else ()
@@ -327,9 +321,12 @@ def take_rows(x, lo: int, hi: int):
 
 
 def matvec(a, x):
+    """A x_i for each row x_i of the matrix X (`_rows_times`)."""
     av, xv = value(a), value(x)
-    _check_matvec(av, xv)
-    return record(av @ xv, [(a, lambda g: np.outer(g, xv)), (x, lambda g: av.T @ g)])
+    _check_matrix(xv, "X")
+    _check_matrix(av, "A", xv.shape[1])
+    return record(_rows_times(av, xv), [(a, lambda g: _row_sum(g[:, :, None] * xv[:, None])),
+                                        (x, lambda g: _rows_times(av.T, g))])
 
 
 def softmax(x):
@@ -339,19 +336,6 @@ def softmax(x):
     e = np.exp(xv - xv.max(axis=1, keepdims=True))
     y = e / e.sum(axis=1, keepdims=True)
     return record(y, [(x, lambda g: y * (g - (g * y).sum(axis=1, keepdims=True)))])
-
-
-def rows(vectors: Sequence):
-    """Stack equal-length vectors into the rows of a matrix."""
-    if len(vectors) == 0:
-        raise ValueError("rows of empty sequence")
-    vals = [value(v) for v in vectors]
-    for v in vals:
-        _check_vector(v, "row")
-        if v.shape != vals[0].shape:
-            raise ValueError(f"shape mismatch: {vals[0].shape} vs {v.shape}")
-    pulls = [(v, (lambda j: lambda g: g[j])(j)) for j, v in enumerate(vectors)]
-    return record(np.stack(vals), pulls)
 
 
 def gate_logits(h, w, m1, m2):
@@ -384,16 +368,6 @@ def gate_logits(h, w, m1, m2):
     return record(ab @ wv, [(h, pull_h), (w, lambda g: g @ ab),
                             (m1, lambda g: pre(g)[0].T @ hv),
                             (m2, lambda g: pre(g)[1].T @ hv)])
-
-
-def pool(p, h):
-    """Weighted sum p @ H of the rows of H."""
-    pv, hv = value(p), value(h)
-    _check_vector(pv, "p")
-    _check_matrix(hv, "H")
-    if pv.shape[0] != hv.shape[0]:
-        raise ValueError(f"{pv.shape[0]} weights for {hv.shape[0]} rows")
-    return record(pv @ hv, [(p, lambda g: hv @ g), (h, lambda g: np.outer(pv, g))])
 
 
 def segment_softmax(z, segments: Segments):
@@ -444,27 +418,30 @@ def refine_value(c, factor: float, threshold: float):
 
 
 def refine_scores(x, t, factor: float, threshold: float, norms=None):
-    """`refine_value` of the cosine between the vector `t` and each row of
-    the matrix `x`, one score per row. A row with norm below EPS_NORM
-    scores 0. The gradient is the branch slope times the cosine's
-    gradient, so a zero score gets none.
+    """`refine_value` of the cosine between the one row of the matrix `t`
+    and each row of the matrix `x`, one score per row. A row with norm
+    below EPS_NORM scores 0. The gradient is the branch slope times the
+    cosine's gradient, so a zero score gets none.
 
     `norms`, the rows' norms computed once (as `BagBatch` holds them), is
-    taken in place of computing them; only constant rows may come with
-    it, as their norms then depend on nothing on the tape. Given, it is
-    an input of its own: the cosines divide by it."""
+    taken in place of computing them. It is a constant, and only constant
+    rows may come with it, as their norms then depend on nothing on the
+    tape."""
     xv, tv = value(x), value(t)
-    _check_vector(tv, "t")
-    _check_matrix(xv, "x", tv.shape[0])
+    _check_matrix(tv, "t")
+    if tv.shape[0] != 1:
+        raise ValueError(f"t must be one row, got {tv.shape[0]}")
+    _check_matrix(xv, "x", tv.shape[1])
+    tv = tv[0]
     nt = float(np.linalg.norm(tv))
     if nt < EPS_NORM:
         raise DegenerateVectorError(f"cannot score against a guidance with norm {nt:g}")
     if norms is None:
         nx = np.linalg.norm(xv, axis=1)
-    elif isinstance(x, Node):
-        raise ValueError("precomputed norms need constant rows")
+    elif isinstance(x, Node) or isinstance(norms, Node):
+        raise ValueError("precomputed norms need constant rows, and are a constant")
     else:
-        nx = value(norms)
+        nx = norms
         _check_vector(nx, "norms")
         if nx.shape[0] != xv.shape[0]:
             raise ValueError(f"{nx.shape[0]} norms for {xv.shape[0]} rows")
@@ -481,12 +458,9 @@ def refine_scores(x, t, factor: float, threshold: float, norms=None):
 
     def pull_t(g):
         gs = g * slope
-        return (gs / (nx * nt)) @ xv - float(gs @ c) / (nt * nt) * tv
+        return ((gs / (nx * nt)) @ xv - float(gs @ c) / (nt * nt) * tv)[None]
 
-    def pull_norms(g):
-        return -g * slope * c / nx
-
-    pulls = [(x, pull_x), (t, pull_t), (norms, pull_norms)] if slope.any() else []
+    pulls = [(x, pull_x), (t, pull_t)] if slope.any() else []
     return record(s, pulls)
 
 
@@ -539,15 +513,16 @@ def mean_nll(p, labels):
 
 
 def l2_normalize(u):
+    """Each row of the matrix U divided by its norm."""
     uv = value(u)
-    _check_vector(uv, "u")
-    n = float(np.linalg.norm(uv))
-    if not np.isfinite(n):
-        raise NumericError(f"cannot normalize a vector whose norm is not finite ({n:g})")
-    if n < EPS_NORM:
-        raise DegenerateVectorError(f"cannot normalize vector with norm {n:g}")
+    _check_matrix(uv, "U")
+    n = np.linalg.norm(uv, axis=1, keepdims=True)
+    if not np.isfinite(n).all():
+        raise NumericError(f"cannot normalize a vector whose norm is not finite ({n.max():g})")
+    if n.min() < EPS_NORM:
+        raise DegenerateVectorError(f"cannot normalize vector with norm {n.min():g}")
     y = uv / n
-    return record(y, [(u, lambda g: (g - float(g @ y) * y) / n)])
+    return record(y, [(u, lambda g: (g - (g * y).sum(axis=1, keepdims=True) * y) / n)])
 
 
 def layernorm(x, gain, bias):

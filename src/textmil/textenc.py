@@ -16,20 +16,25 @@ form of older files, and the easy one to write by hand), and
 `tumor_class` is an integer or null. `ClassPrompt` and `PromptSet` check
 the rest where they are made: nonempty token matrices of one width per
 class, each token's norm small enough to square in float64 (the rule of
-the bag files, `tape.safe_row_norms`), two classes or more, and a tumor
+the bag files, `check_norms`), two classes or more, and a tumor
 class only in a two-class set.
 
-The class embeddings become the rows of the class matrix that the
-batched head compares every slide of a batch against
-(`model.class_probabilities`). `encode` stacks the token rows of every
-class prompt, prompt by prompt, and runs each block once over them. A
+The class embeddings are the rows of one (n_classes, dim) class matrix,
+which the batched head compares every slide of a batch against
+(`model.class_probabilities`). `encode` takes the token rows of every
+class prompt, stacked prompt by prompt, with their `tape.Segments`, the
+way pooling takes a `BagBatch`, and runs each block once over them. A
 training tape covers one epoch: an adapted block records five nodes
 (`tp.layernorm`, two `tp.scale_shift` adapter sites, `tp.mlp` and the
 residual `tp.add`) however many tokens and slides the epoch holds; the
 first adapted block records four, as its input, the cached frozen
-prefix, is a constant. Each prompt's rows are then mean-pooled,
-projected and normalized on their own, four nodes per class embedding.
-The row ops treat each row as the vector ops would, bit for bit, so
+prefix, is a constant. Three more nodes make the class matrix: each
+prompt's rows mean-pooled (`tp.segment_pool`), projected (`tp.matvec`)
+and normalized (`tp.l2_normalize`), every prompt at once. The guidance
+row that refines the attention is one more (`refinement_embedding`).
+With the 14 parameter leaves and the batched pooling and head of
+`hierpool`, a default k=4 epoch records 41 nodes. The row ops treat
+each row as the same op on that row alone would, bit for bit, so
 `row_by_row` (each token row through the blocks alone) gives the same
 values: the gradient check's oracle runs that way, and so does the
 frozen prefix.
@@ -39,8 +44,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
-
 import numpy as np
 
 from . import tape as tp
@@ -61,8 +64,8 @@ class EncoderBlock:
 @dataclass
 class TextEncoderStack:
     """Seeded immutable block stack: per block layernorm -> adapter site ->
-    tanh MLP -> adapter site -> residual add; then token mean-pool,
-    projection, l2-normalization."""
+    tanh MLP -> adapter site -> residual add; then each prompt's token
+    mean-pool, projection, l2-normalization."""
 
     blocks: list[EncoderBlock]
     proj: np.ndarray  # (dim, dim)
@@ -98,6 +101,16 @@ def build_stack(seed: int, n_blocks: int, dim: int, mlp_hidden: int) -> TextEnco
 # prompts
 
 
+def check_norms(x: np.ndarray, field: str, what: str) -> np.ndarray:
+    """`x` once the norm of each of its rows (of a vector: its own) is small
+    enough to square in float64, the bag files' rule (`validate_bag`);
+    otherwise a ValueError naming `field`, which says `what` norm it is."""
+    if np.isinf(tp.safe_row_norms(np.atleast_2d(x))).any():
+        raise ValueError(f"{field}: {what} norm is above {tp.LARGEST_NORM:.4g}, so its square "
+                         f"overflows float64")
+    return x
+
+
 @dataclass
 class ClassPrompt:
     class_id: int
@@ -112,9 +125,7 @@ class ClassPrompt:
             if len(shape) != 2 or 0 in shape or shape[1] != self.region_tokens.shape[1]:
                 raise ValueError(f"prompts.classes[{self.class_id}].{name} must be a nonempty "
                                  f"token matrix as wide as region_tokens, got shape {shape}")
-            if np.isinf(tp.safe_row_norms(tokens)).any():  # the bag files' rule (validate_bag)
-                raise ValueError(f"prompts.classes[{self.class_id}].{name}: a token's norm is "
-                                 f"above {tp.LARGEST_NORM:.4g}, so its square overflows float64")
+            check_norms(tokens, f"prompts.classes[{self.class_id}].{name}", "a token's")
 
 
 @dataclass
@@ -213,56 +224,50 @@ def encode_prefix(stack: TextEncoderStack, tokens: np.ndarray, boundary: int) ->
     1..`boundary`, one token row at a time like the gradient oracle (the
     same bits as the stacked pass; ROADMAP item 4 says why it is not
     stacked yet). When no adapter site sits on those blocks,
-    `encode(stack, [prefix], sites, start=boundary)` finishes the forward
-    pass bit for bit as `encode(stack, [tokens], sites)`."""
+    `encode(stack, prefix, prompts, sites, start=boundary)` finishes the
+    forward pass bit for bit as `encode(stack, tokens, prompts, sites)`."""
     if not 0 <= boundary <= stack.n_blocks:
         raise ValueError(f"boundary must be in [0, {stack.n_blocks}], got {boundary}")
     return _run_blocks(_check_tokens(stack, tokens), stack, {}, 1, boundary, row_by_row=True)
 
 
-def encode(stack: TextEncoderStack, prompts: Sequence[np.ndarray], sites: dict | None = None,
-           start: int = 0, row_by_row: bool = False) -> list:
-    """Map each prompt's token embeddings (n_tokens, dim) to a unit-norm
-    text embedding, one per prompt.
+def encode(stack: TextEncoderStack, tokens: np.ndarray, prompts: tp.Segments,
+           sites: dict | None = None, start: int = 0, row_by_row: bool = False):
+    """The (n_prompts, dim) class matrix: row c is the unit-norm text
+    embedding of prompt c, whose token embeddings are the rows of
+    `tokens` in segment c of `prompts`.
 
-    The blocks run once over the token rows of every prompt, stacked
-    prompt by prompt; then each prompt's rows are mean-pooled, projected
-    and l2-normalized on their own. `sites` maps (block, kind) to the
-    `SsfParams` of that adapter site. Adapter parameters may be tape
-    nodes, in which case each embedding is a node differentiable with
-    respect to them; the backbone itself never enters the tape.
-    `sites=None` runs the bare frozen stack. With `start > 0`, the prompts
-    are the activations after block `start` (from `encode_prefix`) and
-    only blocks `start+1..L` run, so frozen leading blocks can be computed
-    once and reused. `row_by_row` runs each token row through the blocks
-    alone, on plain arrays only: the same values bit for bit, for the
-    finite-difference oracle of gradcheck.py.
+    The blocks run once over every token row; then each prompt's rows are
+    mean-pooled, and the pooled rows projected and l2-normalized.
+    `sites` maps (block, kind) to the `SsfParams` of that adapter site.
+    Adapter parameters may be tape nodes, in which case the matrix is a
+    node differentiable with respect to them; the backbone itself never
+    enters the tape. `sites=None` runs the bare frozen stack. With
+    `start > 0`, `tokens` are the activations after block `start` (from
+    `encode_prefix`) and only blocks `start+1..L` run, so frozen leading
+    blocks can be computed once and reused. `row_by_row` runs each token
+    row through the blocks alone, on plain arrays only: the same values
+    bit for bit, for the finite-difference oracle of gradcheck.py.
     """
     if not 0 <= start <= stack.n_blocks:
         raise ValueError(f"start must be in [0, {stack.n_blocks}], got {start}")
-    tokens = [_check_tokens(stack, t) for t in prompts]
-    x = _run_blocks(np.concatenate(tokens), stack, sites or {}, start + 1, stack.n_blocks,
+    x = _run_blocks(_check_tokens(stack, tokens), stack, sites or {}, start + 1, stack.n_blocks,
                     row_by_row)
-    embs, lo = [], 0
-    for t in tokens:
-        n = t.shape[0]
-        pooled = tp.pool(np.full(n, 1.0 / n), tp.take_rows(x, lo, lo + n))
-        embs.append(tp.l2_normalize(tp.matvec(stack.proj, pooled)))
-        lo += n
-    return embs
+    pooled = tp.segment_pool(np.repeat(1.0 / prompts.counts, prompts.counts), x, prompts)
+    return tp.l2_normalize(tp.matvec(stack.proj, pooled))
 
 
-def refinement_embedding(class_embeddings: list, tumor_index: int | None = None):
-    """Guidance embedding used to refine attention weights.
+def refinement_embedding(class_embeddings, tumor_index: int | None = None):
+    """Guidance row (1, dim) used to refine attention weights.
 
     With a designated tumor class (binary tasks) the guidance is that
-    class's embedding. Otherwise it is the normalized mean of all class
-    embeddings; a near-zero mean yields None, which disables refinement.
+    class's row of the class matrix. Otherwise it is the normalized mean
+    of its rows; a near-zero mean yields None, which disables refinement.
     """
-    n = len(class_embeddings)
     if tumor_index is not None:
-        return class_embeddings[tumor_index]
-    m = tp.pool(np.full(n, 1.0 / n), tp.rows(class_embeddings))
+        return tp.take_rows(class_embeddings, tumor_index, tumor_index + 1)
+    n = tp.value(class_embeddings).shape[0]
+    m = tp.segment_pool(np.full(n, 1.0 / n), class_embeddings, tp.Segments([0, n], n))
     if float(np.linalg.norm(tp.value(m))) < tp.EPS_NORM:
         return None
     return tp.l2_normalize(m)

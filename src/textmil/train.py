@@ -138,7 +138,7 @@ def fit(model: SlideClassifier, train_bags, val_bags) -> FitResult:
         layout.apply(theta)
         step = epoch_loss(batch, layout, theta)
         val_auc = evaluate(model, val_bags, batches=val_batches,
-                           text=([tp.value(e) for e in step[3][0]], tp.value(step[3][1]))).auc
+                           text=(tp.value(step[3][0]), tp.value(step[3][1]))).auc
         result.history.append({"epoch": epoch,
                                "train_loss": float(tp.value(loss)),
                                "val_auc": float(val_auc)})

@@ -255,8 +255,8 @@ def test_localize_pools_each_slide_once(tmp_path, dataset_dir, checkpoint, monke
         rec = read_json(loc / "attention" / f"{bag.slide_id}.json")
         assert set(rec) == {"slide_id", "label", "saliency_mode", "regions"}
         _, out = model.forward(BagBatch.of([bag]))
-        weights = np.split(out.region.weights, out.batch.region_offsets[1:-1])
-        saliency = np.split(instance_saliency(out), out.batch.region_offsets[1:-1])
+        weights = np.split(out.region.weights, out.batch.regions.offsets[1:-1])
+        saliency = np.split(instance_saliency(out), out.batch.regions.offsets[1:-1])
         for m, r in enumerate(rec["regions"]):
             assert set(r) == {"id", "coord", "weight", "instances"}
             assert abs(r["weight"] - out.slide.weights[m]) <= 1e-12
@@ -1020,16 +1020,42 @@ def test_train_rejects_prompt_file_token_norm_that_overflows(tmp_path, config_pa
             f"is above 1.341e+154") in capsys.readouterr().err
 
 
-def test_eval_names_a_text_embedding_norm_that_is_not_finite(tmp_path, trained_run):
-    """Adapters scaled by 1e300 overflow the text encoder's output. Its
-    l2 normalization says that the norm is not finite (exit 4), instead
-    of passing a zero class embedding on to fail as a norm of 0."""
+@pytest.mark.parametrize("field", [("ssf", 3, "gamma"), ("ssf", 0, "beta"), ("attention", "w"),
+                                   ("attention", "v1"), ("backbone", "blocks", 1, "w2"),
+                                   ("backbone", "proj")],
+                         ids=["ssf[3].gamma", "ssf[0].beta", "attention.w", "attention.v1",
+                              "backbone.blocks[1].w2", "backbone.proj"])
+def test_eval_rejects_checkpoint_weight_norm_that_overflows(tmp_path, trained_run, merged_raw,
+                                                            field):
+    """A checkpoint array scaled by 1e300 is finite, but its norm (a
+    matrix's: a row's) squares to infinity. Adapter, attention and merged
+    backbone arrays follow the bag and prompt files' rule: the checkpoint is
+    rejected where it is read, naming the file and the field (exit 3),
+    instead of failing at the text embedding's normalization (exit 4)."""
     data, raw = trained_run
-    raw = _set_array(["ssf", 3, "gamma"], lambda a: a * 1e300)(json.loads(json.dumps(raw)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        code, err, wrote = eval_edited_checkpoint(data, raw, tmp_path)
-    assert (code, wrote) == (4, False)
-    assert "numeric failure: cannot normalize a vector whose norm is not finite" in err
+    raw = merged_raw if field[0] == "backbone" else raw
+    raw = _set_array(list(field), lambda a: a * 1e300)(json.loads(json.dumps(raw)))
+    code, err, wrote = eval_edited_checkpoint(data, raw, tmp_path)
+    assert (code, wrote) == (3, False)
+    name = ".".join(f"[{k}]" if isinstance(k, int) else k for k in field).replace(".[", "[")
+    norm = "its" if field[-1] in ("gamma", "beta", "w") else "a row's"
+    assert (f"malformed checkpoint {tmp_path / 'checkpoint.json'}: {name}: {norm} norm is above "
+            f"1.341e+154, so its square overflows float64") in err
+
+
+def test_merge_rejects_checkpoint_adapter_norm_that_overflows(tmp_path, trained_run):
+    """`merge` reads a checkpoint by the same rule, so it no longer folds an
+    adapter whose norm overflows into a merged checkpoint (it exited 0)."""
+    edit = _set_array(["ssf", 3, "gamma"], lambda a: a * 1e300)
+    raw = edit(json.loads(json.dumps(trained_run[1])))
+    path, out = tmp_path / "checkpoint.json", tmp_path / "merged"
+    path.write_text(json.dumps(raw))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(["merge", "--checkpoint", str(path), "--out", str(out)]) == 3
+    assert not (out / "checkpoint_merged.json").exists()
+    assert (f"malformed checkpoint {path}: ssf[3].gamma: its norm is above 1.341e+154"
+            in err.getvalue())
 
 
 def test_degenerate_vector_exits_numeric(tmp_path, dataset_dir, checkpoint, monkeypatch):

@@ -19,11 +19,23 @@ hold only for the kernels that computed them (see tests/test_golden.py).
 So platform.json records, as `test_golden.platform()` does, a platform
 on which the fixtures reproduce, and each of the three says first
 whether this platform differs from it when its bytes differ.
+
+The checkpoints and the prompt file are format-1 files and stay as they
+were written. The two metrics files are what `eval` of the checkpoints
+gives: a change that moves a byte of them on purpose (such as one that
+reorders a float sum of the text encoder) rewrites them, and
+platform.json with them, by running this module as a script,
+`python tests/test_formats.py`, and lists the moved files, and why. The
+tests themselves never write.
 """
 
+import contextlib
+import io
 import json
 import re
 import shutil
+import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -114,10 +126,7 @@ def test_format1_checkpoint_evaluates_as_it_did_when_written(tmp_path, dataset, 
     model, history, split = load_checkpoint(FORMAT1 / name)
     save_checkpoint(model, resaved, history=history, split=split)
     for i, path in enumerate([FORMAT1 / name, resaved]):
-        out = tmp_path / f"eval{i}"
-        assert main(["eval", "--data", str(dataset), "--checkpoint", str(path),
-                     "--out", str(out)]) == 0
-        assert (out / "metrics.json").read_bytes() == \
+        assert eval_checkpoint(dataset, path, tmp_path / f"eval{i}").read_bytes() == \
             (FORMAT1 / CHECKPOINTS[name]).read_bytes(), f"{platform_note()}; {path}"
 
 
@@ -159,6 +168,15 @@ def test_format1_prompt_file_evaluates_as_its_format2_resave(tmp_path, dataset):
         (tmp_path / "run_old" / "checkpoint.json").read_bytes(), platform_note()
 
 
+def eval_checkpoint(data: Path, path: Path, out: Path) -> Path:
+    """`eval` of the checkpoint `path` on the dataset `data`; the
+    metrics.json it writes under `out`."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["eval", "--data", str(data), "--checkpoint", str(path),
+                     "--out", str(out)]) == 0
+    return out / "metrics.json"
+
+
 def _poisoned(writer: str, tmp_path):
     """(the file `writer` must refuse, a call that writes it) for a NaN or
     infinity in one array of what it writes."""
@@ -190,3 +208,16 @@ def test_every_writer_refuses_a_non_finite_array_value(tmp_path, writer):
     with pytest.raises(NumericError, match=f"refusing to write {re.escape(str(path))}: non-finite"):
         write(path)
     assert not path.exists()
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        data = Path(tmp) / "data"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["generate", "--config", str(FORMAT1 / "config.json"),
+                         "--out", str(data)]) == 0
+        for name, metrics in CHECKPOINTS.items():
+            shutil.copy(eval_checkpoint(data, FORMAT1 / name, Path(tmp) / name), FORMAT1 / metrics)
+    (FORMAT1 / "platform.json").write_text(json.dumps(platform(), indent=1) + "\n")
+    print(f"wrote {', '.join(CHECKPOINTS.values())} and platform.json to {FORMAT1}",
+          file=sys.stderr)

@@ -132,7 +132,7 @@ def test_refine_value_slopes():
 
 
 def test_refinement_score_through_cosine():
-    t = np.array([1.0, 0.0, 0.0, 0.0])
+    t = np.array([[1.0, 0.0, 0.0, 0.0]])
     h = np.array([0.5, math.sqrt(0.75), 0.0, 0.0])
     assert refinement_score(h[None], t, CFG)[0] == pytest.approx(5.0, abs=1e-9)
     h_mid = np.array([0.1, math.sqrt(0.99), 0.0, 0.0])
@@ -146,12 +146,12 @@ def test_refinement_degenerate_guidance_scores_zero():
 
 
 def test_refinement_degenerate_instance_scores_zero():
-    assert np.array_equal(refinement_score(np.zeros(3)[None], np.array([1.0, 0, 0]), CFG), [0.0])
+    assert np.array_equal(refinement_score(np.zeros(3)[None], np.array([[1.0, 0, 0]]), CFG), [0.0])
 
 
 def test_refinement_monotone_in_cosine():
     cs = np.linspace(-0.9, 0.9, 181)
-    t = np.array([1.0, 0.0])
+    t = np.array([[1.0, 0.0]])
     vals = []
     for c in cs:
         h = np.array([c, math.sqrt(1 - c * c)])
@@ -183,7 +183,7 @@ def test_region_single_instance():
 def test_region_two_identical_instances():
     rng = np.random.default_rng(1)
     h = rng.standard_normal(6)
-    t = tp.l2_normalize(rng.standard_normal(6))
+    t = tp.l2_normalize(rng.standard_normal((1, 6)))
     out = region_encode(region_batch([h, h]), t, random_params(rng, 4, 6), CFG)
     assert np.abs(out.weights - 0.5).max() <= 1e-15
     assert np.abs(np.asarray(out.embedding) - h).max() <= 1e-12
@@ -192,10 +192,10 @@ def test_region_two_identical_instances():
 def test_region_matches_scalar_oracle():
     rng = np.random.default_rng(2)
     embs = rng.standard_normal((3, 5))
-    t = tp.l2_normalize(rng.standard_normal(5))
+    t = tp.l2_normalize(rng.standard_normal((1, 5)))
     params = random_params(rng, 4, 5)
     out = region_encode(region_batch(embs), t, params, CFG)
-    emb, weights = oracle_region(embs.tolist(), t.tolist(), params, CFG.factor, CFG.threshold)
+    emb, weights = oracle_region(embs.tolist(), t[0].tolist(), params, CFG.factor, CFG.threshold)
     assert np.abs(out.weights - np.array(weights)).max() <= 1e-12
     assert np.abs(np.asarray(out.embedding) - np.array(emb)).max() <= 1e-12
 
@@ -215,7 +215,7 @@ def test_region_rejects_empty():
 def test_wsi_single_region_passthrough():
     rng = np.random.default_rng(3)
     embs = rng.standard_normal((4, 6))
-    t = tp.l2_normalize(rng.standard_normal(6))
+    t = tp.l2_normalize(rng.standard_normal((1, 6)))
     params = random_params(rng, 4, 6)
     batch = batch_of(make_bag([embs]))
     out = wsi_encode(batch, t, params, CFG)
@@ -227,7 +227,7 @@ def test_wsi_single_region_passthrough():
 def test_wsi_identical_regions_uniform():
     rng = np.random.default_rng(4)
     embs = rng.standard_normal((3, 6))
-    t = tp.l2_normalize(rng.standard_normal(6))
+    t = tp.l2_normalize(rng.standard_normal((1, 6)))
     params = random_params(rng, 4, 6)
     out = wsi_encode(batch_of(make_bag([embs, embs, embs])), t, params, CFG)
     assert np.abs(out.slide.weights - 1.0 / 3).max() <= 1e-12
@@ -236,10 +236,10 @@ def test_wsi_identical_regions_uniform():
 def test_wsi_matches_scalar_oracle_full_chain():
     rng = np.random.default_rng(5)
     region_embs = [rng.standard_normal((2, 5)), rng.standard_normal((2, 5))]
-    t = tp.l2_normalize(rng.standard_normal(5))
+    t = tp.l2_normalize(rng.standard_normal((1, 5)))
     params = random_params(rng, 3, 5)
     out = wsi_encode(batch_of(make_bag(region_embs)), t, params, CFG)
-    emb, weights = oracle_slide([e.tolist() for e in region_embs], t.tolist(),
+    emb, weights = oracle_slide([e.tolist() for e in region_embs], t[0].tolist(),
                                 params, CFG.factor, CFG.threshold)
     assert np.abs(out.slide.weights - np.array(weights)).max() <= 1e-12
     assert np.abs(np.asarray(out.slide.embedding) - np.array(emb)).max() <= 1e-12
@@ -267,10 +267,10 @@ def test_wsi_rejects_empty_bag():
 def test_weights_positive_and_sum_to_one():
     rng = np.random.default_rng(6)
     bag = make_bag([rng.standard_normal((5, 6)) for _ in range(3)])
-    t = tp.l2_normalize(rng.standard_normal(6))
+    t = tp.l2_normalize(rng.standard_normal((1, 6)))
     out = wsi_encode(batch_of(bag), t, random_params(rng, 4, 6), CFG)
     groups = [out.slide.weights] + np.split(out.region.weights,
-                                                     out.batch.region_offsets[1:-1])
+                                                     out.batch.regions.offsets[1:-1])
     assert len(groups) == 4
     for w in groups:
         assert (w > 0).all()
@@ -280,7 +280,7 @@ def test_weights_positive_and_sum_to_one():
 def test_instance_permutation_equivariance():
     rng = np.random.default_rng(7)
     embs = rng.standard_normal((6, 5))
-    t = tp.l2_normalize(rng.standard_normal(5))
+    t = tp.l2_normalize(rng.standard_normal((1, 5)))
     params = random_params(rng, 4, 5)
     base = region_encode(region_batch(embs), t, params, CFG)
     perm = rng.permutation(6)
@@ -292,7 +292,7 @@ def test_instance_permutation_equivariance():
 def test_region_permutation_equivariance():
     rng = np.random.default_rng(8)
     region_embs = [rng.standard_normal((3, 5)) for _ in range(4)]
-    t = tp.l2_normalize(rng.standard_normal(5))
+    t = tp.l2_normalize(rng.standard_normal((1, 5)))
     params = random_params(rng, 4, 5)
     base = wsi_encode(batch_of(make_bag(region_embs)), t, params, CFG)
     perm = [2, 0, 3, 1]
@@ -317,12 +317,12 @@ def test_zero_guidance_reduces_to_plain_gated_attention():
 
 def test_refinement_increases_aligned_attention():
     rng = np.random.default_rng(10)
-    t = tp.l2_normalize(rng.standard_normal(6))
+    t = tp.l2_normalize(rng.standard_normal((1, 6)))
     aligned = 0.9 * t + 0.05 * rng.standard_normal(6)
     others = rng.standard_normal((3, 6))
     embs = np.vstack([aligned, others])
     params = random_params(rng, 4, 6)
-    assert tp.cosine(aligned[None], t[None])[0, 0] > CFG.threshold
+    assert tp.cosine(aligned, t)[0, 0] > CFG.threshold
     lo = region_encode(region_batch(embs), t, params, CFG)
     hi_cfg = RefinementConfig(factor=3 * CFG.factor, threshold=CFG.threshold)
     hi = region_encode(region_batch(embs), t, params, hi_cfg)
@@ -332,7 +332,7 @@ def test_refinement_increases_aligned_attention():
 @given(st.floats(0.21, 0.99), st.floats(1.1, 5.0))
 def test_lambda_amplification_property(c, boost):
     rng = np.random.default_rng(11)
-    t = np.array([1.0, 0.0, 0.0])
+    t = np.array([[1.0, 0.0, 0.0]])
     h = np.array([c, math.sqrt(1 - c * c), 0.0])
     embs = np.vstack([h, rng.standard_normal((2, 3))])
     params = random_params(rng, 2, 3)
@@ -366,7 +366,7 @@ def test_saliency_uniform_attention_everywhere():
 def test_saliency_range_and_modes():
     rng = np.random.default_rng(14)
     bag = make_bag([rng.standard_normal((4, 5)) for _ in range(3)])
-    t = tp.l2_normalize(rng.standard_normal(5))
+    t = tp.l2_normalize(rng.standard_normal((1, 5)))
     out = wsi_encode(batch_of(bag), t, random_params(rng, 3, 5), CFG)
     for mode in ("multiplicative", "instance-only"):
         flat = instance_saliency(out, mode)
@@ -385,7 +385,7 @@ def test_saliency_planted_signal_above_background():
                          tumor_region_fraction=0.4, tumor_instance_fraction=0.5,
                          region_tokens=2, slide_tokens=2, test_per_class=1, val_per_class=1)
     ds = build_dataset(spec)
-    guidance = ds.prototypes[1]
+    guidance = ds.prototypes[1][None]
     rng = np.random.default_rng(0)
     params = random_params(rng, 4, 16)
     checked = 0
@@ -403,7 +403,7 @@ def test_saliency_planted_signal_above_background():
 def test_attention_record_round_trip(tmp_path):
     rng = np.random.default_rng(15)
     bag = make_bag([rng.standard_normal((3, 5)) for _ in range(2)])
-    t = tp.l2_normalize(rng.standard_normal(5))
+    t = tp.l2_normalize(rng.standard_normal((1, 5)))
     out = wsi_encode(batch_of(bag), t, random_params(rng, 3, 5), CFG)
     [record] = attention_records(out)
     # weights sum to one per softmax group
@@ -545,7 +545,7 @@ def test_bag_validation_rejects_non_finite(bad):
 
 def test_refinement_score_matrix_matches_rows():
     rng = np.random.default_rng(21)
-    t = tp.l2_normalize(rng.standard_normal(5))
+    t = tp.l2_normalize(rng.standard_normal((1, 5)))
     H = np.vstack([0.9 * t + 0.1 * rng.standard_normal(5), rng.standard_normal((3, 5)),
                    np.zeros((1, 5))])
     scores = refinement_score(H, t, CFG)
@@ -559,7 +559,7 @@ def test_refinement_score_matrix_matches_rows():
 def test_refinement_score_detached_records_nothing():
     rng = np.random.default_rng(22)
     tape = tp.Tape()
-    t = tape.param(tp.l2_normalize(rng.standard_normal(4)))
+    t = tape.param(tp.l2_normalize(rng.standard_normal((1, 4))))
     H = tape.param(np.vstack([tp.value(t), rng.standard_normal(4)]))
     detached = RefinementConfig(factor=10.0, threshold=0.2, gradient="detached")
     assert not isinstance(refinement_score(H, t, detached), tp.Node)
@@ -616,8 +616,8 @@ def test_batch_layout():
     bags = mixed_bags(np.random.default_rng(29))
     batch = BagBatch.of(bags)
     assert batch.n_instances == 22 and len(batch.bags) == 4
-    assert batch.region_offsets.tolist() == [0, 3, 4, 8, 10, 11, 15, 17, 20, 22]
-    assert batch.slide_offsets.tolist() == [0, 3, 4, 5, 9]
+    assert batch.regions.offsets.tolist() == [0, 3, 4, 8, 10, 11, 15, 17, 20, 22]
+    assert batch.slides.offsets.tolist() == [0, 3, 4, 5, 9]
     assert batch.slide_row_offsets().tolist() == [0, 8, 10, 11, 22]
     assert batch.labels.tolist() == [0, 1, 0, 1]
     assert np.array_equal(batch.rows[8:10], bags[1].regions[0].embeddings)
@@ -632,7 +632,7 @@ def test_batch_checks_its_layout_and_norms_once(monkeypatch):
     assert (batch.regions.n_rows, batch.slides.n_rows) == (22, 9)
     assert batch.regions.counts.tolist() == [3, 1, 4, 2, 1, 4, 2, 3, 2]
     assert batch.norms.tobytes() == np.linalg.norm(batch.rows, axis=1).tobytes()
-    t, params = rng.standard_normal(5), init_attention(3, 4, 5)
+    t, params = rng.standard_normal((1, 5)), init_attention(3, 4, 5)
     cfg = RefinementConfig()
     expected = tp.refine_scores(batch.rows, t, cfg.factor, cfg.threshold)
     built, given_norms, refine_scores = [], [], tp.refine_scores
@@ -653,7 +653,7 @@ def test_batch_checks_its_layout_and_norms_once(monkeypatch):
 def test_multi_slide_batch_matches_per_slide_batches(guided):
     rng = np.random.default_rng(30)
     bags = mixed_bags(rng)
-    t = tp.l2_normalize(rng.standard_normal(5)) if guided else None
+    t = tp.l2_normalize(rng.standard_normal((1, 5))) if guided else None
     params = random_params(rng, 4, 5)
     together = pooled(wsi_encode(BagBatch.of(bags), t, params, CFG))
     alone = [pooled(wsi_encode(batch_of(b), t, params, CFG)) for b in bags]
@@ -672,7 +672,7 @@ def test_batch_bags_cuts_at_the_row_limit(monkeypatch):
     assert [[b.slide_id for b in batch.bags] for batch in batches] == \
         [["s0", "s1"], ["s2"], ["s3", "s4"]]  # the 7-row slide forms its own batch
     assert [batch.n_instances for batch in batches] == [5, 7, 5]
-    t = tp.l2_normalize(rng.standard_normal(5))
+    t = tp.l2_normalize(rng.standard_normal((1, 5)))
     params = random_params(rng, 4, 5)
     whole = pooled(wsi_encode(BagBatch.of(bags), t, params, CFG))
     parts = [pooled(wsi_encode(batch, t, params, CFG)) for batch in batches]
@@ -683,7 +683,7 @@ def test_batch_bags_cuts_at_the_row_limit(monkeypatch):
 def test_slide_permutation_within_a_batch():
     rng = np.random.default_rng(32)
     bags = mixed_bags(rng)
-    t = tp.l2_normalize(rng.standard_normal(5))
+    t = tp.l2_normalize(rng.standard_normal((1, 5)))
     params = random_params(rng, 4, 5)
     base = wsi_encode(BagBatch.of(bags), t, params, CFG)
     perm = [2, 0, 3, 1]
@@ -708,9 +708,9 @@ def test_frozen_pass_reproduces_the_pass_it_freezes(monkeypatch):
     refine_scores node, where the pass it freezes records one per level."""
     rng = np.random.default_rng(33)
     batch = BagBatch.of(mixed_bags(rng))
-    t = tp.l2_normalize(rng.standard_normal(5))
+    t = tp.l2_normalize(rng.standard_normal((1, 5)))
     params = random_params(rng, 4, 5)
-    classes = [tp.l2_normalize(rng.standard_normal(5)) for _ in range(2)]
+    classes = tp.l2_normalize(rng.standard_normal((2, 5)))
     first = wsi_encode(batch, t, params, CFG)
     again = wsi_encode(batch, t, params, CFG, frozen=first)
     assert first.region.scores.any() and first.slide.scores.any()

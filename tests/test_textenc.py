@@ -32,6 +32,12 @@ def golden_tokens():
     return rng.standard_normal((GOLDEN["n_tokens"], GOLDEN["dim"])) / 8.0
 
 
+def encode_one(stack, tokens, **kw) -> np.ndarray:
+    """The text embedding of one prompt's token rows, a vector."""
+    n = len(tokens)
+    return encode(stack, tokens, tp.Segments([0, n], n), **kw)[0]
+
+
 def make_prompt(n_region=3, n_slide=2, dim=8, seed=0):
     rng = np.random.default_rng(seed)
     return ClassPrompt(class_id=0, name="c0",
@@ -85,7 +91,7 @@ def test_prompt_file_round_trip(tmp_path):
 
 
 def test_encode_golden_snapshot():
-    out = encode(golden_stack(), [golden_tokens()], sites=None)[0]
+    out = encode_one(golden_stack(), golden_tokens(), sites=None)
     assert np.abs(out - np.array(GOLDEN["output"])).max() <= 1e-12
 
 
@@ -93,7 +99,7 @@ def test_encode_unit_norm():
     rng = np.random.default_rng(9)
     stack = build_stack(1, 4, 16, 16)
     for _ in range(5):
-        out = encode(stack, [rng.standard_normal((4, 16))], sites=None)[0]
+        out = encode_one(stack, rng.standard_normal((4, 16)), sites=None)
         assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
 
 
@@ -101,27 +107,27 @@ def test_encode_token_order_invariant():
     stack = golden_stack()
     tokens = golden_tokens()
     perm = np.random.default_rng(0).permutation(tokens.shape[0])
-    a = encode(stack, [tokens], sites=None)[0]
-    b = encode(stack, [tokens[perm]], sites=None)[0]
+    a = encode_one(stack, tokens, sites=None)
+    b = encode_one(stack, tokens[perm], sites=None)
     assert np.abs(a - b).max() <= 1e-12
 
 
 def test_encode_dim_mismatch():
     with pytest.raises(DataError):
-        encode(golden_stack(), [np.ones((3, 7))], sites=None)
+        encode_one(golden_stack(), np.ones((3, 7)), sites=None)
 
 
 def test_identity_ssf_bitwise_neutral():
     stack = golden_stack()
     tokens = golden_tokens()
     sites = build_sites(0, stack.n_blocks, stack.n_blocks, stack.dim, 0.0)
-    assert np.array_equal(encode(stack, [tokens], sites=None)[0],
-                          encode(stack, [tokens], sites=sites)[0])
+    assert np.array_equal(encode_one(stack, tokens, sites=None),
+                          encode_one(stack, tokens, sites=sites))
 
 
 def test_frozen_stack_reproducible_across_builds():
-    a = encode(golden_stack(), [golden_tokens()], sites=None)[0]
-    b = encode(golden_stack(), [golden_tokens()], sites=None)[0]
+    a = encode_one(golden_stack(), golden_tokens(), sites=None)
+    b = encode_one(golden_stack(), golden_tokens(), sites=None)
     assert np.array_equal(a, b)
 
 
@@ -130,7 +136,8 @@ def test_frozen_weights_never_enter_tape():
     sites = build_sites(4, 3, 1, 8, 0.05)
     t = tp.Tape()
     bound = {key: SsfParams(t.param(p.gamma), t.param(p.beta)) for key, p in sites.items()}
-    out = encode(stack, [np.random.default_rng(0).standard_normal((3, 8))], sites=bound)[0]
+    out = encode(stack, np.random.default_rng(0).standard_normal((3, 8)), tp.Segments([0, 3], 3),
+                 sites=bound)
     trainable_nodes = 2 * 2  # one adapted block, two sites, gamma+beta
     # every leaf on the tape is a bound adapter vector; no backbone array
     nodes, todo = {}, [out]
@@ -150,7 +157,8 @@ def test_adapted_blocks_record_five_nodes():
     """An adapted block records its layernorm, two scale_shift sites, one
     mlp and the residual add, each over the token rows of every prompt at
     once. The first adapted block reads the constant frozen prefix, so its
-    layernorm records nothing."""
+    layernorm records nothing. Three nodes then make the class matrix,
+    however many prompts there are."""
     stack = build_stack(3, 4, 8, 8)
     tokens = np.random.default_rng(0).standard_normal((5, 8))
     t = tp.Tape()
@@ -158,10 +166,13 @@ def test_adapted_blocks_record_five_nodes():
              for key, p in build_sites(4, 4, 2, 8, 0.05).items()}
     for x, start in [(tokens, 0), (encode_prefix(stack, tokens, 2), 2)]:
         for prompts in ([x], [x, x[:2], x[1:]]):
+            rows = np.concatenate(prompts)
+            segments = tp.Segments(np.cumsum([0, *map(len, prompts)]), len(rows))
             before = len(t)
-            encode(stack, prompts, sites=bound, start=start)
-            # then take_rows, pool, projection and l2_normalize, once per prompt
-            assert len(t) - before == 4 + 5 + 4 * len(prompts)
+            out = encode(stack, rows, segments, sites=bound, start=start)
+            assert out.value.shape == (len(prompts), 8)
+            # then segment_pool, projection and l2_normalize, once for every prompt
+            assert len(t) - before == 4 + 5 + 3
 
 
 def test_depth_sweep_agreement_with_identity_extras():
@@ -174,8 +185,8 @@ def test_depth_sweep_agreement_with_identity_extras():
     for block, kind in deep:
         deep[block, kind] = (shallow[block, kind] if block == 6
                              else SsfParams(np.ones(8), np.zeros(8)))
-    a = encode(stack, [tokens], sites=deep)[0]
-    b = encode(stack, [tokens], sites=shallow)[0]
+    a = encode_one(stack, tokens, sites=deep)
+    b = encode_one(stack, tokens, sites=shallow)
     assert np.abs(a - b).max() <= 1e-12
 
 
@@ -185,23 +196,27 @@ def test_depth_sweep_agreement_with_identity_extras():
 
 def test_refinement_antipodal_degenerate():
     u = np.array([1.0, 0.0])
-    assert refinement_embedding([u, -u]) is None
+    assert refinement_embedding(np.array([u, -u])) is None
 
 
 def test_refinement_binary_returns_tumor_embedding():
-    normal = np.array([1.0, 0.0])
-    tumor = np.array([0.0, 1.0])
-    out = refinement_embedding([normal, tumor], tumor_index=1)
-    assert out is tumor
+    """The guidance is the tumor class's row of the class matrix, as a
+    (1, dim) row, on a tape too."""
+    classes = np.array([[1.0, 0.0], [0.0, 1.0]])
+    assert np.array_equal(refinement_embedding(classes, tumor_index=1), classes[1:])
+    node = tp.Tape().param(classes)
+    out = refinement_embedding(node, tumor_index=0)
+    assert isinstance(out, tp.Node) and np.array_equal(out.value, classes[:1])
 
 
 def test_refinement_multiclass_mean_normalized():
     rng = np.random.default_rng(2)
-    embs = [tp.l2_normalize(rng.standard_normal(8)) for _ in range(5)]
+    embs = tp.l2_normalize(rng.standard_normal((5, 8)))
     out = refinement_embedding(embs)
     expected = np.mean(embs, axis=0)
     expected /= np.linalg.norm(expected)
-    assert np.abs(out - expected).max() <= 1e-12
+    assert out.shape == (1, 8)
+    assert np.abs(out[0] - expected).max() <= 1e-12
 
 
 def test_refinement_tumor_index_out_of_range():
@@ -228,8 +243,8 @@ def test_merge_reparam_matches_composed_forward():
     merged = merge_reparam(stack, sites)
     for _ in range(100):
         tokens = rng.standard_normal((3, 12))
-        a = encode(stack, [tokens], sites=sites)[0]
-        b = encode(merged, [tokens], sites=None)[0]
+        a = encode_one(stack, tokens, sites=sites)
+        b = encode_one(merged, tokens, sites=None)
         assert np.abs(a - b).max() <= 1e-12
 
 
@@ -263,25 +278,25 @@ def test_encode_from_prefix_bitwise(identity):
     tokens = np.random.default_rng(3).standard_normal((5, 8))
     for depth in range(1, stack.n_blocks + 1):
         sites = build_sites(32, 6, depth, 8, 0.0 if identity else 0.1)
-        full = encode(stack, [tokens], sites=sites)[0]
+        full = encode_one(stack, tokens, sites=sites)
         for boundary in range(0, stack.n_blocks - depth + 1):  # every bare prefix
             prefix = encode_prefix(stack, tokens, boundary)
             assert prefix.shape == tokens.shape
-            assert np.array_equal(encode(stack, [prefix], sites=sites, start=boundary)[0], full)
+            assert np.array_equal(encode_one(stack, prefix, sites=sites, start=boundary), full)
 
 
 def test_encode_from_full_stack_prefix_runs_no_block():
     stack = golden_stack()
     prefix = encode_prefix(stack, golden_tokens(), stack.n_blocks)
-    out = encode(stack, [prefix], sites=None, start=stack.n_blocks)[0]
-    assert np.array_equal(out, encode(stack, [golden_tokens()], sites=None)[0])
+    out = encode_one(stack, prefix, sites=None, start=stack.n_blocks)
+    assert np.array_equal(out, encode_one(stack, golden_tokens(), sites=None))
     assert np.abs(out - np.array(GOLDEN["output"])).max() <= 1e-12
 
 
 def test_encode_start_out_of_range():
     stack = golden_stack()
     with pytest.raises(ValueError):
-        encode(stack, [golden_tokens()], sites=None, start=stack.n_blocks + 1)
+        encode_one(stack, golden_tokens(), sites=None, start=stack.n_blocks + 1)
     with pytest.raises(ValueError):
         encode_prefix(stack, golden_tokens(), -1)
 

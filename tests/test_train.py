@@ -59,7 +59,7 @@ def test_class_probabilities_symmetric():
     f = np.array([1.0, 1.0, 0.0, 0.0])
     t0 = np.array([1.0, 0.0, 1.0, 0.0]) / np.sqrt(2)
     t1 = np.array([0.0, 1.0, 0.0, 1.0]) / np.sqrt(2)
-    p = class_probabilities(f[None], [t0, t1], temperature=0.07)
+    p = class_probabilities(f[None], np.array([t0, t1]), temperature=0.07)
     assert np.abs(p - 0.5).max() <= 1e-12
 
 
@@ -68,7 +68,7 @@ def test_class_probabilities_frozen_value():
     f = np.array([1.0, 0.0])
     t0 = np.array([0.8, 0.6])
     t1 = np.array([0.2, np.sqrt(1 - 0.04)])
-    p = class_probabilities(f[None], [t0, t1], temperature=0.07)[0]
+    p = class_probabilities(f[None], np.array([t0, t1]), temperature=0.07)[0]
     assert p[0] == pytest.approx(0.9998105940561749, abs=1e-12)
     assert p[1] == pytest.approx(0.00018940594382518605, rel=1e-9)
 
@@ -76,7 +76,7 @@ def test_class_probabilities_frozen_value():
 def test_class_probabilities_large_temperature_uniform():
     rng = np.random.default_rng(0)
     f = rng.standard_normal(8)
-    ts = [tp.l2_normalize(rng.standard_normal(8)) for _ in range(3)]
+    ts = tp.l2_normalize(rng.standard_normal((3, 8)))
     # deviation from uniform decays like (max cos - min cos) / temperature
     p = class_probabilities(f[None], ts, temperature=1e6)
     assert np.abs(p - 1.0 / 3).max() <= 2.0 / 1e6
@@ -87,7 +87,7 @@ def test_class_probabilities_large_temperature_uniform():
 def test_class_probabilities_rescale_invariance():
     rng = np.random.default_rng(1)
     f = rng.standard_normal(8)
-    ts = [tp.l2_normalize(rng.standard_normal(8)) for _ in range(3)]
+    ts = tp.l2_normalize(rng.standard_normal((3, 8)))
     a = class_probabilities(f[None], ts, temperature=0.07)
     b = class_probabilities(3.7 * f[None], ts, temperature=0.07)
     assert np.abs(np.asarray(a) - np.asarray(b)).max() <= 1e-12
@@ -95,7 +95,7 @@ def test_class_probabilities_rescale_invariance():
 
 def test_class_probabilities_rejects_bad_temperature():
     with pytest.raises(ConfigError):
-        class_probabilities(np.ones(2), [np.ones(2)], temperature=0.0)
+        class_probabilities(np.ones((1, 2)), np.ones((1, 2)), temperature=0.0)
 
 
 def test_nll_values():
@@ -187,9 +187,10 @@ def test_row_by_row_text_is_the_batched_text_bitwise(problem):
         batched = layout.model(layout.split(theta + step))
         embs, guidance = batched.text()
         row_embs, row_guidance = replace(batched, row_by_row=True).text()
-        assert len(embs) == len(row_embs) == model.prompts.n_classes
-        for a, b in zip([*embs, guidance], [*row_embs, row_guidance]):
-            assert a.tobytes() == b.tobytes()
+        assert embs.shape == row_embs.shape == (model.prompts.n_classes, model.stack.dim)
+        assert guidance.shape == (1, model.stack.dim)
+        assert embs.tobytes() == row_embs.tobytes()
+        assert guidance.tobytes() == row_guidance.tobytes()
 
 
 def test_row_mixing_defect_fails_the_gradient_check(monkeypatch):
@@ -298,7 +299,7 @@ def test_fit_encodes_class_prompts_once_per_epoch(monkeypatch):
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(len(args[1]))
+        calls.append(len(args[2].counts))
         return encode(*args, **kwargs)
 
     monkeypatch.setattr(model_mod, "encode", counted)
@@ -470,10 +471,16 @@ def test_fit_rejects_one_class_validation_set():
 # frozen-prefix cache
 
 
-def full_encode(model, sites=None):
-    """Class embeddings through every block, bypassing the prefix cache."""
-    use = model.sites if sites is None else sites
-    return encode(model.stack, [build_prompt(c) for c in model.prompts.classes], use)
+def stacked_prompts(model):
+    """(the token rows of every class prompt, stacked, and their segments)."""
+    tokens = [build_prompt(c) for c in model.prompts.classes]
+    rows = np.concatenate(tokens)
+    return rows, tp.Segments(np.cumsum([0, *map(len, tokens)]), len(rows))
+
+
+def full_encode(model):
+    """The class matrix through every block, bypassing the prefix cache."""
+    return encode(model.stack, *stacked_prompts(model), model.sites)
 
 
 def count_prefixes(monkeypatch):
@@ -490,18 +497,15 @@ def count_prefixes(monkeypatch):
 def test_cached_class_embeddings_bitwise_plain_and_taped(monkeypatch):
     cfg = small_config()
     model, train_bags, _, _ = make_problem(cfg)
-    for a, b in zip(model.text()[0], full_encode(model)):
-        assert np.array_equal(a, b)
+    assert np.array_equal(model.text()[0], full_encode(model))
     layout = TrainableLayout(model)
     theta = layout.pack()
     batch = BagBatch.of(train_bags)
     loss, tape, nodes, (embs, _) = epoch_loss(batch, layout, theta)
-    for a, b in zip(embs, model.text()[0]):
-        assert np.array_equal(tp.value(a), b)
+    assert np.array_equal(tp.value(embs), model.text()[0])
     grad = layout.flatten_grads(tape.backward(loss), nodes)
     # no cached prefix: every block runs on the whole prompt, as in full_encode
-    monkeypatch.setattr(SlideClassifier, "frozen_prefix",
-                        lambda m: (0, [build_prompt(c) for c in m.prompts.classes]))
+    monkeypatch.setattr(SlideClassifier, "frozen_prefix", lambda m: (0, *stacked_prompts(m)))
     ref_loss, ref_tape, ref_nodes, _ = epoch_loss(batch, layout, theta)
     ref_grad = layout.flatten_grads(ref_tape.backward(ref_loss), ref_nodes)
     assert tp.value(loss) == tp.value(ref_loss)
@@ -518,22 +522,45 @@ def test_prefix_cache_follows_reassigned_sites_stack_and_prompts(monkeypatch):
     layout.apply(layout.pack() + 0.01)  # new trainable arrays only: cache still valid
     model.text()
     model.sites = build_sites(41, 4, 2, 16, 0.1)  # new sites, same boundary: still valid
-    for a, b in zip(model.text()[0], full_encode(model)):
-        assert np.array_equal(a, b)
-    assert len(calls) == 2
+    assert np.array_equal(model.text()[0], full_encode(model))
+    assert len(calls) == 1
     model.sites = build_sites(41, 4, 3, 16, 0.1)  # one more adapted block: boundary moves
-    for a, b in zip(model.text()[0], full_encode(model)):
-        assert np.array_equal(a, b)
+    assert np.array_equal(model.text()[0], full_encode(model))
     assert calls[-1] == 1
     model.stack = build_stack(6, 4, 16, 8)
-    for a, b in zip(model.text()[0], full_encode(model)):
-        assert np.array_equal(a, b)
+    assert np.array_equal(model.text()[0], full_encode(model))
     model.prompts = PromptSet(classes=[replace(c, region_tokens=c.region_tokens[::-1].copy())
                                        for c in model.prompts.classes],
                               tumor_class=model.prompts.tumor_class)
-    for a, b in zip(model.text()[0], full_encode(model)):
-        assert np.array_equal(a, b)
-    assert len(calls) == 8
+    assert np.array_equal(model.text()[0], full_encode(model))
+    assert len(calls) == 4
+
+
+def test_model_lays_out_its_prompts_once_per_prefix(monkeypatch):
+    """A model builds the segments of its stacked prompts together with
+    the frozen prefix, once per cache key, as a `BagBatch` checks its
+    layout once: a fit's every epoch and validation, and copies at other
+    parameter values, reuse them."""
+    cfg = small_config()
+    model, train_bags, val_bags, _ = make_problem(cfg)
+    built, segments = [], tp.Segments
+
+    def counted(offsets, n_rows):
+        built.append((list(offsets), n_rows))
+        return segments(offsets, n_rows)
+
+    monkeypatch.setattr(tp, "Segments", counted)
+    rows, prompts = stacked_prompts(model)
+    layout = (prompts.offsets.tolist(), len(rows))  # the batches build segments of their own
+    assert model.prompts.tumor_class is not None  # the guidance is a row of the class matrix
+    built.clear()
+    result = fit(model, train_bags, val_bags)
+    assert len(result.history) > 1
+    assert [b for b in built if b == layout] == [layout]
+    model.sites = build_sites(41, 4, 3, 16, 0.1)  # the boundary moves: a new key
+    model.text()
+    model.text()
+    assert [b for b in built if b == layout] == [layout] * 2
 
 
 def test_fit_computes_each_class_prefix_once(monkeypatch):
@@ -542,7 +569,7 @@ def test_fit_computes_each_class_prefix_once(monkeypatch):
     calls = count_prefixes(monkeypatch)
     result = fit(model, train_bags, val_bags)
     assert len(result.history) > 1
-    assert calls == [2] * model.prompts.n_classes  # blocks 1..2 of 4 are frozen
+    assert calls == [2]  # blocks 1..2 of 4 are frozen, run once over every prompt
 
 
 def test_model_without_trainable_sites_caches_whole_stack(monkeypatch):
@@ -552,11 +579,9 @@ def test_model_without_trainable_sites_caches_whole_stack(monkeypatch):
     merged = merge_model(model)
     calls = count_prefixes(monkeypatch)
     embs = merged.text()[0]
-    assert calls == [merged.stack.n_blocks] * merged.prompts.n_classes
-    for a, b in zip(embs, full_encode(merged)):
-        assert np.array_equal(a, b)
-    for a, b in zip(embs, model.text()[0]):
-        assert np.abs(a - b).max() <= 1e-10
+    assert calls == [merged.stack.n_blocks]
+    assert np.array_equal(embs, full_encode(merged))
+    assert np.abs(embs - model.text()[0]).max() <= 1e-10
 
 
 def test_models_and_copies_keep_their_own_prefixes(monkeypatch):
@@ -570,13 +595,12 @@ def test_models_and_copies_keep_their_own_prefixes(monkeypatch):
     merged = merge_model(model)
     evaluate(merged, test_bags)
     assert evaluate(model, test_bags).per_slide == first.per_slide
-    n = model.prompts.n_classes
-    assert calls == [2] * n + [merged.stack.n_blocks] * n
+    assert calls == [2, merged.stack.n_blocks]
     layout = TrainableLayout(model)
     copy = layout.model(layout.split(layout.pack() + 0.01))
     copy.text()
     assert copy.prefix_cache is model.prefix_cache
-    assert len(calls) == 2 * n
+    assert len(calls) == 2
 
 
 def test_only_the_model_pools_and_scores():
@@ -763,12 +787,13 @@ def test_default_epoch_gradient_matches_reference_sweep_bitwise():
 
 
 def test_default_epoch_tape_nodes_pinned():
-    """A default k=4 epoch records 46 tape nodes. 9 are the adapted blocks,
+    """A default k=4 epoch records 41 tape nodes. 9 are the adapted blocks,
     each run once over the 16 token rows of both class prompts: 4 in the
     first, whose layernorm reads the constant frozen prefix, and 5 in the
     second (layernorm, two scale_shift sites, mlp, residual add). The other
-    37 are the 14 parameter leaves, 4 per class embedding (take_rows, pool,
-    projection, l2_normalize) and the 15 of the batched pooling and head."""
+    32 are the 14 parameter leaves, 3 for the class matrix (segment_pool,
+    projection, l2_normalize), 1 for the guidance row (take_rows) and the
+    14 of the batched pooling and head."""
     cfg = RunConfig()
     dataset = build_dataset(cfg.generator)
     spec = dataset.spec
@@ -778,7 +803,7 @@ def test_default_epoch_tape_nodes_pinned():
     train_bags = sorted(model.check_bags(dataset.select(plan.train)), key=lambda b: b.slide_id)
     layout = TrainableLayout(model)
     _, tape, _, _ = epoch_loss(BagBatch.of(train_bags), layout, layout.pack())
-    assert len(tape) == 46
+    assert len(tape) == 41
 
 
 def test_default_kshot_grid_pinned():
